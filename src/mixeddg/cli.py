@@ -56,8 +56,6 @@ class RunConfig:
     stab: StabilizationParams = None
     fmt: str = "csv"
     out: str = None
-    max_level_3d: int = 8
-    seed: int = 0
 
     @property
     def is_p_sweep(self) -> bool:
@@ -94,8 +92,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", default=None, help="output path (default: stdout)")
     p.add_argument("--max-level-3d", type=int, default=8,
                    help="cap on n per axis for tetrahedral sweeps")
-    p.add_argument("--seed", type=int, default=0,
-                   help="seed recorded for reproducibility of randomized tests")
     return p
 
 
@@ -107,17 +103,18 @@ def config_from_args(args) -> RunConfig:
         raise ConfigError(
             f"unknown mesh {mesh!r}; pick from {MESHES} or file:<path>")
 
-    ks = [int(s) for s in str(args.k).split(",")]
+    ks = _parse_ints(args.k, "--k")
+    ls = None if args.l is None else _parse_ints(args.l, "--l")
     if any(k < 0 for k in ks):
         raise ConfigError("degrees must be >= 0")
     k_list = None
     if len(ks) > 1:
-        if args.l is not None and [int(s) for s in args.l.split(",")] != ks:
+        if ls is not None and ls != ks:
             raise ConfigError("p-sweeps run with l = k; omit --l")
         k_list, k, l = ks, ks[0], ks[0]
     else:
         k = ks[0]
-        l = k if args.l is None else int(args.l)
+        l = k if ls is None else ls[0]
     if abs(k - l) > 1:
         raise ConfigError(f"|k - l| = {abs(k - l)} > 1 violates the space inclusions")
 
@@ -141,20 +138,25 @@ def config_from_args(args) -> RunConfig:
         if any(n > cap for n in levels):
             raise ConfigError(
                 f"3d level n > {cap}; raise --max-level-3d to allow it")
+    if args.out is not None and not Path(args.out).parent.is_dir():
+        raise ConfigError(f"--out {args.out!r}: no such directory")
 
     return RunConfig(
         problem=args.problem, mesh=mesh, levels=levels,
         k=k, l=l, k_list=k_list, stab=stab,
         fmt=args.fmt, out=args.out,
-        max_level_3d=args.max_level_3d, seed=args.seed,
     )
 
 
-def _parse_levels(spec: str, mesh: str, p_sweep: bool = False) -> list:
+def _parse_ints(spec: str, flag: str) -> list:
     try:
-        parts = [int(s) for s in str(spec).split(",")]
+        return [int(s) for s in str(spec).split(",")]
     except ValueError:
-        raise ConfigError(f"bad --levels {spec!r}") from None
+        raise ConfigError(f"bad {flag} {spec!r}") from None
+
+
+def _parse_levels(spec: str, mesh: str, p_sweep: bool = False) -> list:
+    parts = _parse_ints(spec, "--levels")
     if len(parts) == 1 and not p_sweep:
         # a bare integer is a level count: n = 2, 4, ..., 2^count
         count = parts[0]
@@ -329,7 +331,11 @@ def main(argv=None) -> int:
         print(f"solver failure: {exc}", file=sys.stderr)
         return 3
     if config.out:
-        Path(config.out).write_text(text)
+        try:
+            Path(config.out).write_text(text)
+        except OSError as exc:
+            print(f"config error: cannot write --out: {exc}", file=sys.stderr)
+            return 2
     else:
         sys.stdout.write(text)
     return 0

@@ -11,19 +11,21 @@ trace block b(.,.), and a displacement jump penalty c(.,.):
 assembled as sparse blocks with the saddle-point sign convention
 M = [[Aa, Bb], [-Bb^T, Cc]] acting on (stress; displacement) coefficients.
 Homogeneous Dirichlet data enters only through the retained boundary-face
-terms; no rows are eliminated.  Assembly batches cells and face groups with
-a fixed accumulation order, so repeated runs build bit-identical matrices.
+terms; no rows are eliminated.  Assembly batches cells, then the interior and
+the boundary slices of the face topology, with a fixed accumulation order, so
+repeated runs build bit-identical matrices.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
 
 from .mesh import face_quadrature
-from .polybasis import cell_quadrature, orthonormal_basis, simplex_quadrature
+from .polybasis import cell_quadrature, orthonormal_basis
 from .spaces import DofMap, data_exactness, stress_unit_tensors
 
 
@@ -80,6 +82,9 @@ class StabilizationParams:
     allow_out_of_theory: bool = False
 
     def __post_init__(self):
+        for name in ("zeta", "eta", "alpha1", "alpha2", "beta1", "beta2"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite")
         if self.zeta <= 0:
             raise ValueError("zeta must be positive")
         if self.eta < 0:
@@ -97,32 +102,6 @@ class StabilizationParams:
                     f"beta exponents {(self.beta1, self.beta2)} outside [0, 1]; "
                     "pass allow_out_of_theory to override"
                 )
-
-
-def c11_on_face(face, mesh, dofmap: DofMap, stab: StabilizationParams) -> float:
-    """Displacement-jump penalty on a face (interior or boundary)."""
-    hp = mesh.diameters[face.plus_cell]
-    pp = dofmap.p_cell(face.plus_cell)
-    val = hp ** stab.alpha1 / pp ** stab.alpha2
-    if face.is_interior:
-        hm = mesh.diameters[face.minus_cell]
-        pm = dofmap.p_cell(face.minus_cell)
-        val = min(val, hm ** stab.alpha1 / pm ** stab.alpha2)
-    return stab.zeta * val
-
-
-def c22_on_face(face, mesh, dofmap: DofMap, stab: StabilizationParams) -> float:
-    """Stress-jump penalty; defined on interior faces only."""
-    if not face.is_interior:
-        raise ValueError("C22 terms exist on interior faces only")
-    if stab.c22_zero:
-        return 0.0
-    hp = mesh.diameters[face.plus_cell]
-    pp = dofmap.p_cell(face.plus_cell)
-    hm = mesh.diameters[face.minus_cell]
-    pm = dofmap.p_cell(face.minus_cell)
-    return stab.eta * min(hp ** stab.beta1 / pp ** stab.beta2,
-                          hm ** stab.beta1 / pm ** stab.beta2)
 
 
 def _sym_outer(v, n):
@@ -214,86 +193,37 @@ class _Triplets:
         return coo.tocsr()
 
 
-@dataclass
-class FaceGroup:
-    """Arrays over one class of faces (interior or boundary)."""
-
-    plus: np.ndarray      # (nf,)
-    minus: np.ndarray     # (nf,) or None
-    normals: np.ndarray   # (nf, d)
-    measures: np.ndarray  # (nf,)
-    coords: np.ndarray    # (nf, verts_per_face, d)
-
-    @property
-    def count(self) -> int:
-        return self.plus.shape[0]
-
-    @property
-    def is_interior(self) -> bool:
-        return self.minus is not None
-
-
-def face_groups(mesh, topo):
-    """Split the topology into batched interior/boundary arrays."""
-    groups = []
-    for interior in (True, False):
-        faces = topo.interior if interior else topo.boundary
-        if not faces:
-            groups.append(None)
-            continue
-        groups.append(FaceGroup(
-            plus=np.array([f.plus_cell for f in faces]),
-            minus=np.array([f.minus_cell for f in faces]) if interior else None,
-            normals=np.array([f.normal for f in faces]),
-            measures=np.array([f.measure for f in faces]),
-            coords=np.array([mesh.vertices[list(f.vertices)] for f in faces]),
-        ))
-    return groups
-
-
-def group_quadrature(mesh, group: FaceGroup, exactness: int):
-    """Physical quadrature points (nf, nq, d) and weights (nf, nq) per face."""
-    if mesh.dim == 2:
-        rule = simplex_quadrature(1, exactness)
-        t = rule.points[:, 0]
-        e = group.coords[:, 1] - group.coords[:, 0]
-        x = group.coords[:, None, 0, :] + t[None, :, None] * e[:, None, :]
-        w = rule.weights[None, :] * group.measures[:, None]
-    else:
-        rule = simplex_quadrature(2, exactness)
-        e1 = group.coords[:, 1] - group.coords[:, 0]
-        e2 = group.coords[:, 2] - group.coords[:, 0]
-        x = (group.coords[:, None, 0, :]
-             + rule.points[None, :, 0, None] * e1[:, None, :]
-             + rule.points[None, :, 1, None] * e2[:, None, :])
-        w = rule.weights[None, :] * (group.measures[:, None] / 0.5)
-    return x, w
-
-
 def side_ref_coords(mesh, cells, x):
     """Reference coordinates of physical face points in each incident cell."""
     delta = x - mesh.cell_v0[cells][:, None, :]
     return np.einsum("Frs,Fqs->Fqr", mesh.jac_inv[cells], delta)
 
 
-def eval_on_group(basis, ref):
+def eval_on_faces(basis, ref):
     """Basis values at (nf, nq, d) reference points; shape (m, nf, nq)."""
     nf, nq, d = ref.shape
     return basis.eval(ref.reshape(nf * nq, d)).reshape(basis.size, nf, nq)
 
 
-def penalty_values(group: FaceGroup, mesh, dofmap, stab, which: str):
-    h = mesh.diameters
+def penalty_values(mesh, dofmap, stab, which: str, plus, minus=None):
+    """C11 (which="c11") or C22 ("c22") on faces with incident cells plus/minus.
+
+    Interior faces (minus given) take the min over their two cells; C22 exists
+    on interior faces only.  p = min(k, l) + 1 on every cell.
+    """
     p = float(min(dofmap.k, dofmap.l) + 1)
     if which == "c11":
         coef, e1, e2 = stab.zeta, stab.alpha1, stab.alpha2
     else:
+        if minus is None:
+            raise ValueError("C22 terms exist on interior faces only")
         coef, e1, e2 = stab.eta, stab.beta1, stab.beta2
         if stab.c22_zero:
-            return np.zeros(group.count)
-    val = h[group.plus] ** e1 / p ** e2
-    if group.is_interior:
-        val = np.minimum(val, h[group.minus] ** e1 / p ** e2)
+            return np.zeros(len(plus))
+    h = mesh.diameters
+    val = h[plus] ** e1 / p ** e2
+    if minus is not None:
+        val = np.minimum(val, h[minus] ** e1 / p ** e2)
     return coef * val
 
 
@@ -356,31 +286,33 @@ def assemble_system(mesh, topo, dofmap: DofMap, mat: MaterialParams,
     fx = np.asarray(f(phys.reshape(-1, d))).reshape(nc, rule_f.size, d)
     rhs = np.einsum("Fqc,q,jq,F->Fcj", fx, rule_f.weights, Vk_f, detj).ravel()
 
-    # face terms, batched per group
-    for group in face_groups(mesh, topo):
-        if group is None:
+    # face terms, batched over the interior and then the boundary faces
+    for faces in (topo.interior, topo.boundary):
+        if faces.start == faces.stop:
             continue
-        x, wq = group_quadrature(mesh, group, matrix_exactness)
-        n = group.normals
+        x, wq = face_quadrature(mesh, topo, faces, matrix_exactness)
+        n = topo.normals[faces]
         En = np.einsum("aij,Fj->Fai", E, n)
         Q = 0.5 * (np.eye(d)[None, :, :] + n[:, :, None] * n[:, None, :])
-        c11 = penalty_values(group, mesh, dofmap, stab, "c11")
+        plus = topo.plus[faces]
+        minus = topo.minus[faces] if faces == topo.interior else None
+        c11 = penalty_values(mesh, dofmap, stab, "c11", plus, minus)
 
-        if group.is_interior:
-            sides = ((group.plus, 1.0), (group.minus, -1.0))
+        if minus is not None:
+            sides = ((plus, 1.0), (minus, -1.0))
             avg_w = 0.5
-            c22 = penalty_values(group, mesh, dofmap, stab, "c22")
+            c22 = penalty_values(mesh, dofmap, stab, "c22", plus, minus)
             R = np.einsum("Fai,Fbi->Fab", En, En)
         else:
-            sides = ((group.plus, 1.0),)
+            sides = ((plus, 1.0),)
             avg_w = 1.0
             c22 = None
 
         Vk_s, Vl_s = [], []
         for cells, _sign in sides:
             ref = side_ref_coords(mesh, cells, x)
-            Vk_s.append(eval_on_group(basis_k, ref))
-            Vl_s.append(eval_on_group(basis_l, ref))
+            Vk_s.append(eval_on_faces(basis_k, ref))
+            Vl_s.append(eval_on_faces(basis_l, ref))
 
         for si, (cells_s, sign_s) in enumerate(sides):
             dbase_s = doff[cells_s]
@@ -417,10 +349,26 @@ def assemble_system(mesh, topo, dofmap: DofMap, mat: MaterialParams,
 
 
 # ---------------------------------------------------------------------------
-# Direct quadrature of the forms on arbitrary side-aware fields.  These share
-# no code with the batched assembly above and serve as its cross-check.
-# Field callables take (cell_index, physical_points) and return values at the
-# points: (nq, d) for vectors, (nq, d, d) for tensors.
+# Direct quadrature of the forms on arbitrary side-aware fields, one face at a
+# time through jump_avg_kernels.  They share only penalty_values and
+# face_quadrature with the batched assembly above and serve as its
+# cross-check.  Field callables take (cell_index, physical_points) and return
+# values at the points: (nq, d) for vectors, (nq, d, d) for tensors.
+
+def _face_points(mesh, topo, i, exactness):
+    """Quadrature points (nq, d) and weights (nq,) of face i alone."""
+    x, wq = face_quadrature(mesh, topo, slice(i, i + 1), exactness)
+    return x[0], wq[0]
+
+
+def _face_penalties(mesh, topo, dofmap, stab, i):
+    """(C11, C22) on face i; C22 is 0 on boundary faces."""
+    plus, minus = topo.plus[i:i + 1], topo.minus[i:i + 1]
+    if i >= topo.interior_count:
+        return float(penalty_values(mesh, dofmap, stab, "c11", plus)[0]), 0.0
+    return (float(penalty_values(mesh, dofmap, stab, "c11", plus, minus)[0]),
+            float(penalty_values(mesh, dofmap, stab, "c22", plus, minus)[0]))
+
 
 def form_a_direct(mesh, topo, dofmap, mat, stab, tau1, tau2, exactness):
     rule = cell_quadrature(mesh.cell_kind, exactness)
@@ -430,17 +378,14 @@ def form_a_direct(mesh, topo, dofmap, mat, stab, tau1, tau2, exactness):
         wq = rule.weights * abs(mesh.det_jac[c])
         total += np.einsum("q,qij,qij->", wq,
                            compliance_apply(tau1(c, x), mat), tau2(c, x))
-    for face in topo.interior:
-        c22 = c22_on_face(face, mesh, dofmap, stab)
+    for i in range(topo.interior_count):
+        _, c22 = _face_penalties(mesh, topo, dofmap, stab, i)
         if c22 == 0.0:
             continue
-        x, wq = face_quadrature(mesh, face, exactness)
-        k1 = jump_avg_kernels(face.normal,
-                              tau_plus=tau1(face.plus_cell, x),
-                              tau_minus=tau1(face.minus_cell, x))
-        k2 = jump_avg_kernels(face.normal,
-                              tau_plus=tau2(face.plus_cell, x),
-                              tau_minus=tau2(face.minus_cell, x))
+        x, wq = _face_points(mesh, topo, i, exactness)
+        p, m, n = int(topo.plus[i]), int(topo.minus[i]), topo.normals[i]
+        k1 = jump_avg_kernels(n, tau_plus=tau1(p, x), tau_minus=tau1(m, x))
+        k2 = jump_avg_kernels(n, tau_plus=tau2(p, x), tau_minus=tau2(m, x))
         total += c22 * np.einsum("q,qi,qi->", wq, k1["jump_tau"], k2["jump_tau"])
     return total
 
@@ -454,48 +399,25 @@ def form_b_direct(mesh, topo, v, grad_v, tau, exactness):
         g = np.asarray(grad_v(c, x))
         eps = 0.5 * (g + np.swapaxes(g, -1, -2))
         total -= np.einsum("q,qij,qij->", wq, eps, tau(c, x))
-    for face in topo.faces:
-        x, wq = face_quadrature(mesh, face, exactness)
-        if face.is_interior:
-            kv = jump_avg_kernels(face.normal,
-                                  v_plus=v(face.plus_cell, x),
-                                  v_minus=v(face.minus_cell, x))
-            kt = jump_avg_kernels(face.normal,
-                                  tau_plus=tau(face.plus_cell, x),
-                                  tau_minus=tau(face.minus_cell, x))
-        else:
-            kv = jump_avg_kernels(face.normal, v_plus=v(face.plus_cell, x))
-            kt = jump_avg_kernels(face.normal, tau_plus=tau(face.plus_cell, x))
+    for i in range(topo.num_faces):
+        x, wq = _face_points(mesh, topo, i, exactness)
+        p, m, n = int(topo.plus[i]), int(topo.minus[i]), topo.normals[i]
+        kv = jump_avg_kernels(n, v_plus=v(p, x), v_minus=v(m, x) if m >= 0 else None)
+        kt = jump_avg_kernels(n, tau_plus=tau(p, x),
+                              tau_minus=tau(m, x) if m >= 0 else None)
         total += np.einsum("q,qij,qij->", wq, kv["mjump_v"], kt["avg_tau"])
     return total
 
 
 def form_c_direct(mesh, topo, dofmap, stab, v1, v2, exactness):
     total = 0.0
-    for face in topo.faces:
-        c11 = c11_on_face(face, mesh, dofmap, stab)
-        x, wq = face_quadrature(mesh, face, exactness)
-        if face.is_interior:
-            k1 = jump_avg_kernels(face.normal,
-                                  v_plus=v1(face.plus_cell, x),
-                                  v_minus=v1(face.minus_cell, x))
-            k2 = jump_avg_kernels(face.normal,
-                                  v_plus=v2(face.plus_cell, x),
-                                  v_minus=v2(face.minus_cell, x))
-        else:
-            k1 = jump_avg_kernels(face.normal, v_plus=v1(face.plus_cell, x))
-            k2 = jump_avg_kernels(face.normal, v_plus=v2(face.plus_cell, x))
+    for i in range(topo.num_faces):
+        c11, _ = _face_penalties(mesh, topo, dofmap, stab, i)
+        x, wq = _face_points(mesh, topo, i, exactness)
+        p, m, n = int(topo.plus[i]), int(topo.minus[i]), topo.normals[i]
+        k1 = jump_avg_kernels(n, v_plus=v1(p, x), v_minus=v1(m, x) if m >= 0 else None)
+        k2 = jump_avg_kernels(n, v_plus=v2(p, x), v_minus=v2(m, x) if m >= 0 else None)
         total += c11 * np.einsum("q,qij,qij->", wq, k1["mjump_v"], k2["mjump_v"])
-    return total
-
-
-def form_load_direct(mesh, f, v, exactness):
-    rule = cell_quadrature(mesh.cell_kind, exactness)
-    total = 0.0
-    for c in range(mesh.num_cells):
-        x = mesh.cell_points(c, rule.points)
-        wq = rule.weights * abs(mesh.det_jac[c])
-        total += np.einsum("q,qi,qi->", wq, np.asarray(f(x)), np.asarray(v(c, x)))
     return total
 
 
@@ -550,24 +472,22 @@ def exact_residual(mesh, topo, dofmap: DofMap, mat: MaterialParams,
         rhs[do - dofmap.n_stress_dofs:do - dofmap.n_stress_dofs + d_size] += \
             moments_f.ravel()
 
-    for face in topo.faces:
-        x, wq = face_quadrature(mesh, face, exactness)
-        n = face.normal
+    for i in range(topo.num_faces):
+        x, wq = _face_points(mesh, topo, i, exactness)
+        n = topo.normals[i]
         En = E @ n
         ux = np.asarray(u_fn(x))
         sig = np.asarray(sigma_fn(x))
-        if face.is_interior:
+        c11, c22 = _face_penalties(mesh, topo, dofmap, stab, i)
+        if topo.minus[i] >= 0:
             ker = jump_avg_kernels(n, v_plus=ux, v_minus=ux,
                                    tau_plus=sig, tau_minus=sig)
-            c22 = c22_on_face(face, mesh, dofmap, stab)
-            sides = ((face.plus_cell, 1.0), (face.minus_cell, -1.0))
+            sides = ((int(topo.plus[i]), 1.0), (int(topo.minus[i]), -1.0))
             avg_w = 0.5
         else:
             ker = jump_avg_kernels(n, v_plus=ux, tau_plus=sig)
-            c22 = 0.0
-            sides = ((face.plus_cell, 1.0),)
+            sides = ((int(topo.plus[i]), 1.0),)
             avg_w = 1.0
-        c11 = c11_on_face(face, mesh, dofmap, stab)
         mj_u = ker["mjump_v"]
         tj_s = ker["jump_tau"]
         mj_u_n = mj_u @ n

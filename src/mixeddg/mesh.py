@@ -4,6 +4,8 @@ Structured triangle/quad/tet families are generated directly at each level;
 unstructured triangle meshes are read from text files and refined by edge
 midpoints.  All cells are affine images of their reference cell (simplices,
 or parallelogram quads), with positive orientation normalized at build time.
+Face topology is one set of frozen arrays, paired by a single sort over the
+cells' face keys.
 """
 
 from __future__ import annotations
@@ -13,7 +15,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .polybasis import REF_MEASURE
+from .polybasis import REF_MEASURE, simplex_quadrature
 
 VERTS_PER_CELL = {"triangle": 3, "quad": 4, "tetrahedron": 4}
 
@@ -296,7 +298,7 @@ def read_mesh(text: str) -> Mesh:
     tok = decl.split()
     if len(tok) != 2 or tok[0] != "vertices":
         raise MeshError(f"line {lineno}: expected 'vertices <n>', got {decl!r}")
-    nv = int(tok[1])
+    nv = _parse_count(lineno, tok[1], len(lines) - pos)
     verts = np.empty((nv, dim))
     for i in range(nv):
         lineno, row = take("vertex coordinates")
@@ -312,7 +314,7 @@ def read_mesh(text: str) -> Mesh:
     tok = decl.split()
     if len(tok) != 2 or tok[0] != "cells":
         raise MeshError(f"line {lineno}: expected 'cells <m>', got {decl!r}")
-    nc = int(tok[1])
+    nc = _parse_count(lineno, tok[1], len(lines) - pos)
     nvc = VERTS_PER_CELL[kind]
     cells = np.empty((nc, nvc), dtype=np.int64)
     cell_lines = []
@@ -337,6 +339,13 @@ def read_mesh(text: str) -> Mesh:
         raise MeshError(f"invalid mesh: {exc}") from exc
 
 
+def _parse_count(lineno: int, text: str, lines_left: int) -> int:
+    count = int(text) if text.isdecimal() else -1
+    if not 0 <= count <= lines_left:
+        raise MeshError(f"line {lineno}: bad count {text!r}, expected 0 to {lines_left}")
+    return count
+
+
 def _normalize_orientation(kind, verts, cells, cell_lines):
     for i in range(cells.shape[0]):
         v = verts[cells[i]]
@@ -357,119 +366,112 @@ def _normalize_orientation(kind, verts, cells, cell_lines):
             cells[i, -2], cells[i, -1] = cells[i, -1], cells[i, -2]
 
 
-@dataclass(frozen=True)
-class Face:
-    """One mesh face with geometry and (up to two) incident cells.
-
-    The stored unit normal points out of `plus_cell`; for interior faces that
-    is from plus into minus, and n_minus = -n_plus by convention.
-    """
-
-    vertices: tuple
-    measure: float
-    normal: np.ndarray
-    plus_cell: int
-    plus_local: int
-    minus_cell: int = -1
-    minus_local: int = -1
-
-    @property
-    def is_interior(self) -> bool:
-        return self.minus_cell >= 0
 
 
 @dataclass(frozen=True)
 class FaceTopology:
-    faces: tuple
+    """Mesh faces as frozen arrays, interior faces first, then boundary faces,
+    each in first-encounter (cell, local face) order.
+
+    Face i lies between cells plus[i] and minus[i] (-1 on boundary faces);
+    vertices[i] lists its vertex ids in the plus cell's local order.  The unit
+    normals[i] points out of plus[i]: on interior faces from plus into minus,
+    and n_minus = -n_plus by convention.
+    """
+
+    plus: np.ndarray      # (nf,)
+    minus: np.ndarray     # (nf,)
+    vertices: np.ndarray  # (nf, verts_per_face)
+    normals: np.ndarray   # (nf, dim)
+    measures: np.ndarray  # (nf,)
     interior_count: int
-    boundary_count: int
 
     @property
     def num_faces(self) -> int:
-        return len(self.faces)
+        return self.plus.shape[0]
 
-    @cached_property
-    def interior(self) -> tuple:
-        return tuple(f for f in self.faces if f.is_interior)
+    @property
+    def boundary_count(self) -> int:
+        return self.num_faces - self.interior_count
 
-    @cached_property
-    def boundary(self) -> tuple:
-        return tuple(f for f in self.faces if not f.is_interior)
+    @property
+    def interior(self) -> slice:
+        return slice(0, self.interior_count)
 
-
-def _face_geometry(mesh: Mesh, vert_ids) -> tuple:
-    v = mesh.vertices[list(vert_ids)]
-    if mesh.dim == 2:
-        t = v[1] - v[0]
-        measure = float(np.linalg.norm(t))
-        normal = np.array([t[1], -t[0]]) / measure
-    else:
-        cr = np.cross(v[1] - v[0], v[2] - v[0])
-        measure = float(np.linalg.norm(cr)) / 2.0
-        normal = cr / (2.0 * measure)
-    return measure, normal, v.mean(axis=0)
+    @property
+    def boundary(self) -> slice:
+        return slice(self.interior_count, self.num_faces)
 
 
 def build_face_topology(mesh: Mesh) -> FaceTopology:
     """Pair cell faces by vertex sets; unmatched non-boundary faces are rejected."""
-    local_faces = LOCAL_FACES[mesh.cell_kind]
-    by_key: dict = {}
-    order = []
-    for c in range(mesh.num_cells):
-        cell = mesh.cells[c]
-        for lf, idx in enumerate(local_faces):
-            key = tuple(sorted(int(cell[i]) for i in idx))
-            rec = by_key.get(key)
-            if rec is None:
-                by_key[key] = [tuple(int(cell[i]) for i in idx), c, lf, -1, -1]
-                order.append(key)
-            elif rec[3] < 0:
-                rec[3], rec[4] = c, lf
-            else:
-                raise MeshError(f"face {key} shared by more than two cells")
+    local = np.array(LOCAL_FACES[mesh.cell_kind])
+    # every (cell, local face) in encounter order, keyed by its sorted vertices
+    verts = mesh.cells[:, local].reshape(-1, local.shape[1])
+    keys = np.sort(verts, axis=1)
+    _, first, inverse, counts = np.unique(
+        keys, axis=0, return_index=True, return_inverse=True, return_counts=True)
+    occ = np.argsort(inverse.reshape(-1), kind="stable")  # occurrences grouped by face
+    start = np.cumsum(counts) - counts
+    shared = np.flatnonzero(counts > 2)
+    if shared.size:
+        third = occ[start[shared] + 2].min()  # where the cell loop meets a third cell
+        raise MeshError(f"face {tuple(keys[third].tolist())} shared by more than two cells")
 
+    enc = np.argsort(first)
+    paired = counts[enc] == 2
+    order = np.concatenate([enc[paired], enc[~paired]])
+    n_int = int(paired.sum())
+    occ_plus = first[order]
+    plus = occ_plus // local.shape[0]
+    minus = np.full(order.shape[0], -1, dtype=plus.dtype)
+    minus[:n_int] = occ[start[order[:n_int]] + 1] // local.shape[0]
+    fverts = verts[occ_plus]
+
+    # batched matmul norms reproduce np.linalg.norm of each face bit for bit
+    v = mesh.vertices[fverts]
+    if mesh.dim == 2:
+        t = v[:, 1] - v[:, 0]
+        measures = np.sqrt(t[:, None, :] @ t[:, :, None])[:, 0, 0]
+        normals = np.stack([t[:, 1], -t[:, 0]], axis=-1) / measures[:, None]
+    else:
+        cr = np.cross(v[:, 1] - v[:, 0], v[:, 2] - v[:, 0])
+        measures = np.sqrt(cr[:, None, :] @ cr[:, :, None])[:, 0, 0] / 2.0
+        normals = cr / (2.0 * measures[:, None])
+    fc = v.mean(axis=1)
+    flip = np.einsum("fd,fd->f", normals, fc - mesh.centroids[plus]) < 0
+    normals[flip] = -normals[flip]
+
+    to_minus = mesh.centroids[minus[:n_int]] - mesh.centroids[plus[:n_int]]
+    inverted = np.einsum("fd,fd->f", normals[:n_int], to_minus) <= 0
     box = mesh.domain_box
-    scale = float(np.max(box[:, 1] - box[:, 0]))
-    faces = []
-    n_int = 0
-    for key in order:
-        verts, plus, plus_local, minus, minus_local = by_key[key]
-        measure, normal, fc = _face_geometry(mesh, verts)
-        if np.dot(normal, fc - mesh.centroids[plus]) < 0:
-            normal = -normal
-        if minus >= 0:
-            if np.dot(normal, mesh.centroids[minus] - mesh.centroids[plus]) <= 0:
-                raise MeshError(f"inverted face orientation between cells {plus}, {minus}")
-            n_int += 1
-        else:
-            on_box = np.any(
-                (np.abs(fc - box[:, 0]) < 1e-9 * scale)
-                | (np.abs(fc - box[:, 1]) < 1e-9 * scale)
-            )
-            if not on_box:
-                raise MeshError(
-                    f"unmatched interior face {key}: hanging nodes are not supported"
-                )
-        normal.setflags(write=False)
-        faces.append(Face(tuple(verts), measure, normal, plus, plus_local, minus, minus_local))
-    return FaceTopology(tuple(faces), n_int, len(faces) - n_int)
+    tol = 1e-9 * float(np.max(box[:, 1] - box[:, 0]))
+    fb = fc[n_int:]
+    on_box = np.any((np.abs(fb - box[:, 0]) < tol) | (np.abs(fb - box[:, 1]) < tol), axis=1)
+    bad = np.flatnonzero(np.concatenate([inverted, ~on_box]))
+    if bad.size:
+        f = bad[np.argmin(occ_plus[bad])]  # the first bad face in encounter order
+        if f < n_int:
+            raise MeshError(f"inverted face orientation between cells {plus[f]}, {minus[f]}")
+        raise MeshError(f"unmatched interior face {tuple(keys[occ_plus[f]].tolist())}: "
+                        "hanging nodes are not supported")
+
+    for a in (plus, minus, fverts, normals, measures):
+        a.setflags(write=False)
+    return FaceTopology(plus, minus, fverts, normals, measures, n_int)
 
 
-def face_quadrature(mesh: Mesh, face: Face, exactness: int):
-    """Physical quadrature points and weights on a face.
+def face_quadrature(mesh: Mesh, topo: FaceTopology, faces, exactness: int):
+    """Physical quadrature points (nf, nq, d) and weights (nf, nq) on the faces
+    that `faces` (a slice or index array) selects from `topo`.
 
     1D Gauss on edges of 2D meshes, triangle rules on tet faces.
     """
-    from .polybasis import simplex_quadrature
-
-    v = mesh.vertices[list(face.vertices)]
-    if mesh.dim == 2:
-        rule = simplex_quadrature(1, exactness)
-        pts = v[0] + rule.points * (v[1] - v[0])
-        wts = rule.weights * face.measure
-    else:
-        rule = simplex_quadrature(2, exactness)
-        e1, e2 = v[1] - v[0], v[2] - v[0]
-        pts = v[0] + rule.points[:, :1] * e1 + rule.points[:, 1:] * e2
-        wts = rule.weights * (face.measure / 0.5)
-    return pts, wts
+    coords = mesh.vertices[topo.vertices[faces]]
+    rule = simplex_quadrature(mesh.dim - 1, exactness)
+    x = coords[:, None, 0, :]
+    for j in range(mesh.dim - 1):
+        x = x + rule.points[None, :, j, None] * (coords[:, j + 1] - coords[:, 0])[:, None, :]
+    ref_measure = 1.0 if mesh.dim == 2 else 0.5
+    w = rule.weights[None, :] * (topo.measures[faces][:, None] / ref_measure)
+    return x, w

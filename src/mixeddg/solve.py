@@ -33,7 +33,6 @@ class ResidualToleranceError(SolverError):
 @dataclass(frozen=True)
 class SolveReport:
     relative_residual: float
-    pivot_ok: bool
     wall_time: float
     tolerance: float = 1e-9
 
@@ -62,7 +61,6 @@ def solve_saddle(system, residual_tol: float = 1e-9):
     resid = np.linalg.norm(M @ x - b) / (norm_b if norm_b > 0 else 1.0)
     report = SolveReport(
         relative_residual=float(resid),
-        pivot_ok=True,
         wall_time=time.perf_counter() - t0,
         tolerance=residual_tol,
     )

@@ -68,9 +68,6 @@ class DofMap:
     def disp_offset(self, cell: int) -> int:
         return self.n_stress_dofs + cell * self.disp_cell_size
 
-    def p_cell(self, cell: int) -> int:
-        return min(self.k, self.l) + 1
-
 
 def build_dofmap(mesh, k: int, l: int) -> DofMap:
     """Dof layout for displacement degree k and stress degree l on a mesh."""

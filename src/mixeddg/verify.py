@@ -16,13 +16,11 @@ import numpy as np
 from .forms import (
     MaterialParams,
     StabilizationParams,
+    _face_penalties,
+    _face_points,
     _sym_outer,
-    c11_on_face,
-    c22_on_face,
     compliance_apply,
-    eval_on_group,
-    face_groups,
-    group_quadrature,
+    eval_on_faces,
     jump_avg_kernels,
     penalty_values,
     side_ref_coords,
@@ -34,7 +32,6 @@ from .spaces import (
     DofMap,
     FieldCoeffs,
     data_exactness,
-    evaluate_field,
     tensor_from_components,
 )
 
@@ -182,9 +179,10 @@ def error_l2(mesh, dofmap: DofMap, u_h: FieldCoeffs, case: ManufacturedCase,
     return math.sqrt(total)
 
 
-def _group_error_traces(mesh, cells, x, Vis, sigma_h, u_h, case):
-    """(u - u_h, sigma - sigma_h) traces of one face-group side."""
-    Vk_s, Vl_s = Vis
+def _side_error_traces(mesh, cells, x, bases, sigma_h, u_h, case):
+    """(u - u_h, sigma - sigma_h) traces on one side of a batch of faces."""
+    ref = side_ref_coords(mesh, cells, x)
+    Vk_s, Vl_s = (eval_on_faces(basis, ref) for basis in bases)
     uh = np.einsum("Fim,mFq->Fqi", u_h.all_disp_blocks()[cells], Vk_s)
     comp = np.einsum("Fam,mFq->Fqa", sigma_h.all_stress_blocks()[cells], Vl_s)
     sh = tensor_from_components(comp, mesh.dim)
@@ -204,8 +202,7 @@ def error_energy(mesh, topo, dofmap: DofMap, sigma_h: FieldCoeffs,
     d = mesh.dim
     rule = cell_quadrature(mesh.cell_kind, exactness)
     Vl = orthonormal_basis(mesh.cell_kind, dofmap.l).eval(rule.points)
-    basis_k = orthonormal_basis(mesh.cell_kind, dofmap.k)
-    basis_l = orthonormal_basis(mesh.cell_kind, dofmap.l)
+    bases = tuple(orthonormal_basis(mesh.cell_kind, p) for p in (dofmap.k, dofmap.l))
 
     comp = np.einsum("Fam,mq->Fqa", sigma_h.all_stress_blocks(), Vl)
     sh = tensor_from_components(comp, d)
@@ -214,23 +211,20 @@ def error_energy(mesh, topo, dofmap: DofMap, sigma_h: FieldCoeffs,
     total = np.einsum("F,q,Fqij,Fqij->", np.abs(mesh.det_jac), rule.weights,
                       compliance_apply(es, mat), es)
 
-    for group in face_groups(mesh, topo):
-        if group is None:
+    for faces in (topo.interior, topo.boundary):
+        if faces.start == faces.stop:
             continue
-        x, wq = group_quadrature(mesh, group, exactness)
-        n = group.normals
-        c11 = penalty_values(group, mesh, dofmap, stab, "c11")
+        x, wq = face_quadrature(mesh, topo, faces, exactness)
+        n = topo.normals[faces]
+        plus = topo.plus[faces]
+        minus = topo.minus[faces] if faces == topo.interior else None
+        c11 = penalty_values(mesh, dofmap, stab, "c11", plus, minus)
 
-        ref_p = side_ref_coords(mesh, group.plus, x)
-        V_p = (eval_on_group(basis_k, ref_p), eval_on_group(basis_l, ref_p))
-        eu_p, es_p = _group_error_traces(mesh, group.plus, x, V_p, sigma_h, u_h, case)
-        if group.is_interior:
-            ref_m = side_ref_coords(mesh, group.minus, x)
-            V_m = (eval_on_group(basis_k, ref_m), eval_on_group(basis_l, ref_m))
-            eu_m, es_m = _group_error_traces(
-                mesh, group.minus, x, V_m, sigma_h, u_h, case)
+        eu_p, es_p = _side_error_traces(mesh, plus, x, bases, sigma_h, u_h, case)
+        if minus is not None:
+            eu_m, es_m = _side_error_traces(mesh, minus, x, bases, sigma_h, u_h, case)
             mj = _sym_outer(eu_p, n[:, None, :]) - _sym_outer(eu_m, n[:, None, :])
-            c22 = penalty_values(group, mesh, dofmap, stab, "c22")
+            c22 = penalty_values(mesh, dofmap, stab, "c22", plus, minus)
             if np.any(c22 != 0.0):
                 jt = np.einsum("Fqij,Fj->Fqi", es_p - es_m, n)
                 total += np.einsum("F,Fq,Fqi,Fqi->", c22, wq, jt, jt)
@@ -253,17 +247,17 @@ def seminorm_B(mesh, topo, dofmap: DofMap, tau_eval, v_eval,
             "the B-seminorm is undefined for C22 = 0 (1/C22 average term)"
         )
     total = 0.0
-    for face in topo.faces:
-        x, wq = face_quadrature(mesh, face, exactness)
-        c11 = c11_on_face(face, mesh, dofmap, stab)
-        if face.is_interior:
-            c22 = c22_on_face(face, mesh, dofmap, stab)
+    for i in range(topo.num_faces):
+        x, wq = _face_points(mesh, topo, i, exactness)
+        c11, c22 = _face_penalties(mesh, topo, dofmap, stab, i)
+        p, m, n = int(topo.plus[i]), int(topo.minus[i]), topo.normals[i]
+        if m >= 0:
             ker = jump_avg_kernels(
-                face.normal,
-                v_plus=v_eval(face.plus_cell, x),
-                v_minus=v_eval(face.minus_cell, x),
-                tau_plus=tau_eval(face.plus_cell, x),
-                tau_minus=tau_eval(face.minus_cell, x),
+                n,
+                v_plus=v_eval(p, x),
+                v_minus=v_eval(m, x),
+                tau_plus=tau_eval(p, x),
+                tau_minus=tau_eval(m, x),
             )
             jt, at = ker["jump_tau"], ker["avg_tau"]
             av, mj = ker["avg_v"], ker["mjump_v"]
@@ -272,8 +266,8 @@ def seminorm_B(mesh, topo, dofmap: DofMap, tau_eval, v_eval,
             total += np.einsum("q,qi,qi->", wq, av, av) / c22
             total += np.einsum("q,qij,qij->", wq, mj, mj) * c11
         else:
-            tau = np.asarray(tau_eval(face.plus_cell, x))
-            ker = jump_avg_kernels(face.normal, v_plus=v_eval(face.plus_cell, x))
+            tau = np.asarray(tau_eval(p, x))
+            ker = jump_avg_kernels(n, v_plus=v_eval(p, x))
             mj = ker["mjump_v"]
             total += np.einsum("q,qij,qij->", wq, tau, tau) / c11
             total += np.einsum("q,qij,qij->", wq, mj, mj) * c11

@@ -24,9 +24,37 @@ class TestConfigValidation:
         code, _ = run(tmp_path, "--k", "2", "--l", "0")
         assert code == 2
 
-    def test_bad_zeta(self, tmp_path):
-        code, _ = run(tmp_path, "--zeta", "0")
+    @pytest.mark.parametrize("argv", [
+        ("--zeta", "0"),
+        ("--zeta", "nan"),
+        ("--zeta", "inf"),
+        ("--eta", "nan"),
+        ("--eta", "inf"),
+        ("--alpha1=-inf", "--allow-out-of-theory"),
+        ("--beta2", "nan", "--allow-out-of-theory"),
+    ], ids=["zeta0", "zetanan", "zetainf", "etanan", "etainf", "alpha1-inf", "beta2nan"])
+    def test_bad_zeta(self, tmp_path, capsys, argv):
+        code, _ = run(tmp_path, *argv)
         assert code == 2
+        assert capsys.readouterr().err.startswith("config error")
+
+    @pytest.mark.parametrize("argv", [
+        ["--k", "abc"],
+        ["--l", "x"],
+        ["--out", "/nonexistent/dir/t.csv"],
+    ], ids=["k", "l", "out-dir"])
+    def test_malformed_input(self, argv, capsys):
+        code = cli.main(["--levels", "1", "--k", "0"] + argv)
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("config error") and err.count("\n") == 1
+
+    def test_unwritable_out(self, tmp_path, capsys):
+        # a directory passes the up-front check but cannot be written as a file
+        code = cli.main(["--levels", "1", "--k", "0", "--out", str(tmp_path)])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("config error") and err.count("\n") == 1
 
     def test_out_of_theory_needs_flag(self, tmp_path):
         code, _ = run(tmp_path, "--beta1", "-1")
@@ -85,9 +113,9 @@ class TestHSweep:
         assert lines[1].split(",")[4] == ""
 
     def test_rerun_is_byte_identical(self, tmp_path):
-        _, out1 = run(tmp_path, "--levels", "2", "--k", "1", "--seed", "7")
+        _, out1 = run(tmp_path, "--levels", "2", "--k", "1")
         first = out1.read_bytes()
-        _, out2 = run(tmp_path, "--levels", "2", "--k", "1", "--seed", "7")
+        _, out2 = run(tmp_path, "--levels", "2", "--k", "1")
         assert out2.read_bytes() == first
 
     def test_markdown_format(self, tmp_path):
@@ -120,6 +148,19 @@ class TestHSweep:
         code, _ = run(tmp_path, "--mesh", f"file:{bad}", "--levels", "1")
         assert code == 2
 
+    @pytest.mark.parametrize("old,new", [
+        ("vertices 4", "vertices abc"),
+        ("vertices 4", "vertices -1"),
+        ("cells 2", "cells x"),
+    ])
+    def test_file_mesh_bad_count(self, tmp_path, capsys, old, new):
+        bad = tmp_path / "bad.msh"
+        bad.write_text("dim 2 kind tri\nvertices 4\n-1 -1\n1 -1\n1 1\n-1 1\n"
+                       "cells 2\n0 1 2\n0 2 3\n".replace(old, new))
+        code, _ = run(tmp_path, "--mesh", f"file:{bad}", "--levels", "1")
+        assert code == 2
+        assert "bad count" in capsys.readouterr().err
+
     def test_missing_file(self, tmp_path):
         code, _ = run(tmp_path, "--mesh", "file:/nonexistent.msh", "--levels", "1")
         assert code == 2
@@ -144,7 +185,7 @@ class TestPSweep:
 class TestSolverFailureExit:
     def test_residual_failure_exit_code(self, tmp_path, monkeypatch):
         def fail(system, residual_tol=1e-9):
-            raise ResidualToleranceError(SolveReport(1.0, False, 0.0))
+            raise ResidualToleranceError(SolveReport(1.0, 0.0))
 
         monkeypatch.setattr(cli, "solve_saddle", fail)
         code, _ = run(tmp_path, "--levels", "1", "--k", "0")
@@ -152,7 +193,7 @@ class TestSolverFailureExit:
 
     def test_failure_names_level(self, tmp_path, monkeypatch, capsys):
         def fail(system, residual_tol=1e-9):
-            raise ResidualToleranceError(SolveReport(1.0, False, 0.0))
+            raise ResidualToleranceError(SolveReport(1.0, 0.0))
 
         monkeypatch.setattr(cli, "solve_saddle", fail)
         run(tmp_path, "--levels", "1", "--k", "0")

@@ -14,17 +14,15 @@ from mixeddg.forms import (
     MaterialParams,
     StabilizationParams,
     assemble_system,
-    c11_on_face,
-    c22_on_face,
     compliance_apply,
     exact_residual,
     form_a_direct,
     form_b_direct,
     form_c_direct,
     jump_avg_kernels,
+    penalty_values,
     stiffness_apply,
 )
-from mixeddg.mesh import Face
 from mixeddg.spaces import (
     STRESS_COMPONENTS,
     FieldCoeffs,
@@ -103,11 +101,10 @@ class _StubMesh:
         self.diameters = np.asarray(diameters)
 
 
-def _stub_face(interior=True):
-    n = np.array([1.0, 0.0])
-    return Face(vertices=(0, 1), measure=1.0, normal=n, plus_cell=0,
-                plus_local=0, minus_cell=1 if interior else -1,
-                minus_local=0 if interior else -1)
+def _penalty(which, diameters, dm, stab, interior=True):
+    """Penalty on one face between cells 0 and 1, or on cell 0 alone."""
+    minus = np.array([1]) if interior else None
+    return penalty_values(_StubMesh(diameters), dm, stab, which, np.array([0]), minus)[0]
 
 
 class TestPenalties:
@@ -115,7 +112,7 @@ class TestPenalties:
         mesh2, _ = two_tri
         dm = build_dofmap(mesh2, 1, 1)
         stab = StabilizationParams(alpha1=-1.0, alpha2=0.0)
-        val = c11_on_face(_stub_face(), _StubMesh([0.5, 0.25]), dm, stab)
+        val = _penalty("c11", [0.5, 0.25], dm, stab)
         assert val == pytest.approx(2.0, rel=1e-14)
 
     def test_c11_constant(self, two_tri):
@@ -123,19 +120,19 @@ class TestPenalties:
         dm = build_dofmap(mesh2, 1, 1)
         stab = StabilizationParams(alpha1=0.0, alpha2=0.0)
         for h in ([0.5, 0.25], [2.0, 2.0]):
-            assert c11_on_face(_stub_face(), _StubMesh(h), dm, stab) == 1.0
+            assert _penalty("c11", h, dm, stab) == 1.0
 
     def test_c11_p_scaling(self, two_tri):
         mesh2, _ = two_tri
         dm = build_dofmap(mesh2, 2, 2)
         stab = StabilizationParams(alpha1=0.0, alpha2=-1.0)
-        assert c11_on_face(_stub_face(), _StubMesh([1.0, 1.0]), dm, stab) == 3.0
+        assert _penalty("c11", [1.0, 1.0], dm, stab) == 3.0
 
     def test_c22_linear_h(self, two_tri):
         mesh2, _ = two_tri
         dm = build_dofmap(mesh2, 1, 1)
         stab = StabilizationParams(beta1=1.0, beta2=0.0)
-        val = c22_on_face(_stub_face(), _StubMesh([0.25, 0.25]), dm, stab)
+        val = _penalty("c22", [0.25, 0.25], dm, stab)
         assert val == pytest.approx(0.25, rel=1e-14)
 
     def test_c22_zero_flag(self, two_tri):
@@ -143,13 +140,13 @@ class TestPenalties:
         dm = build_dofmap(mesh2, 1, 1)
         stab = StabilizationParams(eta=0.0)
         assert stab.c22_zero
-        assert c22_on_face(_stub_face(), _StubMesh([0.25, 0.25]), dm, stab) == 0.0
+        assert _penalty("c22", [0.25, 0.25], dm, stab) == 0.0
 
     def test_c22_out_of_theory(self, two_tri):
         mesh2, _ = two_tri
         dm = build_dofmap(mesh2, 1, 1)
         stab = StabilizationParams(beta1=-1.0, beta2=0.0, allow_out_of_theory=True)
-        val = c22_on_face(_stub_face(), _StubMesh([0.25, 0.25]), dm, stab)
+        val = _penalty("c22", [0.25, 0.25], dm, stab)
         assert val == pytest.approx(4.0, rel=1e-14)
 
     def test_c22_on_boundary_rejected(self, two_tri):
@@ -157,7 +154,7 @@ class TestPenalties:
         dm = build_dofmap(mesh2, 1, 1)
         stab = StabilizationParams()
         with pytest.raises(ValueError, match="interior"):
-            c22_on_face(_stub_face(interior=False), _StubMesh([0.25]), dm, stab)
+            _penalty("c22", [0.25], dm, stab, interior=False)
 
     def test_exponent_ranges_enforced(self):
         with pytest.raises(ValueError, match="alpha"):
@@ -174,8 +171,8 @@ class TestPenalties:
         mesh2, _ = two_tri
         dm = build_dofmap(mesh2, 1, 1)
         stab = StabilizationParams()
-        a = c11_on_face(_stub_face(), _StubMesh([0.5, 0.25]), dm, stab)
-        b = c11_on_face(_stub_face(), _StubMesh([0.25, 0.5]), dm, stab)
+        a = _penalty("c11", [0.5, 0.25], dm, stab)
+        b = _penalty("c11", [0.25, 0.5], dm, stab)
         assert a == b
 
 

@@ -6,6 +6,7 @@ import pytest
 
 from mixeddg.mesh import (
     LOCAL_FACES,
+    Mesh,
     MeshError,
     build_face_topology,
     build_uniform_quad,
@@ -30,6 +31,43 @@ def brute_force_face_counts(mesh):
     boundary = sum(1 for v in counts.values() if v == 1)
     assert all(v <= 2 for v in counts.values())
     return interior, boundary
+
+
+def brute_force_faces(mesh):
+    """(plus, minus, vertices) by a per-face loop over cells and local faces.
+
+    Faces come in first-encounter order, interior ones first; the plus cell
+    is the first to meet a face and gives its vertex order.
+    """
+    found = {}
+    for c, cell in enumerate(mesh.cells):
+        for idx in LOCAL_FACES[mesh.cell_kind]:
+            verts = tuple(int(cell[i]) for i in idx)
+            rec = found.setdefault(tuple(sorted(verts)), [c, -1, verts])
+            if rec[0] != c:
+                rec[1] = c
+    faces = sorted(found.values(), key=lambda rec: rec[1] < 0)  # stable
+    return tuple(np.array([rec[i] for rec in faces]) for i in range(3))
+
+
+def relabelled(mesh, seed):
+    """The mesh through read_mesh, with vertices and cells permuted by seed."""
+    rng = np.random.default_rng(seed)
+    new_id = rng.permutation(mesh.num_vertices)
+    verts = np.empty_like(mesh.vertices)
+    verts[new_id] = mesh.vertices
+    cells = new_id[mesh.cells][rng.permutation(mesh.num_cells)]
+    kind = {"triangle": "tri", "quad": "quad", "tetrahedron": "tet"}[mesh.cell_kind]
+    lines = [f"dim {mesh.dim} kind {kind}", f"vertices {len(verts)}"]
+    lines += [" ".join(repr(float(x)) for x in row) for row in verts]
+    lines += [f"cells {len(cells)}"] + [" ".join(map(str, row)) for row in cells]
+    return read_mesh("\n".join(lines))
+
+
+def shipped_mesh():
+    from importlib import resources
+    text = (resources.files("mixeddg") / "data/unstructured_square.msh").read_text()
+    return read_mesh(text)
 
 
 class TestUniformTri:
@@ -81,7 +119,7 @@ class TestUniformQuad:
 
     def test_boundary_measure_is_perimeter(self):
         topo = build_face_topology(build_uniform_quad(2, BOX2))
-        total = sum(f.measure for f in topo.boundary)
+        total = topo.measures[topo.boundary].sum()
         assert total == pytest.approx(8.0, rel=1e-14)
 
     def test_rejects_zero(self):
@@ -142,6 +180,16 @@ class TestReadMesh:
         assert np.all(mesh.det_jac > 0)
         assert mesh.measures.sum() == pytest.approx(4.0, rel=1e-14)
 
+    @pytest.mark.parametrize("old,new,line", [
+        ("vertices 4", "vertices abc", 3),
+        ("vertices 4", "vertices -1", 3),
+        ("cells 2", "cells x", 8),
+        ("vertices 4", "vertices 100000000000000", 3),
+    ])
+    def test_bad_count(self, old, new, line):
+        with pytest.raises(MeshError, match=f"line {line}: bad count"):
+            read_mesh(TWO_TRI_FILE.replace(old, new))
+
     def test_malformed_header(self):
         with pytest.raises(MeshError, match="line 2"):
             read_mesh("# comment\ndim 2 sort tri\nvertices 0\ncells 0\n")
@@ -197,22 +245,69 @@ class TestFaceTopology:
     def test_normals_unit_and_oriented(self, mesh_fn):
         mesh = mesh_fn()
         topo = build_face_topology(mesh)
-        for face in topo.faces:
-            assert abs(np.linalg.norm(face.normal) - 1.0) < 1e-14
-            if face.is_interior:
-                d = mesh.centroids[face.minus_cell] - mesh.centroids[face.plus_cell]
-                assert np.dot(face.normal, d) > 0
+        assert np.abs(np.linalg.norm(topo.normals, axis=1) - 1.0).max() < 1e-14
+        # every normal points out of its plus cell ...
+        centers = mesh.vertices[topo.vertices].mean(axis=1)
+        out = np.einsum("fd,fd->f", topo.normals, centers - mesh.centroids[topo.plus])
+        assert np.all(out > 0)
+        # ... and so on interior faces into the minus cell
+        sl = topo.interior
+        d = mesh.centroids[topo.minus[sl]] - mesh.centroids[topo.plus[sl]]
+        assert np.all(np.einsum("fd,fd->f", topo.normals[sl], d) > 0)
 
     def test_interior_face_vertex_sets_coincide(self):
         mesh = build_uniform_tet(1)
         topo = build_face_topology(mesh)
-        for face in topo.interior:
-            for cell in (face.plus_cell, face.minus_cell):
+        for i in range(topo.interior_count):
+            for cell in (topo.plus[i], topo.minus[i]):
                 cell_faces = [
-                    tuple(sorted(int(mesh.cells[cell][i]) for i in idx))
+                    tuple(sorted(int(mesh.cells[cell][j]) for j in idx))
                     for idx in LOCAL_FACES["tetrahedron"]
                 ]
-                assert tuple(sorted(face.vertices)) in cell_faces
+                assert tuple(sorted(topo.vertices[i].tolist())) in cell_faces
+
+    @pytest.mark.parametrize("mesh_fn", [
+        lambda: build_uniform_tri(5, BOX2),
+        lambda: build_uniform_quad(4, BOX2),
+        lambda: build_uniform_tet(2),
+        lambda: relabelled(build_uniform_tri(6, BOX2), seed=3),
+        lambda: relabelled(build_uniform_tet(2), seed=4),
+        lambda: refine_red(shipped_mesh()),
+    ], ids=["tri", "quad", "tet", "tri-relabelled", "tet-relabelled", "shipped"])
+    def test_layout_matches_brute_force(self, mesh_fn):
+        mesh = mesh_fn()
+        topo = build_face_topology(mesh)
+        interior, boundary = brute_force_face_counts(mesh)
+        assert (topo.interior_count, topo.boundary_count) == (interior, boundary)
+        assert topo.num_faces == interior + boundary
+        assert np.all(topo.minus[topo.interior] >= 0)
+        assert np.all(topo.minus[topo.boundary] == -1)
+        plus, minus, verts = brute_force_faces(mesh)
+        assert np.array_equal(topo.plus, plus)
+        assert np.array_equal(topo.minus, minus)
+        assert np.array_equal(topo.vertices, verts)
+        # measures against the per-face norm, to a few ulps
+        v = mesh.vertices[topo.vertices]
+        if mesh.dim == 2:
+            measures = [np.linalg.norm(f[1] - f[0]) for f in v]
+        else:
+            measures = [np.linalg.norm(np.cross(f[1] - f[0], f[2] - f[0])) / 2 for f in v]
+        np.testing.assert_allclose(topo.measures, measures, rtol=4e-16)
+
+    def test_face_shared_by_three_cells_rejected(self):
+        verts = np.array([[0.0, 0.0], [1.0, 0.0], [0.5, 1.0], [0.5, -1.0], [0.5, 2.0]])
+        cells = np.array([[0, 1, 2], [1, 0, 3], [0, 1, 4]])
+        mesh = Mesh(2, "triangle", verts, cells, np.array([[0.0, 1.0], [-1.0, 2.0]]))
+        with pytest.raises(MeshError, match=r"face \(0, 1\) shared by more than two"):
+            build_face_topology(mesh)
+
+    def test_inverted_face_orientation_rejected(self):
+        # both cells lie above their shared edge (0, 1)
+        verts = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
+        cells = np.array([[0, 1, 2], [1, 0, 3]])
+        mesh = Mesh(2, "triangle", verts, cells, np.array([[0.0, 1.0], [0.0, 1.0]]))
+        with pytest.raises(MeshError, match="inverted face orientation between cells 0, 1"):
+            build_face_topology(mesh)
 
     def test_hanging_node_rejected(self):
         text = """dim 2 kind tri
@@ -234,9 +329,8 @@ cells 3
     def test_face_quadrature_measures(self):
         mesh = build_uniform_tet(1)
         topo = build_face_topology(mesh)
-        for face in topo.faces[:6]:
-            _, w = face_quadrature(mesh, face, 2)
-            assert w.sum() == pytest.approx(face.measure, rel=1e-13)
+        _, w = face_quadrature(mesh, topo, slice(None), 2)
+        assert w.sum(axis=1) == pytest.approx(topo.measures, rel=1e-13)
 
 
 class TestInvariants:
@@ -256,9 +350,7 @@ class TestInvariants:
         assert fine.measures.sum() == pytest.approx(mesh.measures.sum(), rel=1e-14)
 
     def test_shipped_unstructured_mesh(self):
-        from importlib import resources
-        text = (resources.files("mixeddg") / "data/unstructured_square.msh").read_text()
-        mesh = read_mesh(text)
+        mesh = shipped_mesh()
         topo = build_face_topology(mesh)
         assert mesh.measures.sum() == pytest.approx(4.0, rel=1e-12)
         assert 3 * mesh.num_cells == 2 * topo.interior_count + topo.boundary_count

@@ -11,6 +11,7 @@ from mixeddg import (
     project_displacement,
     project_stress,
 )
+from mixeddg.forms import StabilizationParams, penalty_values
 from mixeddg.polybasis import cell_quadrature, orthonormal_basis
 from mixeddg.spaces import evaluate_displacement_gradient, tensor_from_components
 
@@ -49,9 +50,13 @@ class TestDofMap:
         assert sorted(seen) == list(range(dm.total_dofs))
 
     def test_p_cell(self, two_tri):
+        # the face penalties use p = min(k, l) + 1 on every cell
         mesh, _ = two_tri
-        assert build_dofmap(mesh, 2, 1).p_cell(0) == 2
-        assert build_dofmap(mesh, 1, 1).p_cell(1) == 2
+        stab = StabilizationParams(alpha1=0.0, alpha2=-1.0)  # C11 = p
+        for k, l in ((2, 1), (1, 1)):
+            c11 = penalty_values(mesh, build_dofmap(mesh, k, l), stab, "c11",
+                                 np.array([0, 1]))
+            assert c11.tolist() == [2.0, 2.0]
 
 
 class TestProjectDisplacement:
