@@ -8,12 +8,12 @@ trace block b(.,.), and a displacement jump penalty c(.,.):
     c(u, v) = int_{all faces} C11 [[u]] : [[v]] ds
     F(v)    = int f . v dx
 
-assembled as sparse blocks with the saddle-point sign convention
-M = [[Aa, Bb], [-Bb^T, Cc]] acting on (stress; displacement) coefficients.
-Homogeneous Dirichlet data enters only through the retained boundary-face
-terms; no rows are eliminated.  Assembly batches cells, then the interior and
-the boundary slices of the face topology, with a fixed accumulation order, so
-repeated runs build bit-identical matrices.
+assembled in one pass into M = [[Aa, Bb], [-Bb^T, Cc]] acting on (stress;
+displacement) coefficients.  Each volume and face term is a dense block of one
+cell pair, batched over the cells and the interior and boundary faces; a 0/1
+pair-by-term product sums each pair's terms in a fixed order, so reruns are
+bit-identical, and one gather fills M's CSC arrays.  Homogeneous Dirichlet
+data enters only through the retained boundary-face terms.
 """
 
 from __future__ import annotations
@@ -145,52 +145,32 @@ def jump_avg_kernels(normal, v_plus=None, v_minus=None, tau_plus=None, tau_minus
 
 @dataclass(frozen=True)
 class AssembledSystem:
-    """Sparse saddle-point blocks with displacement load vector.
+    """M = [[Aa, Bb], [-Bb^T, Cc]] as one canonical CSC matrix, and rhs_u.
 
-    Aa and Cc are symmetric; the full operator is [[Aa, Bb], [-Bb^T, Cc]]
-    with right-hand side (0; rhs_u).
+    M is in DofMap order with right-hand side (0; rhs_u).  It stores the whole
+    block, zeros included, of each cell with itself and with its face
+    neighbours, less the neighbour Aa blocks when C22 vanishes.  Aa and Cc are
+    symmetric; the Aa, Bb and Cc properties slice M on each access.
     """
 
-    Aa: sp.csr_matrix
-    Bb: sp.csr_matrix
-    Cc: sp.csr_matrix
+    M: sp.csc_matrix
     rhs_u: np.ndarray
     dofmap: DofMap
 
-    def full_matrix(self) -> sp.csr_matrix:
-        return sp.bmat([[self.Aa, self.Bb], [-self.Bb.T, self.Cc]], format="csr")
+    Aa = property(lambda self: self._block(0, 0))
+    Bb = property(lambda self: self._block(0, 1))
+    Cc = property(lambda self: self._block(1, 1))
+
+    def _block(self, i: int, j: int) -> sp.csc_matrix:
+        n_s = self.dofmap.n_stress_dofs
+        cut = (slice(None, n_s), slice(n_s, None))
+        return self.M[cut[i], cut[j]]
+
+    def full_matrix(self) -> sp.csc_matrix:
+        return self.M
 
     def full_rhs(self) -> np.ndarray:
         return np.concatenate([np.zeros(self.dofmap.n_stress_dofs), self.rhs_u])
-
-
-class _Triplets:
-    """COO accumulator; duplicate entries are summed on compression."""
-
-    def __init__(self, shape):
-        self.shape = shape
-        self.rows = []
-        self.cols = []
-        self.vals = []
-
-    def add_batch(self, row_base, col_base, blocks):
-        """blocks: (nf, R, C) dense blocks at offsets row_base/col_base (nf,)."""
-        nf, R, C = blocks.shape
-        rp = np.repeat(np.arange(R), C)
-        cp = np.tile(np.arange(C), R)
-        self.rows.append((row_base[:, None] + rp[None, :]).ravel())
-        self.cols.append((col_base[:, None] + cp[None, :]).ravel())
-        self.vals.append(blocks.reshape(nf, R * C).ravel())
-
-    def to_csr(self):
-        if not self.rows:
-            return sp.csr_matrix(self.shape)
-        coo = sp.coo_matrix(
-            (np.concatenate(self.vals),
-             (np.concatenate(self.rows), np.concatenate(self.cols))),
-            shape=self.shape,
-        )
-        return coo.tocsr()
 
 
 def side_ref_coords(mesh, cells, x):
@@ -227,42 +207,38 @@ def penalty_values(mesh, dofmap, stab, which: str, plus, minus=None):
     return coef * val
 
 
-def _compliance_component_matrix(mat: MaterialParams) -> np.ndarray:
-    """(A E_a) : E_b over the stress component tensors."""
-    E = stress_unit_tensors(mat.dim)
-    return np.einsum("aij,bij->ab", compliance_apply(E, mat), E)
-
-
 def assemble_system(mesh, topo, dofmap: DofMap, mat: MaterialParams,
                     stab: StabilizationParams, f,
                     matrix_exactness=None, rhs_exactness=None) -> AssembledSystem:
-    """Assemble a, b, c and the load into sparse blocks.
+    """Assemble a, b, c into the CSC matrix M and the load into rhs_u.
 
     Discrete-discrete integrals use quadrature exact to 2*max(k,l)+2 by
     default; the load integral uses the manufactured-data exactness.
     """
     d = mesh.dim
-    deg = max(dofmap.k, dofmap.l)
     if matrix_exactness is None:
-        matrix_exactness = 2 * deg + 2
+        matrix_exactness = 2 * max(dofmap.k, dofmap.l) + 2
     if rhs_exactness is None:
         rhs_exactness = data_exactness(dofmap)
 
     basis_l = orthonormal_basis(mesh.cell_kind, dofmap.l)
     basis_k = orthonormal_basis(mesh.cell_kind, dofmap.k)
     E = stress_unit_tensors(d)
-    A_comp = _compliance_component_matrix(mat)
+    A_comp = np.einsum("aij,bij->ab", compliance_apply(E, mat), E)  # (A E_a) : E_b
 
     nc = mesh.num_cells
     s_size, d_size = dofmap.stress_cell_size, dofmap.disp_cell_size
-    n_s, n_d = dofmap.n_stress_dofs, dofmap.n_disp_dofs
-    soff = np.arange(nc) * s_size
-    doff = np.arange(nc) * d_size
+    size = s_size + d_size
     detj = np.abs(mesh.det_jac)
+    inner = topo.interior
+    c22 = penalty_values(mesh, dofmap, stab, "c22", topo.plus[inner], topo.minus[inner])
+    with_c22 = bool(np.any(c22 != 0.0))
 
-    trip_a = _Triplets((n_s, n_s))
-    trip_b = _Triplets((n_s, n_d))
-    trip_c = _Triplets((n_d, n_d))
+    # one dense block per term of M, stored (term, local column, local row):
+    # every cell's volume terms, then every interior face under the four
+    # (row side, column side) combinations, then every boundary face
+    terms = np.zeros((nc + 4 * topo.interior_count + topo.boundary_count, size, size))
+    rows, cols = [np.arange(nc)], [np.arange(nc)]
 
     # volume terms, batched over cells
     rule = cell_quadrature(mesh.cell_kind, matrix_exactness)
@@ -272,11 +248,12 @@ def assemble_system(mesh, topo, dofmap: DofMap, mat: MaterialParams,
 
     M_ref = np.einsum("iq,q,jq->ij", Vl, w, Vl)
     kron = np.kron(A_comp, M_ref)
-    trip_a.add_batch(soff, soff, detj[:, None, None] * kron[None, :, :])
-
     T_ref = np.einsum("iq,q,jqr->ijr", Vl, w, Gk)
-    blocks_b = -np.einsum("acm,ijr,Frm,F->Faicj", E, T_ref, mesh.jac_inv, detj)
-    trip_b.add_batch(soff, doff, blocks_b.reshape(nc, s_size, d_size))
+    blocks_b = -np.einsum("acm,ijr,Frm,F->Faicj", E, T_ref, mesh.jac_inv,
+                          detj).reshape(nc, s_size, d_size)
+    terms[:nc, :s_size, :s_size] = detj[:, None, None] * kron.T[None, :, :]
+    terms[:nc, s_size:, :s_size] = blocks_b.transpose(0, 2, 1)
+    terms[:nc, :s_size, s_size:] = -blocks_b
 
     # load vector, batched over cells at data exactness
     rule_f = cell_quadrature(mesh.cell_kind, rhs_exactness)
@@ -287,8 +264,10 @@ def assemble_system(mesh, topo, dofmap: DofMap, mat: MaterialParams,
     rhs = np.einsum("Fqc,q,jq,F->Fcj", fx, rule_f.weights, Vk_f, detj).ravel()
 
     # face terms, batched over the interior and then the boundary faces
+    start = nc
     for faces in (topo.interior, topo.boundary):
-        if faces.start == faces.stop:
+        nf = faces.stop - faces.start
+        if nf == 0:
             continue
         x, wq = face_quadrature(mesh, topo, faces, matrix_exactness)
         n = topo.normals[faces]
@@ -301,12 +280,10 @@ def assemble_system(mesh, topo, dofmap: DofMap, mat: MaterialParams,
         if minus is not None:
             sides = ((plus, 1.0), (minus, -1.0))
             avg_w = 0.5
-            c22 = penalty_values(mesh, dofmap, stab, "c22", plus, minus)
             R = np.einsum("Fai,Fbi->Fab", En, En)
         else:
             sides = ((plus, 1.0),)
             avg_w = 1.0
-            c22 = None
 
         Vk_s, Vl_s = [], []
         for cells, _sign in sides:
@@ -314,38 +291,83 @@ def assemble_system(mesh, topo, dofmap: DofMap, mat: MaterialParams,
             Vk_s.append(eval_on_faces(basis_k, ref))
             Vl_s.append(eval_on_faces(basis_l, ref))
 
-        for si, (cells_s, sign_s) in enumerate(sides):
-            dbase_s = doff[cells_s]
-            for ti, (cells_t, sign_t) in enumerate(sides):
-                dbase_t = doff[cells_t]
-                sbase_t = soff[cells_t]
+        ns = len(sides)
+        blk = terms[start:start + ns * ns * nf].reshape(ns, ns, nf, size, size)
+        start += ns * ns * nf
+        for i, (cells_i, sign_i) in enumerate(sides):
+            for j, (cells_j, sign_j) in enumerate(sides):
+                rows.append(cells_i)
+                cols.append(cells_j)
+                Mk = np.einsum("iFq,Fq,jFq->Fij", Vk_s[i], wq, Vk_s[j])
+                blk[i, j, :, s_size:, s_size:] = np.einsum(
+                    "F,Fcd,Fjk->Fdkcj", c11 * (sign_i * sign_j), Q, Mk
+                ).reshape(nf, d_size, d_size)
 
-                Mk = np.einsum("iFq,Fq,jFq->Fij", Vk_s[si], wq, Vk_s[ti])
-                blk_c = np.einsum("F,Fcd,Fjk->Fcjdk",
-                                  c11 * (sign_s * sign_t), Q, Mk)
-                trip_c.add_batch(dbase_s, dbase_t,
-                                 blk_c.reshape(-1, d_size, d_size))
+                if minus is not None and with_c22:
+                    Ml = np.einsum("iFq,Fq,jFq->Fij", Vl_s[i], wq, Vl_s[j])
+                    blk[i, j, :, :s_size, :s_size] = np.einsum(
+                        "F,Fab,Fik->Fbkai", c22 * (sign_i * sign_j), R, Ml
+                    ).reshape(nf, s_size, s_size)
 
-                if c22 is not None and np.any(c22 != 0.0):
-                    Ml = np.einsum("iFq,Fq,jFq->Fij", Vl_s[si], wq, Vl_s[ti])
-                    blk_a = np.einsum("F,Fab,Fik->Faibk",
-                                      c22 * (sign_s * sign_t), R, Ml)
-                    trip_a.add_batch(soff[cells_s], sbase_t,
-                                     blk_a.reshape(-1, s_size, s_size))
+                # b with stress tests on side i and displacements on side j,
+                # transposed; minus b^T is the lower left of block (j, i)
+                Mlk = np.einsum("iFq,Fq,jFq->Fij", Vl_s[i], wq, Vk_s[j])
+                blk_bt = (avg_w * sign_j) * np.einsum(
+                    "Fac,Fij->Fcjai", En, Mlk).reshape(nf, d_size, s_size)
+                blk[i, j, :, s_size:, :s_size] = blk_bt
+                blk[j, i, :, :s_size, s_size:] = -blk_bt.transpose(0, 2, 1)
 
-                # rows: stress test on side t, cols: displacement on side s
-                Mlk = np.einsum("iFq,Fq,jFq->Fij", Vl_s[ti], wq, Vk_s[si])
-                blk_b = (avg_w * sign_s) * np.einsum("Fac,Fij->Faicj", En, Mlk)
-                trip_b.add_batch(sbase_t, dbase_s,
-                                 blk_b.reshape(-1, s_size, d_size))
+    # number the cell pairs sorted by column cell, then row cell (the CSC
+    # order); a 0/1 pair-by-term product sums each pair's terms in term order
+    rows, cols = np.concatenate(rows), np.concatenate(cols)
+    keys, pair_of_term = np.unique(cols * nc + rows, return_inverse=True)
+    incidence = sp.csr_matrix(
+        (np.ones(len(rows)), np.argsort(pair_of_term, kind="stable"),
+         np.concatenate([[0], np.cumsum(np.bincount(pair_of_term))])),
+        shape=(len(keys), len(rows)))
+    blocks = incidence @ terms.reshape(len(rows), -1)
+    del terms, blk  # freed before the index arrays are built
+    indptr, indices, at = _csc_layout(dofmap, keys % nc, keys // nc, with_c22)
+    M = sp.csc_matrix((blocks.ravel()[at], indices, indptr), shape=(dofmap.total_dofs,) * 2)
+    return AssembledSystem(M=M, rhs_u=rhs, dofmap=dofmap)
 
-    return AssembledSystem(
-        Aa=trip_a.to_csr(),
-        Bb=trip_b.to_csr(),
-        Cc=trip_c.to_csr(),
-        rhs_u=rhs,
-        dofmap=dofmap,
-    )
+
+def _csc_layout(dofmap: DofMap, pair_row, pair_col, with_c22):
+    """CSC indptr and row indices of M, and each entry's flat index in the blocks.
+
+    Pairs come sorted by column cell, then row cell; blocks are (pair, local
+    column, local row).  A column of M holds the stress rows of its cell's
+    pairs, then their displacement rows; without C22, stress columns skip the
+    stress rows of the neighbour pairs, whose Aa block is not stored.
+    """
+    nc, n_s = dofmap.num_cells, dofmap.n_stress_dofs
+    s_size, d_size = dofmap.stress_cell_size, dofmap.disp_cell_size
+    size = s_size + d_size
+    # the pairs of each column cell, padded with -1 to the widest cell
+    ids = np.arange(len(pair_row))
+    pair = np.full((nc, np.bincount(pair_col).max()), -1)
+    pair[pair_col, ids - np.searchsorted(pair_col, pair_col)] = ids
+    r = np.arange(size)
+    disp, cell, real = r >= s_size, pair_row[pair][:, :, None], (pair >= 0)[:, :, None]
+    # per column cell: every pair's stress rows, then every pair's displacement rows
+    shape = pair.shape + (size,)
+    order = np.argsort(np.broadcast_to(disp, shape[1:]).ravel(), kind="stable")
+    rows, at, kept_s, kept_d = (
+        np.broadcast_to(x, shape).reshape(nc, -1)[:, order] for x in (
+            np.where(disp, n_s + d_size * cell + r - s_size, s_size * cell + r),
+            pair[:, :, None] * size * size + r,
+            real & (disp | with_c22 | (cell == np.arange(nc)[:, None, None])),
+            real))
+    lengths, indices, positions = [], [], []
+    for local_cols, kept in ((r[:s_size], kept_s), (r[s_size:], kept_d)):
+        # every column of the group, padded entries included, then masked
+        nq = len(local_cols)
+        mask = np.repeat(kept, nq, axis=0).ravel()
+        lengths.append(np.repeat(kept.sum(axis=1), nq))
+        indices.append(np.repeat(rows.astype(np.int32), nq, axis=0).ravel()[mask])
+        positions.append((at[:, None, :] + size * local_cols[:, None]).ravel()[mask])
+    indptr = np.concatenate([[0], np.cumsum(np.concatenate(lengths))])
+    return indptr, np.concatenate(indices), np.concatenate(positions)
 
 
 # ---------------------------------------------------------------------------

@@ -185,7 +185,7 @@ class TestPSweep:
 class TestSolverFailureExit:
     def test_residual_failure_exit_code(self, tmp_path, monkeypatch):
         def fail(system, residual_tol=1e-9):
-            raise ResidualToleranceError(SolveReport(1.0, 0.0))
+            raise ResidualToleranceError(SolveReport(1.0, 0.0, 0.0, 0))
 
         monkeypatch.setattr(cli, "solve_saddle", fail)
         code, _ = run(tmp_path, "--levels", "1", "--k", "0")
@@ -193,7 +193,7 @@ class TestSolverFailureExit:
 
     def test_failure_names_level(self, tmp_path, monkeypatch, capsys):
         def fail(system, residual_tol=1e-9):
-            raise ResidualToleranceError(SolveReport(1.0, 0.0))
+            raise ResidualToleranceError(SolveReport(1.0, 0.0, 0.0, 0))
 
         monkeypatch.setattr(cli, "solve_saddle", fail)
         run(tmp_path, "--levels", "1", "--k", "0")

@@ -2,11 +2,14 @@ import math
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from scipy.sparse.linalg import splu
 
 from mixeddg import (
     build_dofmap,
     build_face_topology,
+    build_uniform_quad,
+    build_uniform_tet,
     build_uniform_tri,
     evaluate_field,
 )
@@ -31,6 +34,7 @@ from mixeddg.spaces import (
 )
 
 BOX2 = ((-1.0, 1.0), (-1.0, 1.0))
+BOX3 = ((0.0, 1.0), (0.0, 1.0), (0.0, 1.0))
 MAT2 = MaterialParams(0.3, 0.35, 2)
 MAT3 = MaterialParams(0.3, 0.35, 3)
 
@@ -231,7 +235,100 @@ def quadratic_form_direct(mesh, topo, dofmap, mat, stab, coeffs, exactness):
     return a + b - b + c, abs(a) + 2 * abs(b) + abs(c)
 
 
+def bilinear_form_direct(mesh, topo, dofmap, mat, stab, cx, cy, exactness):
+    """x^T M y = a(sx, sy) + b(uy, sx) - b(ux, sy) + c(ux, uy) by direct quadrature."""
+    tau_x, v_x, grad_x = _discrete_evals(mesh, cx)
+    tau_y, v_y, grad_y = _discrete_evals(mesh, cy)
+    terms = (form_a_direct(mesh, topo, dofmap, mat, stab, tau_x, tau_y, exactness),
+             form_b_direct(mesh, topo, v_y, grad_y, tau_x, exactness),
+             -form_b_direct(mesh, topo, v_x, grad_x, tau_y, exactness),
+             form_c_direct(mesh, topo, dofmap, stab, v_x, v_y, exactness))
+    return sum(terms), sum(abs(t) for t in terms)
+
+
+def _zero_load(x):
+    return np.zeros_like(x)
+
+
+def _assemble(mesh, k, l, stab=StabilizationParams()):
+    topo = build_face_topology(mesh)
+    dm = build_dofmap(mesh, k, l)
+    mat = MAT2 if mesh.dim == 2 else MAT3
+    return topo, dm, mat, assemble_system(mesh, topo, dm, mat, stab, _zero_load)
+
+
+def reference_pattern(topo, dm, with_c22):
+    """Canonical CSC indptr and indices of the union of M's cell-pair blocks."""
+    s, d, n_s = dm.stress_cell_size, dm.disp_cell_size, dm.n_stress_dofs
+
+    def stress(c):
+        return c[:, None] * s + np.arange(s)
+
+    def disp(c):
+        return n_s + c[:, None] * d + np.arange(d)
+
+    cells = np.arange(dm.num_cells)
+    own = np.hstack([stress(cells), disp(cells)])
+    plus, minus = topo.plus[topo.interior], topo.minus[topo.interior]
+    r, c = np.concatenate([plus, minus]), np.concatenate([minus, plus])
+    blocks = [(own, own), (stress(r), disp(c)), (disp(r), stress(c)), (disp(r), disp(c))]
+    if with_c22:
+        blocks.append((stress(r), stress(c)))
+    rows = np.concatenate([np.broadcast_to(R[:, :, None], (len(R), R.shape[1], C.shape[1]))
+                           .ravel() for R, C in blocks])
+    cols = np.concatenate([np.broadcast_to(C[:, None, :], (len(R), R.shape[1], C.shape[1]))
+                           .ravel() for R, C in blocks])
+    n = dm.total_dofs
+    ref = sp.coo_matrix((np.ones(len(rows)), (rows, cols)), shape=(n, n)).tocsc()
+    return ref.indptr, ref.indices
+
+
 class TestAssembly:
+    @pytest.mark.parametrize("stab", [StabilizationParams(), StabilizationParams(eta=0.0)],
+                             ids=["default", "c22zero"])
+    @pytest.mark.parametrize("kind,k,l", [("tri", 1, 1), ("tri", 2, 1), ("tri", 1, 0),
+                                          ("quad", 2, 2), ("tet", 1, 1)])
+    def test_bilinear_form_identity(self, kind, k, l, stab, rng):
+        mesh = {"tri": lambda: build_uniform_tri(2, BOX2),
+                "quad": lambda: build_uniform_quad(2, BOX2),
+                "tet": lambda: build_uniform_tet(1, BOX3)}[kind]()
+        topo, dm, mat, system = _assemble(mesh, k, l, stab)
+        exactness = 2 * max(k, l) + 2
+        for _ in range(2):
+            x, y = rng.randn(dm.total_dofs), rng.randn(dm.total_dofs)
+            direct, scale = bilinear_form_direct(
+                mesh, topo, dm, mat, stab, FieldCoeffs(dm, x), FieldCoeffs(dm, y),
+                exactness)
+            assert abs(x @ (system.M @ y) - direct) <= 1e-11 * max(scale, 1.0)
+        n_s = dm.n_stress_dofs
+        assert np.array_equal(system.M[n_s:, :n_s].toarray(), -system.Bb.T.toarray())
+
+    @pytest.mark.parametrize("mesh_fn,k,eta,nnz", [
+        (lambda: build_uniform_tri(8, BOX2), 1, 1.0, 108_000),
+        (lambda: build_uniform_tri(8, BOX2), 1, 0.0, 79_488),
+        (lambda: build_uniform_tri(16, BOX2), 1, 1.0, 446_400),
+        (lambda: build_uniform_tri(16, BOX2), 1, 0.0, 327_168),
+        (lambda: build_uniform_tet(2, BOX3), 1, 1.0, 248_832),
+        (lambda: build_uniform_tri(2, BOX2), 10, 1.0, 2_613_600),
+    ], ids=["tri8", "tri8-c22zero", "tri16", "tri16-c22zero", "tet2", "tri2-k10"])
+    def test_pattern_is_cell_pair_blocks(self, mesh_fn, k, eta, nnz):
+        # stored zeros inside blocks stay: SuperLU's ordering depends on them
+        topo, dm, _, system = _assemble(mesh_fn(), k, k, StabilizationParams(eta=eta))
+        M = system.M
+        assert M.format == "csc" and M.has_canonical_format
+        assert M.nnz == nnz
+        indptr, indices = reference_pattern(topo, dm, with_c22=eta > 0)
+        assert np.array_equal(M.indptr, indptr)
+        assert np.array_equal(M.indices, indices)
+
+    def test_reassembly_bit_identical(self):
+        mesh = build_uniform_tri(4, BOX2)
+        *_, a = _assemble(mesh, 2, 2)
+        *_, b = _assemble(mesh, 2, 2)
+        for name in ("indptr", "indices", "data"):
+            assert np.array_equal(getattr(a.M, name), getattr(b.M, name))
+        assert np.array_equal(a.rhs_u, b.rhs_u)
+
     def test_block_diagonal_stress_block_when_c22_zero(self, two_tri, case2d):
         mesh, topo = two_tri
         dm = build_dofmap(mesh, 1, 1)

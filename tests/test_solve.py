@@ -58,12 +58,20 @@ class TestSolveSaddle:
                                          stab, case2d.f))[0]
         assert np.array_equal(a.values, b.values)
 
+    def test_report_counts_factor(self, small_system):
+        *_, system = small_system
+        _, report = solve_saddle(system)
+        assert report.factor_nnz >= system.M.nnz
+        assert report.factor_s > 0.0
+        assert report.solve_s > 0.0
+
     def test_singular_system_reported(self, small_system):
         *_, system = small_system
         # k = l = 1 with the displacement penalty removed: rigid motions make
         # the operator singular, which must be reported rather than papered over
-        singular = dataclasses.replace(
-            system, Cc=sp.csr_matrix(system.Cc.shape))
+        n_s = system.dofmap.n_stress_dofs
+        penalty = sp.block_diag((sp.csc_matrix((n_s, n_s)), system.Cc), format="csc")
+        singular = dataclasses.replace(system, M=system.M - penalty)
         with pytest.raises((SingularSystemError, ResidualToleranceError)):
             solve_saddle(singular)
 
