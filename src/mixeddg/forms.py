@@ -8,12 +8,15 @@ trace block b(.,.), and a displacement jump penalty c(.,.):
     c(u, v) = int_{all faces} C11 [[u]] : [[v]] ds
     F(v)    = int f . v dx
 
-assembled in one pass into M = [[Aa, Bb], [-Bb^T, Cc]] acting on (stress;
-displacement) coefficients.  Each volume and face term is a dense block of one
-cell pair, batched over the cells and the interior and boundary faces; a 0/1
-pair-by-term product sums each pair's terms in a fixed order, so reruns are
-bit-identical, and one gather fills M's CSC arrays.  Homogeneous Dirichlet
-data enters only through the retained boundary-face terms.
+assembled in one pass into the saddle matrix M, which is [[Aa, Bb], [-Bb^T, Cc]]
+on (stress; displacement) coefficients.  The dofs are numbered cell by cell,
+so M is block-sparse with one dense [stress | displacement] block per pair of
+a cell with itself or with a face neighbour.  Each volume and face term is
+such a block, batched over the cells and the interior and boundary faces; a
+0/1 pair-by-term product sums each pair's terms in a fixed order, so reruns
+are bit-identical, and scipy's BSR-to-CSR conversion lays the blocks out as
+M's CSC arrays.  Homogeneous Dirichlet data enters only through the retained
+boundary-face terms.
 """
 
 from __future__ import annotations
@@ -69,7 +72,7 @@ class StabilizationParams:
     Exponent ranges -1 <= a1, a2 <= 0 <= b1, b2 <= 1 are enforced unless
     `allow_out_of_theory` is set (needed for the C22 = O(1/h) experiment).
     Interior faces take the min over the two incident cells; C22 exists on
-    interior faces only.
+    interior faces only, and vanishes exactly when eta = 0.
     """
 
     zeta: float = 1.0
@@ -78,7 +81,6 @@ class StabilizationParams:
     alpha2: float = 0.0
     beta1: float = 1.0
     beta2: float = 0.0
-    c22_zero: bool = False
     allow_out_of_theory: bool = False
 
     def __post_init__(self):
@@ -89,8 +91,6 @@ class StabilizationParams:
             raise ValueError("zeta must be positive")
         if self.eta < 0:
             raise ValueError("eta must be nonnegative")
-        if self.eta == 0.0:
-            object.__setattr__(self, "c22_zero", True)
         if not self.allow_out_of_theory:
             if not (-1.0 <= self.alpha1 <= 0.0 and -1.0 <= self.alpha2 <= 0.0):
                 raise ValueError(
@@ -102,6 +102,10 @@ class StabilizationParams:
                     f"beta exponents {(self.beta1, self.beta2)} outside [0, 1]; "
                     "pass allow_out_of_theory to override"
                 )
+
+    @property
+    def c22_zero(self) -> bool:
+        return self.eta == 0.0
 
 
 def _sym_outer(v, n):
@@ -145,16 +149,18 @@ def jump_avg_kernels(normal, v_plus=None, v_minus=None, tau_plus=None, tau_minus
 
 @dataclass(frozen=True)
 class AssembledSystem:
-    """M = [[Aa, Bb], [-Bb^T, Cc]] as one canonical CSC matrix, and rhs_u.
+    """The saddle matrix M as one canonical CSC matrix, and its right-hand side b.
 
-    M is in DofMap order with right-hand side (0; rhs_u).  It stores the whole
-    block, zeros included, of each cell with itself and with its face
-    neighbours, less the neighbour Aa blocks when C22 vanishes.  Aa and Cc are
-    symmetric; the Aa, Bb and Cc properties slice M on each access.
+    M and b are in cell-major DofMap order; b holds the load moments at the
+    displacement dofs and zeros at the stress dofs.  M stores the whole block,
+    zeros included, of each cell with itself and with its face neighbours,
+    less the neighbour stress-stress part when C22 vanishes.  The Aa, Bb and
+    Cc properties pick the stress and displacement dofs out of M on each
+    access; Aa and Cc are symmetric.
     """
 
     M: sp.csc_matrix
-    rhs_u: np.ndarray
+    b: np.ndarray
     dofmap: DofMap
 
     Aa = property(lambda self: self._block(0, 0))
@@ -162,15 +168,8 @@ class AssembledSystem:
     Cc = property(lambda self: self._block(1, 1))
 
     def _block(self, i: int, j: int) -> sp.csc_matrix:
-        n_s = self.dofmap.n_stress_dofs
-        cut = (slice(None, n_s), slice(n_s, None))
-        return self.M[cut[i], cut[j]]
-
-    def full_matrix(self) -> sp.csc_matrix:
-        return self.M
-
-    def full_rhs(self) -> np.ndarray:
-        return np.concatenate([np.zeros(self.dofmap.n_stress_dofs), self.rhs_u])
+        dofs = (self.dofmap.stress_dofs, self.dofmap.disp_dofs)
+        return self.M[dofs[i]][:, dofs[j]]
 
 
 def side_ref_coords(mesh, cells, x):
@@ -208,18 +207,14 @@ def penalty_values(mesh, dofmap, stab, which: str, plus, minus=None):
 
 
 def assemble_system(mesh, topo, dofmap: DofMap, mat: MaterialParams,
-                    stab: StabilizationParams, f,
-                    matrix_exactness=None, rhs_exactness=None) -> AssembledSystem:
-    """Assemble a, b, c into the CSC matrix M and the load into rhs_u.
+                    stab: StabilizationParams, f) -> AssembledSystem:
+    """Assemble a, b, c into the CSC matrix M and the load into b.
 
-    Discrete-discrete integrals use quadrature exact to 2*max(k,l)+2 by
-    default; the load integral uses the manufactured-data exactness.
+    Discrete-discrete integrals use quadrature exact to 2*max(k,l)+2; the
+    load integral uses the manufactured-data exactness.
     """
     d = mesh.dim
-    if matrix_exactness is None:
-        matrix_exactness = 2 * max(dofmap.k, dofmap.l) + 2
-    if rhs_exactness is None:
-        rhs_exactness = data_exactness(dofmap)
+    matrix_exactness = 2 * max(dofmap.k, dofmap.l) + 2
 
     basis_l = orthonormal_basis(mesh.cell_kind, dofmap.l)
     basis_k = orthonormal_basis(mesh.cell_kind, dofmap.k)
@@ -227,8 +222,7 @@ def assemble_system(mesh, topo, dofmap: DofMap, mat: MaterialParams,
     A_comp = np.einsum("aij,bij->ab", compliance_apply(E, mat), E)  # (A E_a) : E_b
 
     nc = mesh.num_cells
-    s_size, d_size = dofmap.stress_cell_size, dofmap.disp_cell_size
-    size = s_size + d_size
+    s_size, d_size, size = dofmap.stress_cell_size, dofmap.disp_cell_size, dofmap.cell_size
     detj = np.abs(mesh.det_jac)
     inner = topo.interior
     c22 = penalty_values(mesh, dofmap, stab, "c22", topo.plus[inner], topo.minus[inner])
@@ -256,12 +250,13 @@ def assemble_system(mesh, topo, dofmap: DofMap, mat: MaterialParams,
     terms[:nc, :s_size, s_size:] = -blocks_b
 
     # load vector, batched over cells at data exactness
-    rule_f = cell_quadrature(mesh.cell_kind, rhs_exactness)
+    rule_f = cell_quadrature(mesh.cell_kind, data_exactness(dofmap))
     Vk_f = basis_k.eval(rule_f.points)
     phys = mesh.cell_v0[:, None, :] + np.einsum(
         "qr,Fir->Fqi", rule_f.points, mesh.jacobians)
     fx = np.asarray(f(phys.reshape(-1, d))).reshape(nc, rule_f.size, d)
-    rhs = np.einsum("Fqc,q,jq,F->Fcj", fx, rule_f.weights, Vk_f, detj).ravel()
+    b = np.zeros(dofmap.total_dofs)
+    b[dofmap.disp_dofs] = np.einsum("Fqc,q,jq,F->Fcj", fx, rule_f.weights, Vk_f, detj).ravel()
 
     # face terms, batched over the interior and then the boundary faces
     start = nc
@@ -317,57 +312,34 @@ def assemble_system(mesh, topo, dofmap: DofMap, mat: MaterialParams,
                 blk[i, j, :, s_size:, :s_size] = blk_bt
                 blk[j, i, :, :s_size, s_size:] = -blk_bt.transpose(0, 2, 1)
 
-    # number the cell pairs sorted by column cell, then row cell (the CSC
-    # order); a 0/1 pair-by-term product sums each pair's terms in term order
+    # number the cell pairs sorted by column cell, then row cell; a 0/1
+    # pair-by-term product sums each pair's terms in term order
     rows, cols = np.concatenate(rows), np.concatenate(cols)
     keys, pair_of_term = np.unique(cols * nc + rows, return_inverse=True)
     incidence = sp.csr_matrix(
         (np.ones(len(rows)), np.argsort(pair_of_term, kind="stable"),
          np.concatenate([[0], np.cumsum(np.bincount(pair_of_term))])),
         shape=(len(keys), len(rows)))
-    blocks = incidence @ terms.reshape(len(rows), -1)
-    del terms, blk  # freed before the index arrays are built
-    indptr, indices, at = _csc_layout(dofmap, keys % nc, keys // nc, with_c22)
-    M = sp.csc_matrix((blocks.ravel()[at], indices, indptr), shape=(dofmap.total_dofs,) * 2)
-    return AssembledSystem(M=M, rhs_u=rhs, dofmap=dofmap)
+    blocks = (incidence @ terms.reshape(len(rows), -1)).reshape(-1, size, size)
+    del terms, blk  # freed before the layout is built
 
-
-def _csc_layout(dofmap: DofMap, pair_row, pair_col, with_c22):
-    """CSC indptr and row indices of M, and each entry's flat index in the blocks.
-
-    Pairs come sorted by column cell, then row cell; blocks are (pair, local
-    column, local row).  A column of M holds the stress rows of its cell's
-    pairs, then their displacement rows; without C22, stress columns skip the
-    stress rows of the neighbour pairs, whose Aa block is not stored.
-    """
-    nc, n_s = dofmap.num_cells, dofmap.n_stress_dofs
-    s_size, d_size = dofmap.stress_cell_size, dofmap.disp_cell_size
-    size = s_size + d_size
-    # the pairs of each column cell, padded with -1 to the widest cell
-    ids = np.arange(len(pair_row))
-    pair = np.full((nc, np.bincount(pair_col).max()), -1)
-    pair[pair_col, ids - np.searchsorted(pair_col, pair_col)] = ids
-    r = np.arange(size)
-    disp, cell, real = r >= s_size, pair_row[pair][:, :, None], (pair >= 0)[:, :, None]
-    # per column cell: every pair's stress rows, then every pair's displacement rows
-    shape = pair.shape + (size,)
-    order = np.argsort(np.broadcast_to(disp, shape[1:]).ravel(), kind="stable")
-    rows, at, kept_s, kept_d = (
-        np.broadcast_to(x, shape).reshape(nc, -1)[:, order] for x in (
-            np.where(disp, n_s + d_size * cell + r - s_size, s_size * cell + r),
-            pair[:, :, None] * size * size + r,
-            real & (disp | with_c22 | (cell == np.arange(nc)[:, None, None])),
-            real))
-    lengths, indices, positions = [], [], []
-    for local_cols, kept in ((r[:s_size], kept_s), (r[s_size:], kept_d)):
-        # every column of the group, padded entries included, then masked
-        nq = len(local_cols)
-        mask = np.repeat(kept, nq, axis=0).ravel()
-        lengths.append(np.repeat(kept.sum(axis=1), nq))
-        indices.append(np.repeat(rows.astype(np.int32), nq, axis=0).ravel()[mask])
-        positions.append((at[:, None, :] + size * local_cols[:, None]).ravel()[mask])
-    indptr = np.concatenate([[0], np.cumsum(np.concatenate(lengths))])
-    return indptr, np.concatenate(indices), np.concatenate(positions)
+    # the blocks, (pair, local column, local row) by column cell, are a BSR
+    # of M^T, so the CSR arrays of M^T are the CSC arrays of M
+    pair_row, pair_col = keys % nc, keys // nc
+    cell_ptr = np.searchsorted(pair_col, np.arange(nc + 1))
+    n = dofmap.total_dofs
+    MT = sp.bsr_matrix((blocks, pair_row, cell_ptr), shape=(n, n)).tocsr()
+    data, indices, indptr = MT.data, MT.indices, MT.indptr
+    if not with_c22:
+        # Aa is block diagonal: drop, rather than store as zeros, the
+        # neighbour stress-stress entries, which would raise the LU fill
+        keep = np.ones(blocks.shape, np.int8)
+        keep[pair_row != pair_col, :s_size, :s_size] = 0
+        kept = sp.bsr_matrix((keep, pair_row, cell_ptr), shape=(n, n)).tocsr().data == 1
+        data, indices = data[kept], indices[kept]
+        indptr = np.concatenate([[0], np.cumsum(kept)])[indptr]
+    M = sp.csc_matrix((data, indices, indptr), shape=(n, n))
+    return AssembledSystem(M=M, b=b, dofmap=dofmap)
 
 
 # ---------------------------------------------------------------------------
@@ -448,13 +420,15 @@ def exact_residual(mesh, topo, dofmap: DofMap, mat: MaterialParams,
                    exactness=None):
     """Consistency residual of the exact solution against every basis function.
 
-    Returns (r, rhs) where, for stress tests t_i and displacement tests v_j,
+    Returns (r, rhs), both over the whole DofMap, where for stress tests t_i
+    and displacement tests v_j
 
         r_i = a(sigma, t_i) + b(u, t_i)
         r_j = -b(v_j, sigma) + c(u, v_j) - F(v_j)
 
-    and rhs holds the F moments.  Both should vanish for the exact solution;
-    this drives every volume and face term through quadrature jointly.
+    and rhs holds the F moments, zero at the stress dofs.  Both r_i and r_j
+    should vanish for the exact solution; this drives every volume and face
+    term through quadrature jointly.
     """
     if exactness is None:
         exactness = data_exactness(dofmap)
@@ -465,7 +439,7 @@ def exact_residual(mesh, topo, dofmap: DofMap, mat: MaterialParams,
     s_size, d_size = dofmap.stress_cell_size, dofmap.disp_cell_size
 
     r = np.zeros(dofmap.total_dofs)
-    rhs = np.zeros(dofmap.n_disp_dofs)
+    rhs = np.zeros(dofmap.total_dofs)
 
     rule = cell_quadrature(mesh.cell_kind, exactness)
     Vl = basis_l.eval(rule.points)
@@ -491,8 +465,7 @@ def exact_residual(mesh, topo, dofmap: DofMap, mat: MaterialParams,
         moments_f = np.einsum("qc,q,jq->cj", fx, wq, Vk)
         r[do:do + d_size] += (
             np.einsum("qcm,q,jqm->cj", sig, wq, gphys) - moments_f).ravel()
-        rhs[do - dofmap.n_stress_dofs:do - dofmap.n_stress_dofs + d_size] += \
-            moments_f.ravel()
+        rhs[do:do + d_size] += moments_f.ravel()
 
     for i in range(topo.num_faces):
         x, wq = _face_points(mesh, topo, i, exactness)

@@ -10,6 +10,9 @@ from scipy.sparse.linalg import splu
 
 from .spaces import FieldCoeffs
 
+# relative residual above which a solve is rejected
+RESIDUAL_TOL = 1e-9
+
 
 class SolverError(RuntimeError):
     """Raised when the saddle-point solve cannot be accepted."""
@@ -25,7 +28,7 @@ class ResidualToleranceError(SolverError):
     def __init__(self, report):
         super().__init__(
             f"relative residual {report.relative_residual:.3e} exceeds "
-            f"{report.tolerance:.1e}"
+            f"{RESIDUAL_TOL:.1e}"
         )
         self.report = report
 
@@ -42,16 +45,15 @@ class SolveReport:
     factor_s: float
     solve_s: float
     factor_nnz: int
-    tolerance: float = 1e-9
 
 
-def solve_saddle(system, residual_tol: float = 1e-9):
-    """Solve [[Aa, Bb], [-Bb^T, Cc]] (sigma; u) = (0; rhs_u) by sparse LU.
+def solve_saddle(system):
+    """Solve M x = b, M = [[Aa, Bb], [-Bb^T, Cc]] in cell-major order, by sparse LU.
 
-    Residuals above `residual_tol` (relative) raise; the system is never
-    silently regularized.
+    Relative residuals above RESIDUAL_TOL raise; the system is never silently
+    regularized.
     """
-    M, b = system.M, system.full_rhs()
+    M, b = system.M, system.b
     t0 = time.perf_counter()
     try:
         # the block pattern is structurally symmetric; symmetric-mode SuperLU
@@ -72,9 +74,8 @@ def solve_saddle(system, residual_tol: float = 1e-9):
         factor_s=t1 - t0,
         solve_s=time.perf_counter() - t1,
         factor_nnz=int(lu.nnz),
-        tolerance=residual_tol,
     )
-    if resid > residual_tol:
+    if resid > RESIDUAL_TOL:
         raise ResidualToleranceError(report)
     return FieldCoeffs(system.dofmap, x), report
 

@@ -2,9 +2,11 @@
 
 Stress fields live in symmetric-tensor-valued P_l per cell, displacements in
 vector-valued P_k, with |k - l| <= 1 so the strain/divergence/compliance
-inclusion conditions hold automatically.  Symmetric tensors are stored by
-independent components (2D: s11, s22, s12; 3D: s11, s22, s33, s23, s13, s12);
-inner products always expand the full tensor, so no Voigt weights appear.
+inclusion conditions hold automatically.  Both spaces are fully discontinuous,
+so every dof belongs to one cell and the dofs are numbered cell by cell.
+Symmetric tensors are stored by independent components (2D: s11, s22, s12;
+3D: s11, s22, s33, s23, s13, s12); inner products always expand the full
+tensor, so no Voigt weights appear.
 """
 
 from __future__ import annotations
@@ -42,10 +44,12 @@ def tensor_from_components(comp_vals: np.ndarray, dim: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class DofMap:
-    """Block layout: all stress dofs cell by cell, then all displacement dofs.
+    """Cell-major layout: cell c owns dofs [c*cell_size, (c+1)*cell_size).
 
-    Within a cell, stress dofs are component-major over the scalar P_l basis;
-    displacement dofs component-major over P_k.
+    Within a cell, the stress dofs come first, component-major over the scalar
+    P_l basis, then the displacement dofs, component-major over P_k.  The
+    stress_dofs and disp_dofs index arrays pick either field out of a global
+    vector, in cell order.  Every size and count derives from the five fields.
     """
 
     cell_kind: str
@@ -53,20 +57,35 @@ class DofMap:
     num_cells: int
     k: int
     l: int
-    n_stress_comp: int
-    m_k: int
-    m_l: int
-    stress_cell_size: int
-    disp_cell_size: int
-    n_stress_dofs: int
-    n_disp_dofs: int
-    total_dofs: int
+
+    n_stress_comp = property(lambda self: self.dim * (self.dim + 1) // 2)
+    m_k = property(lambda self: space_dimension(self.dim, self.k))
+    m_l = property(lambda self: space_dimension(self.dim, self.l))
+    stress_cell_size = property(lambda self: self.n_stress_comp * self.m_l)
+    disp_cell_size = property(lambda self: self.dim * self.m_k)
+    cell_size = property(lambda self: self.stress_cell_size + self.disp_cell_size)
+    n_stress_dofs = property(lambda self: self.num_cells * self.stress_cell_size)
+    n_disp_dofs = property(lambda self: self.num_cells * self.disp_cell_size)
+    total_dofs = property(lambda self: self.num_cells * self.cell_size)
+
+    @property
+    def stress_dofs(self) -> np.ndarray:
+        """Global indices of the stress dofs, cell by cell."""
+        return self._by_cell()[:, :self.stress_cell_size].ravel()
+
+    @property
+    def disp_dofs(self) -> np.ndarray:
+        """Global indices of the displacement dofs, cell by cell."""
+        return self._by_cell()[:, self.stress_cell_size:].ravel()
+
+    def _by_cell(self) -> np.ndarray:
+        return np.arange(self.total_dofs).reshape(self.num_cells, self.cell_size)
 
     def stress_offset(self, cell: int) -> int:
-        return cell * self.stress_cell_size
+        return cell * self.cell_size
 
     def disp_offset(self, cell: int) -> int:
-        return self.n_stress_dofs + cell * self.disp_cell_size
+        return cell * self.cell_size + self.stress_cell_size
 
 
 def build_dofmap(mesh, k: int, l: int) -> DofMap:
@@ -78,33 +97,13 @@ def build_dofmap(mesh, k: int, l: int) -> DofMap:
             f"|k - l| = {abs(k - l)} > 1 breaks the strain/divergence inclusion "
             "conditions between the stress and displacement spaces"
         )
-    d = mesh.dim
-    n_comp = d * (d + 1) // 2
-    m_k = space_dimension(d, k)
-    m_l = space_dimension(d, l)
-    stress_cell = n_comp * m_l
-    disp_cell = d * m_k
-    nc = mesh.num_cells
-    return DofMap(
-        cell_kind=mesh.cell_kind,
-        dim=d,
-        num_cells=nc,
-        k=k,
-        l=l,
-        n_stress_comp=n_comp,
-        m_k=m_k,
-        m_l=m_l,
-        stress_cell_size=stress_cell,
-        disp_cell_size=disp_cell,
-        n_stress_dofs=nc * stress_cell,
-        n_disp_dofs=nc * disp_cell,
-        total_dofs=nc * (stress_cell + disp_cell),
-    )
+    return DofMap(cell_kind=mesh.cell_kind, dim=mesh.dim, num_cells=mesh.num_cells,
+                  k=k, l=l)
 
 
 @dataclass
 class FieldCoeffs:
-    """Coefficient vector over the full (stress, displacement) dof layout."""
+    """Coefficient vector over the full cell-major (stress, displacement) layout."""
 
     dofmap: DofMap
     values: np.ndarray = field(default=None)
@@ -117,23 +116,23 @@ class FieldCoeffs:
 
     def stress_block(self, cell: int) -> np.ndarray:
         """View of cell stress coefficients, shape (n_comp, m_l)."""
-        dm = self.dofmap
-        off = dm.stress_offset(cell)
-        return self.values[off:off + dm.stress_cell_size].reshape(dm.n_stress_comp, dm.m_l)
+        return self.all_stress_blocks()[cell]
 
     def disp_block(self, cell: int) -> np.ndarray:
         """View of cell displacement coefficients, shape (dim, m_k)."""
-        dm = self.dofmap
-        off = dm.disp_offset(cell)
-        return self.values[off:off + dm.disp_cell_size].reshape(dm.dim, dm.m_k)
+        return self.all_disp_blocks()[cell]
 
     def all_stress_blocks(self) -> np.ndarray:
+        """Writable view of every cell's stress coefficients, (cells, n_comp, m_l)."""
         dm = self.dofmap
-        return self.values[:dm.n_stress_dofs].reshape(dm.num_cells, dm.n_stress_comp, dm.m_l)
+        cells = self.values.reshape(dm.num_cells, dm.cell_size)
+        return cells[:, :dm.stress_cell_size].reshape(dm.num_cells, dm.n_stress_comp, dm.m_l)
 
     def all_disp_blocks(self) -> np.ndarray:
+        """Writable view of every cell's displacement coefficients, (cells, dim, m_k)."""
         dm = self.dofmap
-        return self.values[dm.n_stress_dofs:].reshape(dm.num_cells, dm.dim, dm.m_k)
+        cells = self.values.reshape(dm.num_cells, dm.cell_size)
+        return cells[:, dm.stress_cell_size:].reshape(dm.num_cells, dm.dim, dm.m_k)
 
 
 def data_exactness(dofmap: DofMap) -> int:

@@ -242,7 +242,7 @@ def seminorm_B(mesh, topo, dofmap: DofMap, tau_eval, v_eval,
     the seminorm does not make sense for the LDG limit.  Field callables take
     (cell, physical points) and return (nq, d, d) / (nq, d).
     """
-    if stab.c22_zero or stab.eta == 0.0:
+    if stab.c22_zero:
         raise ValueError(
             "the B-seminorm is undefined for C22 = 0 (1/C22 average term)"
         )

@@ -184,7 +184,7 @@ class TestPSweep:
 
 class TestSolverFailureExit:
     def test_residual_failure_exit_code(self, tmp_path, monkeypatch):
-        def fail(system, residual_tol=1e-9):
+        def fail(system):
             raise ResidualToleranceError(SolveReport(1.0, 0.0, 0.0, 0))
 
         monkeypatch.setattr(cli, "solve_saddle", fail)
@@ -192,7 +192,7 @@ class TestSolverFailureExit:
         assert code == 3
 
     def test_failure_names_level(self, tmp_path, monkeypatch, capsys):
-        def fail(system, residual_tol=1e-9):
+        def fail(system):
             raise ResidualToleranceError(SolveReport(1.0, 0.0, 0.0, 0))
 
         monkeypatch.setattr(cli, "solve_saddle", fail)

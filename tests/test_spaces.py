@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -13,7 +14,12 @@ from mixeddg import (
 )
 from mixeddg.forms import StabilizationParams, penalty_values
 from mixeddg.polybasis import cell_quadrature, orthonormal_basis
-from mixeddg.spaces import evaluate_displacement_gradient, tensor_from_components
+from mixeddg.spaces import (
+    DofMap,
+    FieldCoeffs,
+    evaluate_displacement_gradient,
+    tensor_from_components,
+)
 
 BOX2 = ((-1.0, 1.0), (-1.0, 1.0))
 
@@ -48,6 +54,27 @@ class TestDofMap:
             seen.extend(range(dm.disp_offset(c),
                               dm.disp_offset(c) + dm.disp_cell_size))
         assert sorted(seen) == list(range(dm.total_dofs))
+        # the index arrays partition the dofs, and match the offsets
+        both = np.concatenate([dm.stress_dofs, dm.disp_dofs])
+        assert sorted(both.tolist()) == list(range(dm.total_dofs))
+        assert dm.stress_dofs.tolist() == seen[:dm.n_stress_dofs]
+        assert dm.disp_dofs.tolist() == seen[dm.n_stress_dofs:]
+        # writes through the block views land in the coefficient vector
+        coeffs = FieldCoeffs(dm)
+        coeffs.all_stress_blocks()[...] = 1.0
+        coeffs.all_disp_blocks()[...] = 2.0
+        assert np.all(coeffs.values[dm.stress_dofs] == 1.0)
+        assert np.all(coeffs.values[dm.disp_dofs] == 2.0)
+
+    def test_fields_are_the_inputs(self, two_tri):
+        # every size is derived from (cell_kind, dim, num_cells, k, l)
+        mesh, _ = two_tri
+        dm = build_dofmap(mesh, 2, 1)
+        names = [f.name for f in dataclasses.fields(DofMap)]
+        assert names == ["cell_kind", "dim", "num_cells", "k", "l"]
+        assert (dm.n_stress_comp, dm.m_k, dm.m_l) == (3, 6, 3)
+        assert (dm.stress_cell_size, dm.disp_cell_size, dm.cell_size) == (9, 12, 21)
+        assert (dm.n_stress_dofs, dm.n_disp_dofs, dm.total_dofs) == (18, 24, 42)
 
     def test_p_cell(self, two_tri):
         # the face penalties use p = min(k, l) + 1 on every cell
