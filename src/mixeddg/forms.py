@@ -15,8 +15,8 @@ a cell with itself or with a face neighbour.  Each volume and face term is
 such a block, batched over the cells and the interior and boundary faces; a
 0/1 pair-by-term product sums each pair's terms in a fixed order, so reruns
 are bit-identical, and scipy's BSR-to-CSR conversion lays the blocks out as
-M's CSC arrays.  Homogeneous Dirichlet data enters only through the retained
-boundary-face terms.
+M's CSC arrays, without their exact zeros.  Homogeneous Dirichlet data enters
+only through the retained boundary-face terms.
 """
 
 from __future__ import annotations
@@ -152,11 +152,11 @@ class AssembledSystem:
     """The saddle matrix M as one canonical CSC matrix, and its right-hand side b.
 
     M and b are in cell-major DofMap order; b holds the load moments at the
-    displacement dofs and zeros at the stress dofs.  M stores the whole block,
-    zeros included, of each cell with itself and with its face neighbours,
-    less the neighbour stress-stress part when C22 vanishes.  The Aa, Bb and
-    Cc properties pick the stress and displacement dofs out of M on each
-    access; Aa and Cc are symmetric.
+    displacement dofs and zeros at the stress dofs.  M stores the nonzero
+    entries of the block of each cell with itself and with its face
+    neighbours and no exact zero, so the neighbour stress-stress part is
+    absent when C22 vanishes.  The Aa, Bb and Cc properties pick the stress
+    and displacement dofs out of M on each access; Aa and Cc are symmetric.
     """
 
     M: sp.csc_matrix
@@ -324,21 +324,15 @@ def assemble_system(mesh, topo, dofmap: DofMap, mat: MaterialParams,
     del terms, blk  # freed before the layout is built
 
     # the blocks, (pair, local column, local row) by column cell, are a BSR
-    # of M^T, so the CSR arrays of M^T are the CSC arrays of M
+    # of M^T, so the CSR arrays of M^T are the CSC arrays of M; the exact
+    # zeros, the neighbour stress-stress blocks among them when C22 = 0,
+    # are not stored
     pair_row, pair_col = keys % nc, keys // nc
     cell_ptr = np.searchsorted(pair_col, np.arange(nc + 1))
     n = dofmap.total_dofs
     MT = sp.bsr_matrix((blocks, pair_row, cell_ptr), shape=(n, n)).tocsr()
-    data, indices, indptr = MT.data, MT.indices, MT.indptr
-    if not with_c22:
-        # Aa is block diagonal: drop, rather than store as zeros, the
-        # neighbour stress-stress entries, which would raise the LU fill
-        keep = np.ones(blocks.shape, np.int8)
-        keep[pair_row != pair_col, :s_size, :s_size] = 0
-        kept = sp.bsr_matrix((keep, pair_row, cell_ptr), shape=(n, n)).tocsr().data == 1
-        data, indices = data[kept], indices[kept]
-        indptr = np.concatenate([[0], np.cumsum(kept)])[indptr]
-    M = sp.csc_matrix((data, indices, indptr), shape=(n, n))
+    MT.eliminate_zeros()
+    M = sp.csc_matrix((MT.data, MT.indices, MT.indptr), shape=(n, n))
     return AssembledSystem(M=M, b=b, dofmap=dofmap)
 
 
