@@ -26,7 +26,7 @@ from .polybasis import (
     simplex_quadrature,
     tensor_gauss,
 )
-from .solve import SolveReport, SolverError, apply_operator, solve_saddle
+from .solve import SolveReport, SolverError, solve_saddle
 from .spaces import (
     DofMap,
     FieldCoeffs,
@@ -43,7 +43,6 @@ from .verify import (
     error_energy,
     error_l2,
     observed_orders,
-    seminorm_B,
 )
 
 __all__ = [
@@ -61,7 +60,6 @@ __all__ = [
     "SolveReport",
     "SolverError",
     "StabilizationParams",
-    "apply_operator",
     "assemble_system",
     "build_dofmap",
     "build_face_topology",
@@ -80,7 +78,6 @@ __all__ = [
     "project_stress",
     "read_mesh",
     "refine_red",
-    "seminorm_B",
     "simplex_quadrature",
     "solve_saddle",
     "stiffness_apply",

@@ -215,7 +215,7 @@ def _solve_level(mesh, case, k, l, stab):
     topo = build_face_topology(mesh)
     dofmap = build_dofmap(mesh, k, l)
     system = assemble_system(mesh, topo, dofmap, case.material, stab, case.f)
-    coeffs, _report = solve_saddle(system)
+    coeffs, _report = solve_saddle(system, mesh)
     e_l2 = error_l2(mesh, dofmap, coeffs, case)
     e_en = error_energy(mesh, topo, dofmap, coeffs, coeffs, case, stab)
     return dofmap, e_l2, e_en
@@ -239,7 +239,8 @@ def run_p_sweep(config: RunConfig):
     """Fixed mesh, k = l sweep; errors scaled by the expected p powers.
 
     Rows hold p^(k+1) * err_l2 and p^s * err_energy with s = k + 1/2 for
-    C22 = O(1) and s = k for decaying or absent C22, p = min(k,l) + 1.
+    C22 = O(1) and s = k for decaying or absent C22, p = min(k,l) + 1, then
+    the raw errors.
     """
     case = _case_for(config)
     if len(config.levels) != 1:
@@ -262,6 +263,7 @@ def run_p_sweep(config: RunConfig):
             "order_l2": None,
             "err_energy": p ** s * e_en,
             "order_energy": None,
+            "raw": (e_l2, e_en),
         })
     return rows, _render(rows, "k", config.fmt)
 
@@ -301,9 +303,11 @@ def _render(rows, x_name: str, fmt: str) -> str:
             _fmt_order(r["order_l2"]),
             f"{r['err_energy']:.6e}",
             _fmt_order(r["order_energy"]),
-        ]
+        ] + [f"{e:.6e}" for e in r.get("raw", ())]
         for r in rows
     ]
+    if rows and "raw" in rows[0]:
+        header += ["raw_err_l2", "raw_err_energy"]
     if fmt == "csv":
         lines = [",".join(header)] + [",".join(row) for row in table]
         return "\n".join(lines) + "\n"

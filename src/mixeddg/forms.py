@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
-from .mesh import face_quadrature
+from .mesh import all_cell_points, face_quadrature, side_ref_coords
 from .polybasis import cell_quadrature, orthonormal_basis
 from .spaces import DofMap, data_exactness, stress_unit_tensors
 
@@ -114,39 +114,6 @@ def _sym_outer(v, n):
     return 0.5 * (outer + np.swapaxes(outer, -1, -2))
 
 
-def jump_avg_kernels(normal, v_plus=None, v_minus=None, tau_plus=None, tau_minus=None):
-    """Averages and jumps at face trace points.
-
-    Supply minus-side traces for interior faces; with plus traces only, the
-    boundary conventions {.} = trace, [v] = v.n, [tau] = tau n,
-    [[v]] = sym(v x n) apply.  Returns a dict with keys among
-    'avg_v', 'jump_v', 'mjump_v', 'avg_tau', 'jump_tau'.
-    """
-    n = np.asarray(normal, dtype=float)
-    out = {}
-    if v_plus is not None:
-        v_plus = np.asarray(v_plus, dtype=float)
-        if v_minus is None:
-            out["avg_v"] = v_plus
-            out["jump_v"] = v_plus @ n
-            out["mjump_v"] = _sym_outer(v_plus, n)
-        else:
-            v_minus = np.asarray(v_minus, dtype=float)
-            out["avg_v"] = 0.5 * (v_plus + v_minus)
-            out["jump_v"] = (v_plus - v_minus) @ n
-            out["mjump_v"] = _sym_outer(v_plus, n) - _sym_outer(v_minus, n)
-    if tau_plus is not None:
-        tau_plus = np.asarray(tau_plus, dtype=float)
-        if tau_minus is None:
-            out["avg_tau"] = tau_plus
-            out["jump_tau"] = tau_plus @ n
-        else:
-            tau_minus = np.asarray(tau_minus, dtype=float)
-            out["avg_tau"] = 0.5 * (tau_plus + tau_minus)
-            out["jump_tau"] = (tau_plus - tau_minus) @ n
-    return out
-
-
 @dataclass(frozen=True)
 class AssembledSystem:
     """The saddle matrix M as one canonical CSC matrix, and its right-hand side b.
@@ -155,13 +122,15 @@ class AssembledSystem:
     displacement dofs and zeros at the stress dofs.  M stores the nonzero
     entries of the block of each cell with itself and with its face
     neighbours and no exact zero, so the neighbour stress-stress part is
-    absent when C22 vanishes.  The Aa, Bb and Cc properties pick the stress
-    and displacement dofs out of M on each access; Aa and Cc are symmetric.
+    absent when C22 vanishes; with_c22 tells whether it is.  The Aa, Bb and
+    Cc properties pick the stress and displacement dofs out of M on each
+    access; Aa and Cc are symmetric.
     """
 
     M: sp.csc_matrix
     b: np.ndarray
     dofmap: DofMap
+    with_c22: bool
 
     Aa = property(lambda self: self._block(0, 0))
     Bb = property(lambda self: self._block(0, 1))
@@ -170,12 +139,6 @@ class AssembledSystem:
     def _block(self, i: int, j: int) -> sp.csc_matrix:
         dofs = (self.dofmap.stress_dofs, self.dofmap.disp_dofs)
         return self.M[dofs[i]][:, dofs[j]]
-
-
-def side_ref_coords(mesh, cells, x):
-    """Reference coordinates of physical face points in each incident cell."""
-    delta = x - mesh.cell_v0[cells][:, None, :]
-    return np.einsum("Frs,Fqs->Fqr", mesh.jac_inv[cells], delta)
 
 
 def eval_on_faces(basis, ref):
@@ -252,8 +215,7 @@ def assemble_system(mesh, topo, dofmap: DofMap, mat: MaterialParams,
     # load vector, batched over cells at data exactness
     rule_f = cell_quadrature(mesh.cell_kind, data_exactness(dofmap))
     Vk_f = basis_k.eval(rule_f.points)
-    phys = mesh.cell_v0[:, None, :] + np.einsum(
-        "qr,Fir->Fqi", rule_f.points, mesh.jacobians)
+    phys = all_cell_points(mesh, rule_f.points)
     fx = np.asarray(f(phys.reshape(-1, d))).reshape(nc, rule_f.size, d)
     b = np.zeros(dofmap.total_dofs)
     b[dofmap.disp_dofs] = np.einsum("Fqc,q,jq,F->Fcj", fx, rule_f.weights, Vk_f, detj).ravel()
@@ -333,173 +295,4 @@ def assemble_system(mesh, topo, dofmap: DofMap, mat: MaterialParams,
     MT = sp.bsr_matrix((blocks, pair_row, cell_ptr), shape=(n, n)).tocsr()
     MT.eliminate_zeros()
     M = sp.csc_matrix((MT.data, MT.indices, MT.indptr), shape=(n, n))
-    return AssembledSystem(M=M, b=b, dofmap=dofmap)
-
-
-# ---------------------------------------------------------------------------
-# Direct quadrature of the forms on arbitrary side-aware fields, one face at a
-# time through jump_avg_kernels.  They share only penalty_values and
-# face_quadrature with the batched assembly above and serve as its
-# cross-check.  Field callables take (cell_index, physical_points) and return
-# values at the points: (nq, d) for vectors, (nq, d, d) for tensors.
-
-def _face_points(mesh, topo, i, exactness):
-    """Quadrature points (nq, d) and weights (nq,) of face i alone."""
-    x, wq = face_quadrature(mesh, topo, slice(i, i + 1), exactness)
-    return x[0], wq[0]
-
-
-def _face_penalties(mesh, topo, dofmap, stab, i):
-    """(C11, C22) on face i; C22 is 0 on boundary faces."""
-    plus, minus = topo.plus[i:i + 1], topo.minus[i:i + 1]
-    if i >= topo.interior_count:
-        return float(penalty_values(mesh, dofmap, stab, "c11", plus)[0]), 0.0
-    return (float(penalty_values(mesh, dofmap, stab, "c11", plus, minus)[0]),
-            float(penalty_values(mesh, dofmap, stab, "c22", plus, minus)[0]))
-
-
-def form_a_direct(mesh, topo, dofmap, mat, stab, tau1, tau2, exactness):
-    rule = cell_quadrature(mesh.cell_kind, exactness)
-    total = 0.0
-    for c in range(mesh.num_cells):
-        x = mesh.cell_points(c, rule.points)
-        wq = rule.weights * abs(mesh.det_jac[c])
-        total += np.einsum("q,qij,qij->", wq,
-                           compliance_apply(tau1(c, x), mat), tau2(c, x))
-    for i in range(topo.interior_count):
-        _, c22 = _face_penalties(mesh, topo, dofmap, stab, i)
-        if c22 == 0.0:
-            continue
-        x, wq = _face_points(mesh, topo, i, exactness)
-        p, m, n = int(topo.plus[i]), int(topo.minus[i]), topo.normals[i]
-        k1 = jump_avg_kernels(n, tau_plus=tau1(p, x), tau_minus=tau1(m, x))
-        k2 = jump_avg_kernels(n, tau_plus=tau2(p, x), tau_minus=tau2(m, x))
-        total += c22 * np.einsum("q,qi,qi->", wq, k1["jump_tau"], k2["jump_tau"])
-    return total
-
-
-def form_b_direct(mesh, topo, v, grad_v, tau, exactness):
-    rule = cell_quadrature(mesh.cell_kind, exactness)
-    total = 0.0
-    for c in range(mesh.num_cells):
-        x = mesh.cell_points(c, rule.points)
-        wq = rule.weights * abs(mesh.det_jac[c])
-        g = np.asarray(grad_v(c, x))
-        eps = 0.5 * (g + np.swapaxes(g, -1, -2))
-        total -= np.einsum("q,qij,qij->", wq, eps, tau(c, x))
-    for i in range(topo.num_faces):
-        x, wq = _face_points(mesh, topo, i, exactness)
-        p, m, n = int(topo.plus[i]), int(topo.minus[i]), topo.normals[i]
-        kv = jump_avg_kernels(n, v_plus=v(p, x), v_minus=v(m, x) if m >= 0 else None)
-        kt = jump_avg_kernels(n, tau_plus=tau(p, x),
-                              tau_minus=tau(m, x) if m >= 0 else None)
-        total += np.einsum("q,qij,qij->", wq, kv["mjump_v"], kt["avg_tau"])
-    return total
-
-
-def form_c_direct(mesh, topo, dofmap, stab, v1, v2, exactness):
-    total = 0.0
-    for i in range(topo.num_faces):
-        c11, _ = _face_penalties(mesh, topo, dofmap, stab, i)
-        x, wq = _face_points(mesh, topo, i, exactness)
-        p, m, n = int(topo.plus[i]), int(topo.minus[i]), topo.normals[i]
-        k1 = jump_avg_kernels(n, v_plus=v1(p, x), v_minus=v1(m, x) if m >= 0 else None)
-        k2 = jump_avg_kernels(n, v_plus=v2(p, x), v_minus=v2(m, x) if m >= 0 else None)
-        total += c11 * np.einsum("q,qij,qij->", wq, k1["mjump_v"], k2["mjump_v"])
-    return total
-
-
-def exact_residual(mesh, topo, dofmap: DofMap, mat: MaterialParams,
-                   stab: StabilizationParams, sigma_fn, u_fn, grad_u_fn, f_fn,
-                   exactness=None):
-    """Consistency residual of the exact solution against every basis function.
-
-    Returns (r, rhs), both over the whole DofMap, where for stress tests t_i
-    and displacement tests v_j
-
-        r_i = a(sigma, t_i) + b(u, t_i)
-        r_j = -b(v_j, sigma) + c(u, v_j) - F(v_j)
-
-    and rhs holds the F moments, zero at the stress dofs.  Both r_i and r_j
-    should vanish for the exact solution; this drives every volume and face
-    term through quadrature jointly.
-    """
-    if exactness is None:
-        exactness = data_exactness(dofmap)
-    d = mesh.dim
-    basis_l = orthonormal_basis(mesh.cell_kind, dofmap.l)
-    basis_k = orthonormal_basis(mesh.cell_kind, dofmap.k)
-    E = stress_unit_tensors(d)
-    s_size, d_size = dofmap.stress_cell_size, dofmap.disp_cell_size
-
-    r = np.zeros(dofmap.total_dofs)
-    rhs = np.zeros(dofmap.total_dofs)
-
-    rule = cell_quadrature(mesh.cell_kind, exactness)
-    Vl = basis_l.eval(rule.points)
-    Vk = basis_k.eval(rule.points)
-    Gk = basis_k.eval_grad(rule.points)
-
-    for c in range(mesh.num_cells):
-        x = mesh.cell_points(c, rule.points)
-        wq = rule.weights * abs(mesh.det_jac[c])
-        sig = np.asarray(sigma_fn(x))
-        g = np.asarray(grad_u_fn(x))
-        eps = 0.5 * (g + np.swapaxes(g, -1, -2))
-        fx = np.asarray(f_fn(x))
-        gphys = np.einsum("jqr,rs->jqs", Gk, mesh.jac_inv[c])
-
-        # a + b volume parts against stress tests: int (A sigma - eps(u)) : E_a phi_i
-        T = compliance_apply(sig, mat) - eps
-        so = dofmap.stress_offset(c)
-        r[so:so + s_size] += np.einsum("qde,ade,q,iq->ai", T, E, wq, Vl).ravel()
-
-        # -b volume part against displacement tests: + int eps(v_j) : sigma
-        do = dofmap.disp_offset(c)
-        moments_f = np.einsum("qc,q,jq->cj", fx, wq, Vk)
-        r[do:do + d_size] += (
-            np.einsum("qcm,q,jqm->cj", sig, wq, gphys) - moments_f).ravel()
-        rhs[do:do + d_size] += moments_f.ravel()
-
-    for i in range(topo.num_faces):
-        x, wq = _face_points(mesh, topo, i, exactness)
-        n = topo.normals[i]
-        En = E @ n
-        ux = np.asarray(u_fn(x))
-        sig = np.asarray(sigma_fn(x))
-        c11, c22 = _face_penalties(mesh, topo, dofmap, stab, i)
-        if topo.minus[i] >= 0:
-            ker = jump_avg_kernels(n, v_plus=ux, v_minus=ux,
-                                   tau_plus=sig, tau_minus=sig)
-            sides = ((int(topo.plus[i]), 1.0), (int(topo.minus[i]), -1.0))
-            avg_w = 0.5
-        else:
-            ker = jump_avg_kernels(n, v_plus=ux, tau_plus=sig)
-            sides = ((int(topo.plus[i]), 1.0),)
-            avg_w = 1.0
-        mj_u = ker["mjump_v"]
-        tj_s = ker["jump_tau"]
-        mj_u_n = mj_u @ n
-        avg_s_n = ker["avg_tau"] @ n
-
-        for cell, sign in sides:
-            ref = mesh.cell_ref_coords(cell, x)
-            Vl_t = basis_l.eval(ref)
-            Vk_t = basis_k.eval(ref)
-            so = dofmap.stress_offset(cell)
-            do = dofmap.disp_offset(cell)
-
-            # b face against stress tests: [[u]] : {E_a phi_i} on this side
-            blk = avg_w * np.einsum("qde,ade,q,iq->ai", mj_u, E, wq, Vl_t)
-            if c22 != 0.0:
-                # a face: C22 [sigma].[t_i] with [t_i] = sign E_a n phi_i
-                blk += c22 * sign * np.einsum("qd,ad,q,iq->ai", tj_s, En, wq, Vl_t)
-            r[so:so + s_size] += blk.ravel()
-
-            # -b face against displacement tests: -[[v_j]] : {sigma},
-            # plus c face: C11 [[u]] : [[v_j]]
-            blk_u = -sign * np.einsum("qc,q,jq->cj", avg_s_n, wq, Vk_t)
-            blk_u += (c11 * sign) * np.einsum("qc,q,jq->cj", mj_u_n, wq, Vk_t)
-            r[do:do + d_size] += blk_u.ravel()
-
-    return r, rhs
+    return AssembledSystem(M=M, b=b, dofmap=dofmap, with_c22=with_c22)

@@ -10,8 +10,9 @@ cells' face keys.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from functools import cached_property
+from dataclasses import dataclass, field
+from functools import cached_property, partial
+from typing import Callable
 
 import numpy as np
 
@@ -27,6 +28,10 @@ LOCAL_FACES = {
 }
 
 
+# read_mesh's bound on coordinate magnitudes
+MAX_COORDINATE = 1e50
+
+
 class MeshError(ValueError):
     """Invalid mesh data (degenerate cells, broken topology, bad file)."""
 
@@ -40,6 +45,16 @@ class Mesh:
     vertices: np.ndarray    # (nv, dim)
     cells: np.ndarray       # (nc, verts_per_cell)
     domain_box: np.ndarray  # (dim, 2)
+    # builds coarse_level; None for meshes without one
+    coarsen: Callable | None = field(default=None, repr=False, compare=False)
+
+    @cached_property
+    def coarse_level(self):
+        """(coarse mesh, parent coarse cell of each cell), built on first use.
+
+        Each cell lies in its parent.  None when the mesh has no coarse level.
+        """
+        return None if self.coarsen is None else self.coarsen()
 
     @property
     def num_vertices(self) -> int:
@@ -108,14 +123,14 @@ def _box_array(box) -> np.ndarray:
     return b
 
 
-def _make_mesh(dim, kind, vertices, cells, box) -> Mesh:
+def _make_mesh(dim, kind, vertices, cells, box, coarsen=None) -> Mesh:
     vertices = np.ascontiguousarray(vertices, dtype=float)
     cells = np.ascontiguousarray(cells, dtype=np.int64)
     vertices.setflags(write=False)
     cells.setflags(write=False)
     box = _box_array(box)
     box.setflags(write=False)
-    mesh = Mesh(dim, kind, vertices, cells, box)
+    mesh = Mesh(dim, kind, vertices, cells, box, coarsen)
     _validate(mesh)
     return mesh
 
@@ -192,14 +207,21 @@ def build_uniform_quad(n: int, box=((-1.0, 1.0), (-1.0, 1.0))) -> Mesh:
 
 
 # Kuhn split: one tet per permutation of the coordinate insertion order,
-# conforming across neighboring cubes.
-_KUHN_PERMS = (
-    (0, 1, 2), (0, 2, 1), (1, 0, 2), (1, 2, 0), (2, 0, 1), (2, 1, 0),
-)
+# conforming across neighboring cubes.  A tet's path runs from the cube corner
+# through the unit steps of its permutation; the odd permutations' paths are
+# negatively oriented, so their last two vertices swap.
+_KUHN_PERMS = np.array([(0, 1, 2), (0, 2, 1), (1, 0, 2), (1, 2, 0), (2, 0, 1), (2, 1, 0)])
+_KUHN_ODD = np.array([False, True, True, False, False, True])
+_KUHN_PATHS = np.concatenate([np.zeros((6, 1, 3), np.int64),
+                              np.cumsum(np.eye(3, dtype=np.int64)[_KUHN_PERMS], axis=1)], axis=1)
 
 
 def build_uniform_tet(n: int, box=((0.0, 1.0), (0.0, 1.0), (0.0, 1.0))) -> Mesh:
-    """n^3 cubes, each split into 6 tetrahedra along the main diagonal."""
+    """n^3 cubes, each split into 6 tetrahedra along the main diagonal.
+
+    Cells run over the cubes (i, j, k) in row-major order, six per cube in
+    _KUHN_PERMS order.  With n even the mesh has a coarse level: the n/2 mesh.
+    """
     if n < 1:
         raise MeshError("n must be >= 1")
     box = _box_array(box)
@@ -207,26 +229,31 @@ def build_uniform_tet(n: int, box=((0.0, 1.0), (0.0, 1.0), (0.0, 1.0))) -> Mesh:
     X, Y, Z = np.meshgrid(*axes, indexing="ij")
     verts = np.stack([X.ravel(), Y.ravel(), Z.ravel()], axis=-1)
 
-    def vid(i, j, k):
-        return (i * (n + 1) + j) * (n + 1) + k
+    corner = np.stack(np.meshgrid(*[np.arange(n)] * 3, indexing="ij"), axis=-1)
+    path = corner.reshape(-1, 1, 1, 3) + _KUHN_PATHS  # (cube, perm, vertex, axis)
+    cells = (path[..., 0] * (n + 1) + path[..., 1]) * (n + 1) + path[..., 2]
+    cells[:, _KUHN_ODD] = cells[:, _KUHN_ODD][..., [0, 1, 3, 2]]
+    coarsen = partial(_tet_coarse_level, n, box) if n % 2 == 0 else None
+    return _make_mesh(3, "tetrahedron", verts, cells.reshape(-1, 4), box, coarsen)
 
-    cells = []
-    for i in range(n):
-        for j in range(n):
-            for k in range(n):
-                corner = np.array([i, j, k])
-                for perm in _KUHN_PERMS:
-                    path = [corner.copy()]
-                    for axis in perm:
-                        nxt = path[-1].copy()
-                        nxt[axis] += 1
-                        path.append(nxt)
-                    tet = [vid(*p) for p in path]
-                    a, b, c, d = (verts[t] for t in tet)
-                    if np.linalg.det(np.stack([b - a, c - a, d - a], axis=-1)) < 0:
-                        tet[2], tet[3] = tet[3], tet[2]
-                    cells.append(tuple(tet))
-    return _make_mesh(3, "tetrahedron", verts, cells, box)
+
+def _tet_coarse_level(n: int, box):
+    """build_uniform_tet(n // 2) and the parent of each cell of build_uniform_tet(n).
+
+    Cube (i, j, k) lies in coarse cube (i // 2, j // 2, k // 2).  Within it,
+    the parent is the Kuhn tet whose permutation sorts the fine centroid's
+    local coordinates in decreasing order; 8 times those coordinates are
+    distinct integers, so the sort is exact.
+    """
+    cube, kuhn = np.divmod(np.arange(6 * n ** 3), 6)
+    ijk = np.stack(np.unravel_index(cube, (n,) * 3), axis=-1)
+    local8 = 4 * (ijk % 2) + _KUHN_PATHS.sum(axis=1)[kuhn]
+    perm = np.argsort(-local8, axis=1)
+    parent_kuhn = 2 * perm[:, 0] + (perm[:, 1] > perm[:, 2])  # index in _KUHN_PERMS
+    parent_cube = np.ravel_multi_index(tuple((ijk // 2).T), (n // 2,) * 3)
+    parent = 6 * parent_cube + parent_kuhn
+    parent.setflags(write=False)
+    return build_uniform_tet(n // 2, box), parent
 
 
 def refine_red(mesh: Mesh) -> Mesh:
@@ -263,8 +290,10 @@ def read_mesh(text: str) -> Mesh:
         cells <m>
         <m lines of 0-based vertex indices>
 
-    Lines starting with '#' are ignored.  Simplex orientation is normalized
-    to positive signed measure.
+    Lines starting with '#' are ignored.  Coordinates must be finite and
+    below MAX_COORDINATE in magnitude, so that no cell measure overflows.
+    Simplex orientation is normalized to positive signed measure.  Any
+    malformed input raises MeshError.
     """
     kinds = {"tri": "triangle", "quad": "quad", "tet": "tetrahedron"}
     lines = [
@@ -309,12 +338,17 @@ def read_mesh(text: str) -> Mesh:
             verts[i] = [float(v) for v in vals]
         except ValueError:
             raise MeshError(f"line {lineno}: bad coordinate in {row!r}") from None
+        if not np.all(np.abs(verts[i]) < MAX_COORDINATE):
+            raise MeshError(f"line {lineno}: coordinate not finite or above "
+                            f"{MAX_COORDINATE:.0e} in magnitude")
 
     lineno, decl = take("cell count")
     tok = decl.split()
     if len(tok) != 2 or tok[0] != "cells":
         raise MeshError(f"line {lineno}: expected 'cells <m>', got {decl!r}")
     nc = _parse_count(lineno, tok[1], len(lines) - pos)
+    if nc == 0:
+        raise MeshError(f"line {lineno}: a mesh needs at least one cell")
     nvc = VERTS_PER_CELL[kind]
     cells = np.empty((nc, nvc), dtype=np.int64)
     cell_lines = []
@@ -325,7 +359,7 @@ def read_mesh(text: str) -> Mesh:
             raise MeshError(f"line {lineno}: expected {nvc} vertex indices")
         try:
             cells[i] = [int(v) for v in vals]
-        except ValueError:
+        except (ValueError, OverflowError):
             raise MeshError(f"line {lineno}: bad vertex index in {row!r}") from None
         if cells[i].min() < 0 or cells[i].max() >= nv:
             raise MeshError(f"line {lineno}: vertex index out of range")
@@ -459,6 +493,19 @@ def build_face_topology(mesh: Mesh) -> FaceTopology:
     for a in (plus, minus, fverts, normals, measures):
         a.setflags(write=False)
     return FaceTopology(plus, minus, fverts, normals, measures, n_int)
+
+
+def all_cell_points(mesh: Mesh, ref_points: np.ndarray) -> np.ndarray:
+    """Physical images of reference points in every cell; (nc, nq, d)."""
+    return mesh.cell_v0[:, None, :] + np.einsum(
+        "qr,Fir->Fqi", ref_points, mesh.jacobians)
+
+
+def side_ref_coords(mesh: Mesh, cells, x):
+    """Reference coordinates of physical points x (n, nq, d) in cells (n,),
+    such as face points in the cells on one side."""
+    delta = x - mesh.cell_v0[cells][:, None, :]
+    return np.einsum("Frs,Fqs->Fqr", mesh.jac_inv[cells], delta)
 
 
 def face_quadrature(mesh: Mesh, topo: FaceTopology, faces, exactness: int):

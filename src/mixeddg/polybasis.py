@@ -239,15 +239,3 @@ def orthonormal_basis(cell_kind: str, p: int) -> BasisSet:
     coeffs.setflags(write=False)
     exps.setflags(write=False)
     return BasisSet(cell_kind, p, m, exps, coeffs)
-
-
-def eval_basis_on_cell(basis: BasisSet, mesh, cell: int, ref_points: np.ndarray):
-    """Values and physical gradients of `basis` on a mesh cell.
-
-    Values are unchanged under the affine cell map; gradients transform by
-    the inverse Jacobian transpose.
-    """
-    vals = basis.eval(ref_points)
-    jinv = mesh.jac_inv[cell]
-    grads = np.einsum("iqr,rs->iqs", basis.eval_grad(ref_points), jinv)
-    return vals, grads

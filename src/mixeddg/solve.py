@@ -1,4 +1,11 @@
-"""Direct solution of the assembled saddle-point system."""
+"""Solution of the assembled saddle-point system.
+
+Sparse LU solves every system, except the 3D levels that have a coarse
+level, C22 != 0 and at least KRYLOV_MIN_DOFS dofs: GMRES with a two-level
+preconditioner solves those, falling back to LU if it misses KRYLOV_TOL
+within KRYLOV_MAX_ITERATIONS.  (In 2D, and with C22 = 0, the preconditioner
+was measured not to beat the direct solve.)
+"""
 
 from __future__ import annotations
 
@@ -9,10 +16,20 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.sparse.linalg import splu
 
-from .spaces import FieldCoeffs
+from .spaces import FieldCoeffs, build_dofmap, prolongation
 
 # relative residual above which a solve is rejected
 RESIDUAL_TOL = 1e-9
+
+# true relative residual at which GMRES stops, far under RESIDUAL_TOL so that
+# the printed errors match the direct solve's
+KRYLOV_TOL = 1e-12
+# Arnoldi steps after which GMRES gives up and LU takes over
+KRYLOV_MAX_ITERATIONS = 100
+# dofs from which GMRES beats the direct solve
+KRYLOV_MIN_DOFS = 10_000
+# damping of the cell-block Jacobi smoother
+SMOOTHER_DAMPING = 0.7
 
 
 class SolverError(RuntimeError):
@@ -36,10 +53,13 @@ class ResidualToleranceError(SolverError):
 
 @dataclass(frozen=True)
 class SolveReport:
-    """Seconds in the factorization and in the solves plus residual check.
+    """Seconds in the set-up and in the solve plus residual check.
 
-    factor_s covers the block ordering, the permuted copy of M and its LU
-    factorization.
+    On the direct path factor_s covers the block ordering, the permuted copy
+    of M and its LU factorization, and iterations is 0.  On the GMRES path
+    factor_s is the preconditioner's set-up, solve_s the iterations, and
+    factor_nnz and iterations are the coarse LU's and GMRES's.  A GMRES run
+    that falls back to LU reports the direct path, its time in factor_s.
 
     factor_nnz is SuperLU.nnz, the stored factor entries; it is not
     L.nnz + U.nnz, which would copy the factors to count.
@@ -49,6 +69,7 @@ class SolveReport:
     factor_s: float
     solve_s: float
     factor_nnz: int
+    iterations: int = 0
 
 
 def _block_graph(M, dofmap):
@@ -87,16 +108,9 @@ def _stress_first_order(M, dofmap):
     return np.argsort(rank[node], kind="stable")
 
 
-def solve_saddle(system):
-    """Solve M x = b, M = [[Aa, Bb], [-Bb^T, Cc]] in cell-major order, by sparse LU.
-
-    M is factored in the stress-first block order of _stress_first_order.
-    Relative residuals above RESIDUAL_TOL, taken on the unpermuted M and b,
-    raise; the system is never silently regularized.
-    """
-    M, b = system.M, system.b
-    t0 = time.perf_counter()
-    perm = _stress_first_order(M, system.dofmap)
+def _factor(M, dofmap):
+    """LU of M in the stress-first block order: (solve function, factor nnz)."""
+    perm = _stress_first_order(M, dofmap)
     inv = np.empty(len(perm), np.int32)
     inv[perm] = np.arange(len(perm), dtype=np.int32)
     # relabel the rows on M's own arrays, then copy once by gathering columns
@@ -105,14 +119,119 @@ def solve_saddle(system):
     try:
         # the block pattern is structurally symmetric; symmetric-mode SuperLU
         # with a relaxed diagonal pivot threshold cuts fill severalfold, and
-        # the residual gate below catches any pivoting damage
+        # the residual gate catches any pivoting damage
         lu = splu(Mp, permc_spec="NATURAL",
                   options={"SymmetricMode": True, "DiagPivotThresh": 0.001})
     except RuntimeError as exc:
         raise SingularSystemError(f"sparse LU factorization failed: {exc}") from exc
-    t1 = time.perf_counter()
-    x = np.empty_like(b)
-    x[perm] = lu.solve(b[perm])
+
+    def solve(b):
+        x = np.empty_like(b)
+        x[perm] = lu.solve(b[perm])
+        return x
+
+    return solve, int(lu.nnz)
+
+
+def _cell_blocks(M, dofmap):
+    """Each cell's own dense diagonal block of M, (cells, cell size, cell size)."""
+    size = dofmap.cell_size
+    col = np.repeat(np.arange(M.shape[1]), np.diff(M.indptr))
+    own = M.indices // size == col // size
+    row, col = M.indices[own], col[own]
+    D = np.zeros((dofmap.num_cells, size, size))
+    D[col // size, row % size, col % size] = M.data[own]
+    return D
+
+
+def _two_level(system, mesh):
+    """One two-level cycle as a preconditioner for M, and its coarse LU's nnz.
+
+    Two damped cell-block Jacobi sweeps, whose blocks are the cells' own
+    diagonal blocks of M (a Vanka-type smoother); a coarse correction by the
+    Galerkin operator P^T M P of the prolongation P from mesh.coarse_level,
+    factored like M on the direct path; then two more sweeps.
+    """
+    M, dofmap = system.M, system.dofmap
+    P = prolongation(mesh, dofmap)
+    coarse = build_dofmap(mesh.coarse_level[0], dofmap.k, dofmap.l)
+    coarse_solve, nnz = _factor((P.T @ (M @ P)).tocsc(), coarse)
+    D_inv = np.linalg.inv(_cell_blocks(M, dofmap))
+    size = dofmap.cell_size
+
+    def jacobi(r):
+        return SMOOTHER_DAMPING * (D_inv @ r.reshape(-1, size, 1)).ravel()
+
+    def cycle(r):
+        x = jacobi(r)
+        x += jacobi(r - M @ x)
+        x += P @ coarse_solve(P.T @ (r - M @ x))
+        x += jacobi(r - M @ x)
+        x += jacobi(r - M @ x)
+        return x
+
+    return cycle, nnz
+
+
+def _gmres(M, b, precondition):
+    """Right-preconditioned GMRES from x = 0, without restarts.
+
+    Returns (x, iterations) as soon as the true relative residual of x is at
+    most KRYLOV_TOL, and (None, iterations) when KRYLOV_MAX_ITERATIONS
+    Arnoldi steps do not get there.  The true residual is recomputed each
+    time the least-squares residual, its value in exact arithmetic, is small
+    enough.  The Arnoldi basis is orthogonalized by classical Gram-Schmidt,
+    twice.
+    """
+    norm_b = np.linalg.norm(b)
+    if norm_b == 0.0:
+        return np.zeros_like(b), 0
+    cap, tol = KRYLOV_MAX_ITERATIONS, KRYLOV_TOL * norm_b
+    V = np.empty((cap + 1, len(b)))  # memory pages are touched row by row
+    H = np.zeros((cap + 1, cap))
+    g = np.zeros(cap + 1)
+    g[0] = norm_b
+    V[0] = b / norm_b
+    for j in range(cap):
+        w = M @ precondition(V[j])
+        for _ in range(2):
+            h = V[:j + 1] @ w
+            w -= h @ V[:j + 1]
+            H[:j + 1, j] += h
+        H[j + 1, j] = np.linalg.norm(w)
+        Hj, gj = H[:j + 2, :j + 1], g[:j + 2]
+        y = np.linalg.lstsq(Hj, gj, rcond=None)[0]
+        if np.linalg.norm(gj - Hj @ y) <= tol:
+            x = precondition(y @ V[:j + 1])
+            if np.linalg.norm(b - M @ x) <= tol:
+                return x, j + 1
+        if H[j + 1, j] == 0.0:
+            break
+        V[j + 1] = w / H[j + 1, j]
+    return None, j + 1
+
+
+def solve_saddle(system, mesh=None):
+    """Solve M x = b, M = [[Aa, Bb], [-Bb^T, Cc]] in cell-major order.
+
+    mesh is the mesh the system was assembled on; without it, or off the
+    GMRES cases in the module docstring, M is factored by sparse LU in the
+    stress-first block order of _stress_first_order.  Relative residuals
+    above RESIDUAL_TOL, taken on M and b, raise on either path; the system is
+    never silently regularized.
+    """
+    M, b, dofmap = system.M, system.b, system.dofmap
+    t0 = time.perf_counter()
+    x, iterations = None, 0
+    if (mesh is not None and mesh.dim == 3 and system.with_c22
+            and dofmap.total_dofs >= KRYLOV_MIN_DOFS and mesh.coarse_level is not None):
+        precondition, nnz = _two_level(system, mesh)
+        t1 = time.perf_counter()
+        x, iterations = _gmres(M, b, precondition)
+    if x is None:
+        lu_solve, nnz = _factor(M, dofmap)
+        t1 = time.perf_counter()
+        x, iterations = lu_solve(b), 0
     if not np.all(np.isfinite(x)):
         raise SingularSystemError("factorization produced non-finite solution")
     norm_b = np.linalg.norm(b)
@@ -121,17 +240,9 @@ def solve_saddle(system):
         relative_residual=float(resid),
         factor_s=t1 - t0,
         solve_s=time.perf_counter() - t1,
-        factor_nnz=int(lu.nnz),
+        factor_nnz=nnz,
+        iterations=iterations,
     )
     if resid > RESIDUAL_TOL:
         raise ResidualToleranceError(report)
-    return FieldCoeffs(system.dofmap, x), report
-
-
-def apply_operator(system, x: np.ndarray) -> np.ndarray:
-    """y = M x with M = [[Aa, Bb], [-Bb^T, Cc]]."""
-    dm = system.dofmap
-    x = np.asarray(x, dtype=float)
-    if x.shape != (dm.total_dofs,):
-        raise ValueError(f"expected vector of length {dm.total_dofs}, got {x.shape}")
-    return system.M @ x
+    return FieldCoeffs(dofmap, x), report

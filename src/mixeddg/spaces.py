@@ -15,7 +15,9 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
+import scipy.sparse as sp
 
+from .mesh import all_cell_points, side_ref_coords
 from .polybasis import CELL_DIM, cell_quadrature, orthonormal_basis, space_dimension
 
 STRESS_COMPONENTS = {
@@ -80,12 +82,6 @@ class DofMap:
 
     def _by_cell(self) -> np.ndarray:
         return np.arange(self.total_dofs).reshape(self.num_cells, self.cell_size)
-
-    def stress_offset(self, cell: int) -> int:
-        return cell * self.cell_size
-
-    def disp_offset(self, cell: int) -> int:
-        return cell * self.cell_size + self.stress_cell_size
 
 
 def build_dofmap(mesh, k: int, l: int) -> DofMap:
@@ -192,13 +188,35 @@ def evaluate_field(coeffs: FieldCoeffs, cell: int, ref_points: np.ndarray):
     return u.T, sigma
 
 
-def evaluate_displacement_gradient(coeffs: FieldCoeffs, mesh, cell: int, ref_points):
-    """Physical gradient of the discrete displacement; shape (nq, dim, dim).
+def prolongation(mesh, dofmap: DofMap) -> sp.csr_matrix:
+    """DG injection P from the spaces on mesh.coarse_level to dofmap's spaces.
 
-    Entry [q, i, j] is du_i/dx_j.
+    P maps coarse coefficients to the fine coefficients of the same piecewise
+    polynomials.  Fine cell c has one block, at its parent, that maps each
+    stress component over P_l and each displacement component over P_k on
+    its own.  With orthonormal reference bases, entry (i, j) of the scalar
+    block of a degree is the reference integral of fine basis i against
+    coarse basis j, taken at the fine quadrature points mapped into the
+    parent; the quadrature is exact, as a coarse polynomial keeps its degree
+    on the child.
     """
-    dm = coeffs.dofmap
-    basis = orthonormal_basis(dm.cell_kind, dm.k)
-    gref = basis.eval_grad(np.asarray(ref_points, dtype=float))
-    gphys = np.einsum("mqr,rs->mqs", gref, mesh.jac_inv[cell])
-    return np.einsum("im,mqs->qis", coeffs.disp_block(cell), gphys)
+    coarse, parent = mesh.coarse_level
+    nc, dim = mesh.num_cells, mesh.dim
+
+    def scalar_blocks(p):
+        rule = cell_quadrature(mesh.cell_kind, 2 * p)
+        basis = orthonormal_basis(mesh.cell_kind, p)
+        ref = side_ref_coords(coarse, parent, all_cell_points(mesh, rule.points))
+        coarse_vals = basis.eval(ref.reshape(-1, dim)).reshape(basis.size, nc, rule.size)
+        return np.einsum("iq,q,jFq->Fij", basis.eval(rule.points), rule.weights, coarse_vals)
+
+    s, d = dofmap.stress_cell_size, dofmap.disp_cell_size
+    blocks = np.zeros((nc, s + d, s + d))
+    blocks[:, :s, :s] = np.einsum("ab,Fij->Faibj", np.eye(dofmap.n_stress_comp),
+                                  scalar_blocks(dofmap.l)).reshape(nc, s, s)
+    blocks[:, s:, s:] = np.einsum("ab,Fij->Faibj", np.eye(dim),
+                                  scalar_blocks(dofmap.k)).reshape(nc, d, d)
+    shape = (dofmap.total_dofs, coarse.num_cells * (s + d))
+    P = sp.bsr_matrix((blocks, parent, np.arange(nc + 1)), shape=shape).tocsr()
+    P.eliminate_zeros()  # the blocks between different components
+    return P

@@ -3,7 +3,7 @@
 The energy error is the seminorm induced by the diagonal of the method:
 sqrt(a(es, es) + c(eu, eu)) with es = sigma - sigma_h, eu = u - u_h, with
 exact fields evaluated directly on faces so nonzero-trace variants stay
-correct.  The face-only B-seminorm is a diagnostic that requires eta > 0.
+correct.
 """
 
 from __future__ import annotations
@@ -16,17 +16,13 @@ import numpy as np
 from .forms import (
     MaterialParams,
     StabilizationParams,
-    _face_penalties,
-    _face_points,
     _sym_outer,
     compliance_apply,
     eval_on_faces,
-    jump_avg_kernels,
     penalty_values,
-    side_ref_coords,
     stiffness_apply,
 )
-from .mesh import face_quadrature
+from .mesh import all_cell_points, face_quadrature, side_ref_coords
 from .polybasis import cell_quadrature, orthonormal_basis
 from .spaces import (
     DofMap,
@@ -158,12 +154,6 @@ def case_3d_sine(lam: float = 0.3, mu: float = 0.35) -> ManufacturedCase:
     )
 
 
-def _all_cell_points(mesh, ref_points):
-    """Physical images of reference points in every cell; (nc, nq, d)."""
-    return mesh.cell_v0[:, None, :] + np.einsum(
-        "qr,Fir->Fqi", ref_points, mesh.jacobians)
-
-
 def error_l2(mesh, dofmap: DofMap, u_h: FieldCoeffs, case: ManufacturedCase,
              exactness=None) -> float:
     """Broken L2 norm of u - u_h."""
@@ -172,7 +162,7 @@ def error_l2(mesh, dofmap: DofMap, u_h: FieldCoeffs, case: ManufacturedCase,
     rule = cell_quadrature(mesh.cell_kind, exactness)
     Vk = orthonormal_basis(mesh.cell_kind, dofmap.k).eval(rule.points)
     uh = np.einsum("Fim,mq->Fqi", u_h.all_disp_blocks(), Vk)
-    phys = _all_cell_points(mesh, rule.points)
+    phys = all_cell_points(mesh, rule.points)
     ue = np.asarray(case.u(phys.reshape(-1, mesh.dim))).reshape(uh.shape)
     diff = ue - uh
     total = np.einsum("F,q,Fqi,Fqi->", np.abs(mesh.det_jac), rule.weights, diff, diff)
@@ -206,7 +196,7 @@ def error_energy(mesh, topo, dofmap: DofMap, sigma_h: FieldCoeffs,
 
     comp = np.einsum("Fam,mq->Fqa", sigma_h.all_stress_blocks(), Vl)
     sh = tensor_from_components(comp, d)
-    phys = _all_cell_points(mesh, rule.points)
+    phys = all_cell_points(mesh, rule.points)
     es = np.asarray(case.sigma(phys.reshape(-1, d))).reshape(sh.shape) - sh
     total = np.einsum("F,q,Fqij,Fqij->", np.abs(mesh.det_jac), rule.weights,
                       compliance_apply(es, mat), es)
@@ -231,46 +221,6 @@ def error_energy(mesh, topo, dofmap: DofMap, sigma_h: FieldCoeffs,
         else:
             mj = _sym_outer(eu_p, n[:, None, :])
         total += np.einsum("F,Fq,Fqij,Fqij->", c11, wq, mj, mj)
-    return math.sqrt(total)
-
-
-def seminorm_B(mesh, topo, dofmap: DofMap, tau_eval, v_eval,
-               stab: StabilizationParams, exactness: int) -> float:
-    """Face-only seminorm pairing C22/C11 weights with their reciprocals.
-
-    Requires eta > 0: with C22 = 0 the 1/C22 average term is undefined, so
-    the seminorm does not make sense for the LDG limit.  Field callables take
-    (cell, physical points) and return (nq, d, d) / (nq, d).
-    """
-    if stab.c22_zero:
-        raise ValueError(
-            "the B-seminorm is undefined for C22 = 0 (1/C22 average term)"
-        )
-    total = 0.0
-    for i in range(topo.num_faces):
-        x, wq = _face_points(mesh, topo, i, exactness)
-        c11, c22 = _face_penalties(mesh, topo, dofmap, stab, i)
-        p, m, n = int(topo.plus[i]), int(topo.minus[i]), topo.normals[i]
-        if m >= 0:
-            ker = jump_avg_kernels(
-                n,
-                v_plus=v_eval(p, x),
-                v_minus=v_eval(m, x),
-                tau_plus=tau_eval(p, x),
-                tau_minus=tau_eval(m, x),
-            )
-            jt, at = ker["jump_tau"], ker["avg_tau"]
-            av, mj = ker["avg_v"], ker["mjump_v"]
-            total += np.einsum("q,qi,qi->", wq, jt, jt) * c22
-            total += np.einsum("q,qij,qij->", wq, at, at) / c11
-            total += np.einsum("q,qi,qi->", wq, av, av) / c22
-            total += np.einsum("q,qij,qij->", wq, mj, mj) * c11
-        else:
-            tau = np.asarray(tau_eval(p, x))
-            ker = jump_avg_kernels(n, v_plus=v_eval(p, x))
-            mj = ker["mjump_v"]
-            total += np.einsum("q,qij,qij->", wq, tau, tau) / c11
-            total += np.einsum("q,qij,qij->", wq, mj, mj) * c11
     return math.sqrt(total)
 
 

@@ -172,10 +172,28 @@ class TestPSweep:
                         "--flux", "c11=p,c22=pinv")
         assert code == 0
         lines = out.read_text().strip().splitlines()
-        assert lines[0] == "level,k,dofs,err_l2,order,err_energy,order"
+        assert lines[0] == ("level,k,dofs,err_l2,order,err_energy,order,"
+                            "raw_err_l2,raw_err_energy")
         assert [ln.split(",")[0] for ln in lines[1:]] == ["0", "1"]
         # order columns stay empty in p-sweeps
         assert all(ln.split(",")[4] == "" for ln in lines[1:])
+
+    def test_raw_columns_unscaled(self, tmp_path):
+        # default stabilization: L2 scaled by p^(k+1), energy by p^(k+1/2)
+        code, out = run(tmp_path, "--k", "1,2,3", "--levels", "2")
+        assert code == 0
+        for line in out.read_text().strip().splitlines()[1:]:
+            cells = line.split(",")
+            k, p = int(cells[0]), int(cells[0]) + 1
+            assert len(cells) == 9
+            assert float(cells[7]) * p ** (k + 1) == pytest.approx(float(cells[3]), rel=1e-6)
+            assert float(cells[8]) * p ** (k + 0.5) == pytest.approx(float(cells[5]), rel=1e-6)
+
+    def test_markdown_raw_columns(self, tmp_path):
+        code, out = run(tmp_path, "--k", "1,2", "--levels", "2", "--format", "md")
+        assert code == 0
+        header = [c.strip() for c in out.read_text().splitlines()[0].strip("|").split("|")]
+        assert header[7:] == ["raw_err_l2", "raw_err_energy"]
 
     def test_multi_level_rejected(self, tmp_path):
         code, _ = run(tmp_path, "--k", "0,1", "--levels", "2,4")
@@ -184,7 +202,7 @@ class TestPSweep:
 
 class TestSolverFailureExit:
     def test_residual_failure_exit_code(self, tmp_path, monkeypatch):
-        def fail(system):
+        def fail(system, mesh=None):
             raise ResidualToleranceError(SolveReport(1.0, 0.0, 0.0, 0))
 
         monkeypatch.setattr(cli, "solve_saddle", fail)
@@ -192,12 +210,28 @@ class TestSolverFailureExit:
         assert code == 3
 
     def test_failure_names_level(self, tmp_path, monkeypatch, capsys):
-        def fail(system):
+        def fail(system, mesh=None):
             raise ResidualToleranceError(SolveReport(1.0, 0.0, 0.0, 0))
 
         monkeypatch.setattr(cli, "solve_saddle", fail)
         run(tmp_path, "--levels", "1", "--k", "0")
         assert "level 2" in capsys.readouterr().err
+
+
+class TestSolverPath:
+    def test_solve_gets_the_mesh(self, tmp_path, monkeypatch):
+        meshes = []
+
+        def spy(system, mesh=None):
+            meshes.append(mesh)
+            return real(system, mesh)
+
+        real = cli.solve_saddle
+        monkeypatch.setattr(cli, "solve_saddle", spy)
+        code, _ = run(tmp_path, "--problem", "elas3d_sine", "--mesh", "tet-uniform",
+                      "--levels", "1,2", "--k", "1")
+        assert code == 0
+        assert [m.num_cells for m in meshes] == [6, 48]
 
 
 class TestStdout:

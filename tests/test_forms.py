@@ -18,19 +18,17 @@ from mixeddg.forms import (
     StabilizationParams,
     assemble_system,
     compliance_apply,
+    penalty_values,
+    stiffness_apply,
+)
+from mixeddg.spaces import STRESS_COMPONENTS, FieldCoeffs, stress_unit_tensors
+from oracles import (
+    evaluate_displacement_gradient,
     exact_residual,
     form_a_direct,
     form_b_direct,
     form_c_direct,
     jump_avg_kernels,
-    penalty_values,
-    stiffness_apply,
-)
-from mixeddg.spaces import (
-    STRESS_COMPONENTS,
-    FieldCoeffs,
-    evaluate_displacement_gradient,
-    stress_unit_tensors,
 )
 
 BOX2 = ((-1.0, 1.0), (-1.0, 1.0))

@@ -1,8 +1,11 @@
 import itertools
 import math
+from importlib import resources
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mixeddg.mesh import (
     LOCAL_FACES,
@@ -18,6 +21,16 @@ from mixeddg.mesh import (
 )
 
 BOX2 = ((-1.0, 1.0), (-1.0, 1.0))
+BOX3 = ((0.0, 1.0), (0.0, 1.0), (0.0, 1.0))
+
+SHIPPED_MESH = (resources.files("mixeddg") / "data/unstructured_square.msh").read_text()
+# numbers at the edges of float and int64, words of the format, and junk
+EDGE_FLOATS = st.sampled_from(["nan", "inf", "-inf", "1e308", "-1e308", "1e-320", "1_0"])
+EDGE_INTS = st.sampled_from(["99999999999999999999", "-9223372036854775809", "-1", "\u0663"])
+TOKENS = EDGE_FLOATS | EDGE_INTS | st.sampled_from(
+    ["dim", "kind", "tri", "quad", "tet", "vertices", "cells", "#", "0", "1", "2", "3", "x", ""])
+# text without hypothesis's unicode tables, which take seconds to build
+ALPHABET = "0123456789 \t\n\r\x0b\x0c\x1c\x85\u2028.-+_e#abcdiklmnqrstuvx\u0663\u00a0"
 
 
 def brute_force_face_counts(mesh):
@@ -146,6 +159,76 @@ class TestUniformTet:
         with pytest.raises(MeshError):
             build_uniform_tet(0)
 
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+    @pytest.mark.parametrize("box", [BOX3, ((-1.0, 2.0), (0.5, 0.7), (-3.0, -1.0))],
+                             ids=["unit", "skewed"])
+    def test_matches_loop_reference(self, n, box):
+        mesh = build_uniform_tet(n, box)
+        verts, cells = loop_uniform_tet(n, box)
+        assert np.array_equal(mesh.vertices, verts)
+        assert mesh.cells.dtype == np.int64 and np.array_equal(mesh.cells, cells)
+
+    @pytest.mark.parametrize("n", [2, 4, 6])
+    def test_cells_lie_in_parents(self, n):
+        mesh = build_uniform_tet(n, ((-1.0, 2.0), (0.5, 0.7), (-3.0, -1.0)))
+        coarse, parent = mesh.coarse_level
+        assert coarse.num_cells * 8 == mesh.num_cells
+        assert np.array_equal(coarse.vertices, build_uniform_tet(n // 2, mesh.domain_box).vertices)
+        assert np.array_equal(np.bincount(parent, minlength=coarse.num_cells),
+                              np.full(coarse.num_cells, 8))
+        # barycentric coordinates in the parent: every fine vertex in its
+        # closure, the fine centroid strictly inside
+        pts = np.concatenate([mesh.vertices[mesh.cells], mesh.centroids[:, None]], axis=1)
+        ref = np.einsum("Frs,Fvs->Fvr", coarse.jac_inv[parent],
+                        pts - coarse.cell_v0[parent][:, None, :])
+        bary = np.concatenate([1.0 - ref.sum(-1, keepdims=True), ref], axis=-1)
+        assert bary[:, :4].min() >= -1e-12
+        assert bary[:, 4].min() > 0.01
+        assert np.allclose(mesh.measures, coarse.measures[parent] / 8, rtol=1e-12)
+
+    @pytest.mark.parametrize("n", [1, 3, 5])
+    def test_odd_n_has_no_coarse_level(self, n):
+        assert build_uniform_tet(n).coarse_level is None
+
+    def test_other_meshes_have_no_coarse_level(self):
+        assert build_uniform_tri(4, BOX2).coarse_level is None
+        assert build_uniform_quad(4, BOX2).coarse_level is None
+        assert refine_red(build_uniform_tri(2, BOX2)).coarse_level is None
+        assert read_mesh(TWO_TRI_FILE).coarse_level is None
+
+
+KUHN_PERMS = ((0, 1, 2), (0, 2, 1), (1, 0, 2), (1, 2, 0), (2, 0, 1), (2, 1, 0))
+
+
+def loop_uniform_tet(n, box):
+    """build_uniform_tet's vertices and cells, one tet at a time: the
+    reference that its array construction must reproduce bit for bit."""
+    box = np.asarray(box, dtype=float)
+    axes = [np.linspace(box[d, 0], box[d, 1], n + 1) for d in range(3)]
+    X, Y, Z = np.meshgrid(*axes, indexing="ij")
+    verts = np.stack([X.ravel(), Y.ravel(), Z.ravel()], axis=-1)
+
+    def vid(i, j, k):
+        return (i * (n + 1) + j) * (n + 1) + k
+
+    cells = []
+    for i in range(n):
+        for j in range(n):
+            for k in range(n):
+                corner = np.array([i, j, k])
+                for perm in KUHN_PERMS:
+                    path = [corner.copy()]
+                    for axis in perm:
+                        nxt = path[-1].copy()
+                        nxt[axis] += 1
+                        path.append(nxt)
+                    tet = [vid(*p) for p in path]
+                    a, b, c, d = (verts[t] for t in tet)
+                    if np.linalg.det(np.stack([b - a, c - a, d - a], axis=-1)) < 0:
+                        tet[2], tet[3] = tet[3], tet[2]
+                    cells.append(tuple(tet))
+    return verts, np.array(cells, dtype=np.int64)
+
 
 TWO_TRI_FILE = """# unit square from two triangles
 dim 2 kind tri
@@ -207,6 +290,65 @@ class TestReadMesh:
     def test_comments_ignored(self):
         commented = "\n".join("# note\n" + line for line in TWO_TRI_FILE.splitlines())
         assert read_mesh(commented).num_cells == 2
+
+    @pytest.mark.parametrize("old,new,match", [
+        ("\n1 -1\n", "\n1e308 -1\n", "line 5: coordinate"),
+        ("\n1 -1\n", "\nnan -1\n", "line 5: coordinate"),
+        ("\n1 -1\n", "\n1 -inf\n", "line 5: coordinate"),
+        ("0 2 3", "0 2 99999999999999999999", "line 10: bad vertex index"),
+        ("cells 2\n0 1 2\n0 2 3", "cells 0", "line 8: a mesh needs at least one cell"),
+    ], ids=["overflow", "nan", "inf", "index-overflow", "no-cells"])
+    def test_bad_values_rejected(self, old, new, match):
+        with pytest.raises(MeshError, match=match):
+            read_mesh(TWO_TRI_FILE.replace(old, new))
+
+    def test_no_vertices_rejected(self):
+        with pytest.raises(MeshError, match="at least one cell"):
+            read_mesh("dim 2 kind tri\nvertices 0\ncells 0\n")
+
+    @settings(max_examples=100, derandomize=True, database=None, deadline=None)
+    @given(st.one_of(st.text(ALPHABET), st.lists(st.lists(TOKENS, max_size=5), max_size=12).map(
+        lambda rows: "\n".join(" ".join(row) for row in rows))))
+    def test_arbitrary_text_gives_mesh_or_mesh_error(self, text):
+        assert_mesh_or_mesh_error(text)
+
+    @settings(max_examples=100, derandomize=True, database=None, deadline=None)
+    @given(st.data())
+    def test_mutated_shipped_mesh_gives_mesh_or_mesh_error(self, data):
+        lines = SHIPPED_MESH.splitlines()
+        first_vertex = next(i for i, ln in enumerate(lines) if ln.startswith("vertices")) + 1
+        first_cell = next(i for i, ln in enumerate(lines) if ln.startswith("cells")) + 1
+        for _ in range(data.draw(st.integers(1, 3))):
+            op = data.draw(st.sampled_from(["coordinate", "index", "drop", "repeat", "line"]))
+            if op == "coordinate":
+                i = data.draw(st.integers(first_vertex, first_cell - 2))
+                value = data.draw(EDGE_FLOATS | st.floats().map(repr))
+            elif op == "index":
+                i = data.draw(st.integers(first_cell, len(lines) - 1))
+                value = data.draw(EDGE_INTS | st.integers(-2 ** 70, 2 ** 70).map(str))
+            else:
+                i = data.draw(st.integers(0, len(lines) - 1))
+            if op in ("coordinate", "index"):
+                tokens = lines[i].split()
+                tokens[data.draw(st.integers(0, len(tokens) - 1))] = value
+                lines[i] = " ".join(tokens)
+            elif op == "drop":
+                del lines[i]
+            elif op == "repeat":
+                lines.insert(i, lines[i])
+            else:
+                lines[i] = " ".join(data.draw(st.lists(TOKENS, max_size=5)))
+        assert_mesh_or_mesh_error("\n".join(lines))
+
+
+def assert_mesh_or_mesh_error(text):
+    """read_mesh returns a Mesh of finite vertices or raises MeshError, nothing else."""
+    try:
+        mesh = read_mesh(text)
+    except MeshError:
+        return
+    assert isinstance(mesh, Mesh)
+    assert np.all(np.isfinite(mesh.vertices))
 
 
 class TestRefineRed:

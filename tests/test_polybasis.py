@@ -7,13 +7,13 @@ from mixeddg.polybasis import (
     CELL_DIM,
     REF_MEASURE,
     cell_quadrature,
-    eval_basis_on_cell,
     orthonormal_basis,
     simplex_quadrature,
     space_dimension,
     tensor_gauss,
     total_degree_exponents,
 )
+from oracles import eval_basis_on_cell
 
 
 def simplex_monomial_integral(exps):

@@ -6,13 +6,17 @@ import pytest
 import scipy.sparse as sp
 from scipy.sparse.linalg import splu
 
-from mixeddg import apply_operator, build_dofmap, build_face_topology, \
+from mixeddg import build_dofmap, build_face_topology, \
     build_uniform_quad, build_uniform_tet, build_uniform_tri, case_2d_poly, \
-    case_3d_sine, error_energy, error_l2, read_mesh, solve_saddle
-from mixeddg.forms import MaterialParams, StabilizationParams, assemble_system, \
-    exact_residual
+    case_3d_sine, error_energy, error_l2, evaluate_field, read_mesh, solve_saddle
+from mixeddg import solve as solve_module
+from mixeddg.cli import FLUX_ALIASES
+from mixeddg.polybasis import cell_quadrature
+from mixeddg.spaces import FieldCoeffs, prolongation
+from mixeddg.forms import MaterialParams, StabilizationParams, assemble_system
 from mixeddg.solve import ResidualToleranceError, SingularSystemError, \
     _block_graph, _stress_first_order
+from oracles import exact_residual
 
 BOX2 = ((-1.0, 1.0), (-1.0, 1.0))
 BOX3 = ((0.0, 1.0), (0.0, 1.0), (0.0, 1.0))
@@ -208,14 +212,13 @@ class TestApplyOperator:
         for i in range(dm.total_dofs):
             e = np.zeros(dm.total_dofs)
             e[i] = 1.0
-            assert apply_operator(system, e) == pytest.approx(dense[:, i],
-                                                              abs=1e-14)
+            assert system.M @ e == pytest.approx(dense[:, i], abs=1e-14)
 
     def test_solution_residual_matches_report(self, small_system):
         *_, system = small_system
         coeffs, report = solve_saddle(system)
         b = system.b
-        res = np.linalg.norm(apply_operator(system, coeffs.values) - b)
+        res = np.linalg.norm(system.M @ coeffs.values - b)
         assert res / np.linalg.norm(b) == pytest.approx(
             report.relative_residual, rel=1e-6, abs=1e-15)
 
@@ -226,11 +229,6 @@ class TestApplyOperator:
             x = rng.randn(dm.total_dofs)
             xs, xu = x[dm.stress_dofs], x[dm.disp_dofs]
             assert xs @ (system.Aa @ xs) + xu @ (system.Cc @ xu) >= 0.0
-
-    def test_size_mismatch(self, small_system):
-        *_, system = small_system
-        with pytest.raises(ValueError):
-            apply_operator(system, np.zeros(3))
 
 
 class TestGalerkinOrthogonality:
@@ -249,3 +247,96 @@ class TestGalerkinOrthogonality:
         target = system.b
         scale = 1.0 + np.abs(target).max()
         assert np.abs(g - target).max() <= 1e-8 * scale
+
+
+def tet_system(n, stab=StabilizationParams(), k=1):
+    mesh = build_uniform_tet(n, BOX3)
+    case = case_3d_sine()
+    dm = build_dofmap(mesh, k, k)
+    return mesh, assemble_system(mesh, build_face_topology(mesh), dm, case.material, stab,
+                                 case.f)
+
+
+def true_residual(system, x):
+    return np.linalg.norm(system.M @ x - system.b) / np.linalg.norm(system.b)
+
+
+C22_ONE = StabilizationParams(**FLUX_ALIASES["c11=hinv,c22=1"])
+
+
+class TestTwoLevel:
+    @pytest.mark.parametrize("k,l", [(1, 1), (2, 1), (1, 0)])
+    def test_prolongation_reproduces_coarse_field(self, k, l, rng):
+        mesh = build_uniform_tet(4, ((-1.0, 2.0), (0.5, 0.7), (-3.0, -1.0)))
+        coarse, parent = mesh.coarse_level
+        dm, coarse_dm = build_dofmap(mesh, k, l), build_dofmap(coarse, k, l)
+        P = prolongation(mesh, dm)
+        assert P.shape == (dm.total_dofs, coarse_dm.total_dofs)
+        xc = FieldCoeffs(coarse_dm, rng.randn(coarse_dm.total_dofs))
+        xf = FieldCoeffs(dm, P @ xc.values)
+        points = cell_quadrature(mesh.cell_kind, 4).points
+        for cell in range(mesh.num_cells):
+            on_coarse = coarse.cell_ref_coords(parent[cell], mesh.cell_points(cell, points))
+            for fine, ref in zip(evaluate_field(xf, cell, points),
+                                 evaluate_field(xc, parent[cell], on_coarse)):
+                assert np.abs(fine - ref).max() <= 1e-13 * np.abs(ref).max()
+
+    @pytest.mark.parametrize("stab", [StabilizationParams(), C22_ONE],
+                             ids=["default", "c11=hinv,c22=1"])
+    @pytest.mark.parametrize("n", [2, 4])
+    def test_matches_direct(self, n, stab, monkeypatch):
+        # tet n=4 at k=1 has 13,824 dofs, above the size constant
+        if n == 2:
+            monkeypatch.setattr(solve_module, "KRYLOV_MIN_DOFS", 0)
+        mesh, system = tet_system(n, stab)
+        direct, direct_report = solve_saddle(system)
+        coeffs, report = solve_saddle(system, mesh)
+        assert 0 < report.iterations < solve_module.KRYLOV_MAX_ITERATIONS
+        assert report.factor_nnz < direct_report.factor_nnz  # the coarse LU
+        assert true_residual(system, coeffs.values) <= 1e-12
+        assert report.relative_residual <= 1e-12
+        diff = np.linalg.norm(coeffs.values - direct.values)
+        assert diff <= 1e-10 * np.linalg.norm(direct.values)
+
+    @pytest.mark.parametrize("case", ["2d", "c22zero", "odd-n", "one-argument", "small"])
+    def test_direct_path(self, case, monkeypatch):
+        if case != "small":  # tet n=2 at k=1 has 1,728 dofs, below the size constant
+            monkeypatch.setattr(solve_module, "KRYLOV_MIN_DOFS", 0)
+        if case == "2d":
+            mesh = build_uniform_tri(8, BOX2)
+            c2 = case_2d_poly()
+            system = assemble_system(mesh, build_face_topology(mesh), build_dofmap(mesh, 1, 1),
+                                     c2.material, StabilizationParams(), c2.f)
+        else:
+            n = 3 if case == "odd-n" else 2
+            stab = StabilizationParams(eta=0.0) if case == "c22zero" else StabilizationParams()
+            mesh, system = tet_system(n, stab)
+        args = (system,) if case == "one-argument" else (system, mesh)
+
+        def no_two_level(*_):
+            raise AssertionError("the two-level set-up ran")
+
+        monkeypatch.setattr(solve_module, "_two_level", no_two_level)
+        coeffs, report = solve_saddle(*args)
+        direct, direct_report = solve_saddle(system)
+        assert report.iterations == 0
+        assert report.factor_nnz == direct_report.factor_nnz
+        assert np.array_equal(coeffs.values, direct.values)
+
+    def test_iteration_cap_falls_back_to_direct(self, monkeypatch):
+        monkeypatch.setattr(solve_module, "KRYLOV_MIN_DOFS", 0)
+        monkeypatch.setattr(solve_module, "KRYLOV_MAX_ITERATIONS", 2)
+        runs, real_gmres = [], solve_module._gmres
+
+        def gmres(*args):
+            runs.append(real_gmres(*args))
+            return runs[-1]
+
+        monkeypatch.setattr(solve_module, "_gmres", gmres)
+        mesh, system = tet_system(2)
+        coeffs, report = solve_saddle(system, mesh)
+        direct, direct_report = solve_saddle(system)
+        assert [(x, iterations) for x, iterations in runs] == [(None, 2)]
+        assert report.iterations == 0
+        assert report.factor_nnz == direct_report.factor_nnz
+        assert np.array_equal(coeffs.values, direct.values)

@@ -17,16 +17,12 @@ from mixeddg import (
     observed_orders,
     project_displacement,
     project_stress,
-    seminorm_B,
 )
-from mixeddg.forms import (
-    StabilizationParams,
-    form_a_direct,
-    form_c_direct,
-)
+from mixeddg.forms import StabilizationParams
 from mixeddg.polybasis import cell_quadrature
 from mixeddg.spaces import FieldCoeffs, data_exactness
 from mixeddg.verify import ErrorReport
+from oracles import form_a_direct, form_c_direct, seminorm_B
 
 BOX2 = ((-1.0, 1.0), (-1.0, 1.0))
 
