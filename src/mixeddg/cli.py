@@ -7,9 +7,12 @@ residual failure.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from dataclasses import dataclass, field
 from pathlib import Path
+
+import numpy as np
 
 from .forms import StabilizationParams, assemble_system
 from .mesh import (
@@ -197,7 +200,6 @@ def _meshes_for(config: RunConfig, case):
         raise ConfigError(f"bad mesh file {path}: {exc}") from exc
     if mesh.dim != case.dim:
         raise ConfigError("mesh dimension does not match the problem")
-    import numpy as np
     box = np.asarray(case.box, dtype=float)
     if not np.allclose(mesh.domain_box, box, atol=1e-9):
         raise ConfigError(
@@ -286,7 +288,6 @@ def _report_rows(report: ErrorReport):
 
 
 def _fmt_order(v):
-    import math
     if v is None or (isinstance(v, float) and math.isnan(v)):
         return ""
     return f"{v:.2f}"

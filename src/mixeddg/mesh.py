@@ -138,14 +138,14 @@ def _make_mesh(dim, kind, vertices, cells, box, coarsen=None) -> Mesh:
 def _validate(mesh: Mesh) -> None:
     if mesh.cells.min(initial=0) < 0 or mesh.cells.max(initial=-1) >= mesh.num_vertices:
         raise MeshError("cell vertex index out of range")
-    seen = set()
-    for i, cell in enumerate(mesh.cells):
-        key = tuple(sorted(cell))
-        if len(set(key)) != len(key):
-            raise MeshError(f"cell {i} repeats a vertex")
-        if key in seen:
-            raise MeshError(f"duplicated cell {i}")
-        seen.add(key)
+    keys = np.sort(mesh.cells, axis=1)
+    repeats = np.any(keys[:, 1:] == keys[:, :-1], axis=1)
+    duplicate = np.ones(mesh.num_cells, bool)
+    duplicate[np.unique(keys, axis=0, return_index=True)[1]] = False
+    if np.any(repeats | duplicate):
+        bad = int(np.argmax(repeats | duplicate))  # the first bad cell
+        raise MeshError(f"cell {bad} repeats a vertex" if repeats[bad]
+                        else f"duplicated cell {bad}")
     if mesh.cell_kind == "quad":
         v = mesh.vertices[mesh.cells]
         gap = v[:, 2] - v[:, 1] - v[:, 3] + v[:, 0]
@@ -163,8 +163,9 @@ def _validate(mesh: Mesh) -> None:
         )
 
 
-def build_uniform_tri(n: int, box=((-1.0, 1.0), (-1.0, 1.0))) -> Mesh:
-    """n-by-n grid of squares, each split by its lower-left/upper-right diagonal."""
+def _grid_squares(n: int, box):
+    """Vertices of the (n+1)-by-(n+1) grid on box, and the corners
+    (ll, lr, ur, ul) of its n^2 squares (i, j) in row-major order."""
     if n < 1:
         raise MeshError("n must be >= 1")
     box = _box_array(box)
@@ -172,38 +173,22 @@ def build_uniform_tri(n: int, box=((-1.0, 1.0), (-1.0, 1.0))) -> Mesh:
     ys = np.linspace(box[1, 0], box[1, 1], n + 1)
     X, Y = np.meshgrid(xs, ys, indexing="ij")
     verts = np.stack([X.ravel(), Y.ravel()], axis=-1)
+    ll = (np.arange(n)[:, None] * (n + 1) + np.arange(n)).ravel()
+    return box, verts, ll[:, None] + np.array([0, n + 1, n + 2, 1])
 
-    def vid(i, j):
-        return i * (n + 1) + j
 
-    cells = []
-    for i in range(n):
-        for j in range(n):
-            ll, lr = vid(i, j), vid(i + 1, j)
-            ul, ur = vid(i, j + 1), vid(i + 1, j + 1)
-            cells.append((ll, lr, ur))
-            cells.append((ll, ur, ul))
+def build_uniform_tri(n: int, box=((-1.0, 1.0), (-1.0, 1.0))) -> Mesh:
+    """n-by-n grid of squares, each split by its lower-left/upper-right diagonal
+    into (ll, lr, ur) and (ll, ur, ul)."""
+    box, verts, corners = _grid_squares(n, box)
+    cells = corners[:, [[0, 1, 2], [0, 2, 3]]].reshape(-1, 3)
     return _make_mesh(2, "triangle", verts, cells, box)
 
 
 def build_uniform_quad(n: int, box=((-1.0, 1.0), (-1.0, 1.0))) -> Mesh:
     """n-by-n axis-aligned rectangles."""
-    if n < 1:
-        raise MeshError("n must be >= 1")
-    box = _box_array(box)
-    xs = np.linspace(box[0, 0], box[0, 1], n + 1)
-    ys = np.linspace(box[1, 0], box[1, 1], n + 1)
-    X, Y = np.meshgrid(xs, ys, indexing="ij")
-    verts = np.stack([X.ravel(), Y.ravel()], axis=-1)
-
-    def vid(i, j):
-        return i * (n + 1) + j
-
-    cells = []
-    for i in range(n):
-        for j in range(n):
-            cells.append((vid(i, j), vid(i + 1, j), vid(i + 1, j + 1), vid(i, j + 1)))
-    return _make_mesh(2, "quad", verts, cells, box)
+    box, verts, corners = _grid_squares(n, box)
+    return _make_mesh(2, "quad", verts, corners, box)
 
 
 # Kuhn split: one tet per permutation of the coordinate insertion order,
@@ -257,26 +242,25 @@ def _tet_coarse_level(n: int, box):
 
 
 def refine_red(mesh: Mesh) -> Mesh:
-    """Split every triangle into 4 similar children by connecting edge midpoints."""
+    """Split every triangle into 4 similar children by connecting edge midpoints.
+
+    Cell c = (v0, v1, v2) has the children 4c .. 4c + 3: (v0, m01, m02),
+    (m01, v1, m12), (m02, m12, v2) and (m01, m12, m02).  The midpoints follow
+    the old vertices, in the order the cells first meet their edges.
+    """
     if mesh.cell_kind != "triangle":
         raise MeshError("red refinement is implemented for triangle meshes only")
-    verts = list(map(tuple, mesh.vertices))
-    midpoint = {}
-
-    def mid(a, b):
-        key = (a, b) if a < b else (b, a)
-        idx = midpoint.get(key)
-        if idx is None:
-            idx = len(verts)
-            verts.append(tuple((mesh.vertices[a] + mesh.vertices[b]) / 2.0))
-            midpoint[key] = idx
-        return idx
-
-    cells = []
-    for v0, v1, v2 in mesh.cells:
-        m01, m12, m02 = mid(v0, v1), mid(v1, v2), mid(v0, v2)
-        cells.extend([(v0, m01, m02), (m01, v1, m12), (m02, m12, v2), (m01, m12, m02)])
-    return _make_mesh(2, "triangle", np.array(verts), cells, mesh.domain_box)
+    edges = mesh.cells[:, [[0, 1], [1, 2], [0, 2]]].reshape(-1, 2)
+    _, first, inverse = np.unique(np.sort(edges, axis=1), axis=0,
+                                  return_index=True, return_inverse=True)
+    order = np.argsort(first)  # the edges in first-encounter order
+    rank = np.argsort(order)
+    mids = mesh.vertices[edges[first[order]]].sum(axis=1) / 2.0
+    corners = np.concatenate(  # v0, v1, v2, m01, m12, m02
+        [mesh.cells, mesh.num_vertices + rank[inverse.ravel()].reshape(-1, 3)], axis=1)
+    cells = corners[:, [[0, 3, 5], [3, 1, 4], [5, 4, 2], [3, 4, 5]]].reshape(-1, 3)
+    return _make_mesh(2, "triangle", np.concatenate([mesh.vertices, mids]), cells,
+                      mesh.domain_box)
 
 
 def read_mesh(text: str) -> Mesh:
@@ -381,25 +365,21 @@ def _parse_count(lineno: int, text: str, lines_left: int) -> int:
 
 
 def _normalize_orientation(kind, verts, cells, cell_lines):
-    for i in range(cells.shape[0]):
-        v = verts[cells[i]]
-        if kind == "quad":
-            # shoelace area of the quadrilateral loop
-            x, y = v[:, 0], v[:, 1]
-            area = 0.5 * np.sum(x * np.roll(y, -1) - np.roll(x, -1) * y)
-            if abs(area) < 1e-300:
-                raise MeshError(f"line {cell_lines[i]}: zero-measure cell")
-            if area < 0:
-                cells[i] = cells[i, ::-1]
-            continue
-        edges = np.stack([v[j] - v[0] for j in range(1, v.shape[0])], axis=-1)
-        det = np.linalg.det(edges)
-        if abs(det) < 1e-300:
-            raise MeshError(f"line {cell_lines[i]}: zero-measure cell")
-        if det < 0:
-            cells[i, -2], cells[i, -1] = cells[i, -1], cells[i, -2]
-
-
+    v = verts[cells]
+    if kind == "quad":
+        # shoelace area of each quadrilateral loop
+        x, y = v[..., 0], v[..., 1]
+        measure = 0.5 * np.sum(x * np.roll(y, -1, axis=1) - np.roll(x, -1, axis=1) * y, axis=1)
+    else:
+        measure = np.linalg.det(np.swapaxes(v[:, 1:] - v[:, :1], 1, 2))
+    zero = np.abs(measure) < 1e-300
+    if np.any(zero):
+        raise MeshError(f"line {cell_lines[np.argmax(zero)]}: zero-measure cell")
+    flip = measure < 0
+    if kind == "quad":
+        cells[flip] = cells[flip, ::-1]
+    else:
+        cells[flip, -2:] = cells[flip][:, [-1, -2]]
 
 
 @dataclass(frozen=True)

@@ -146,12 +146,11 @@ def project_displacement(mesh, dofmap: DofMap, u_exact, exactness=None) -> Field
         exactness = data_exactness(dofmap)
     rule = cell_quadrature(mesh.cell_kind, exactness)
     Vk = orthonormal_basis(mesh.cell_kind, dofmap.k).eval(rule.points)
+    phys = all_cell_points(mesh, rule.points)
+    vals = np.asarray(u_exact(phys.reshape(-1, mesh.dim))).reshape(phys.shape)
     coeffs = FieldCoeffs(dofmap)
-    blocks = coeffs.all_disp_blocks()
-    for c in range(mesh.num_cells):
-        vals = np.asarray(u_exact(mesh.cell_points(c, rule.points)))
-        # int_K u phi dx / det J = sum_q w_ref u(x_q) phi(x_q)
-        blocks[c] = np.einsum("qd,q,mq->dm", vals, rule.weights, Vk)
+    # int_K u phi dx / det J = sum_q w_ref u(x_q) phi(x_q)
+    coeffs.all_disp_blocks()[:] = np.einsum("Fqd,q,mq->Fdm", vals, rule.weights, Vk)
     return coeffs
 
 
@@ -161,18 +160,14 @@ def project_stress(mesh, dofmap: DofMap, sigma_exact, exactness=None) -> FieldCo
         exactness = data_exactness(dofmap)
     rule = cell_quadrature(mesh.cell_kind, exactness)
     Vl = orthonormal_basis(mesh.cell_kind, dofmap.l).eval(rule.points)
-    comps = STRESS_COMPONENTS[dofmap.dim]
-
-    sample = np.asarray(sigma_exact(mesh.cell_points(0, rule.points[:1])))
-    if np.max(np.abs(sample - np.swapaxes(sample, -1, -2))) > 1e-10:
+    phys = all_cell_points(mesh, rule.points)
+    vals = np.asarray(sigma_exact(phys.reshape(-1, mesh.dim)))
+    if np.max(np.abs(vals - np.swapaxes(vals, -1, -2))) > 1e-10:
         raise ValueError("stress field is not symmetric")
-
+    rows, cols = np.array(STRESS_COMPONENTS[dofmap.dim]).T
+    comp_vals = vals[:, rows, cols].reshape(phys.shape[:2] + (len(rows),))
     coeffs = FieldCoeffs(dofmap)
-    blocks = coeffs.all_stress_blocks()
-    for c in range(mesh.num_cells):
-        vals = np.asarray(sigma_exact(mesh.cell_points(c, rule.points)))
-        comp_vals = np.stack([vals[:, i, j] for (i, j) in comps], axis=-1)
-        blocks[c] = np.einsum("qa,q,mq->am", comp_vals, rule.weights, Vl)
+    coeffs.all_stress_blocks()[:] = np.einsum("Fqa,q,mq->Fam", comp_vals, rule.weights, Vl)
     return coeffs
 
 

@@ -263,11 +263,12 @@ class ErrorReport:
         )
 
     def orders_l2(self) -> list:
-        if not self.halving:
-            return [float("nan")] * max(len(self.h) - 1, 0)
-        return observed_orders(list(zip(self.h, self.err_l2)))
+        return self._orders(self.err_l2)
 
     def orders_energy(self) -> list:
+        return self._orders(self.err_energy)
+
+    def _orders(self, errors) -> list:
         if not self.halving:
             return [float("nan")] * max(len(self.h) - 1, 0)
-        return observed_orders(list(zip(self.h, self.err_energy)))
+        return observed_orders(list(zip(self.h, errors)))

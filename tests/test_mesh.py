@@ -11,6 +11,7 @@ from mixeddg.mesh import (
     LOCAL_FACES,
     Mesh,
     MeshError,
+    _make_mesh,
     build_face_topology,
     build_uniform_quad,
     build_uniform_tet,
@@ -21,6 +22,7 @@ from mixeddg.mesh import (
 )
 
 BOX2 = ((-1.0, 1.0), (-1.0, 1.0))
+SKEWED_BOX2 = ((-1.0, 2.0), (0.5, 0.7))
 BOX3 = ((0.0, 1.0), (0.0, 1.0), (0.0, 1.0))
 
 SHIPPED_MESH = (resources.files("mixeddg") / "data/unstructured_square.msh").read_text()
@@ -115,6 +117,11 @@ class TestUniformTri:
         with pytest.raises(MeshError):
             build_uniform_tri(0, BOX2)
 
+    @pytest.mark.parametrize("n", range(1, 13))
+    @pytest.mark.parametrize("box", [BOX2, SKEWED_BOX2], ids=["square", "skewed"])
+    def test_matches_loop_reference(self, n, box):
+        assert_same_mesh(build_uniform_tri(n, box), *loop_uniform_tri(n, box))
+
 
 class TestUniformQuad:
     def test_single_cell(self):
@@ -138,6 +145,11 @@ class TestUniformQuad:
     def test_rejects_zero(self):
         with pytest.raises(MeshError):
             build_uniform_quad(0, BOX2)
+
+    @pytest.mark.parametrize("n", range(1, 13))
+    @pytest.mark.parametrize("box", [BOX2, SKEWED_BOX2], ids=["square", "skewed"])
+    def test_matches_loop_reference(self, n, box):
+        assert_same_mesh(build_uniform_quad(n, box), *loop_uniform_quad(n, box))
 
 
 class TestUniformTet:
@@ -230,6 +242,73 @@ def loop_uniform_tet(n, box):
     return verts, np.array(cells, dtype=np.int64)
 
 
+def assert_same_mesh(mesh, verts, cells):
+    assert np.array_equal(mesh.vertices, verts)
+    assert mesh.cells.dtype == cells.dtype == np.int64
+    assert np.array_equal(mesh.cells, cells)
+
+
+def loop_grid(n, box):
+    box = np.asarray(box, dtype=float)
+    xs = np.linspace(box[0, 0], box[0, 1], n + 1)
+    ys = np.linspace(box[1, 0], box[1, 1], n + 1)
+    X, Y = np.meshgrid(xs, ys, indexing="ij")
+    return np.stack([X.ravel(), Y.ravel()], axis=-1)
+
+
+def loop_uniform_tri(n, box):
+    """build_uniform_tri's vertices and cells, one square at a time: the
+    reference that its array construction must reproduce bit for bit."""
+    verts = loop_grid(n, box)
+
+    def vid(i, j):
+        return i * (n + 1) + j
+
+    cells = []
+    for i in range(n):
+        for j in range(n):
+            ll, lr = vid(i, j), vid(i + 1, j)
+            ul, ur = vid(i, j + 1), vid(i + 1, j + 1)
+            cells.append((ll, lr, ur))
+            cells.append((ll, ur, ul))
+    return verts, np.array(cells, dtype=np.int64)
+
+
+def loop_uniform_quad(n, box):
+    """build_uniform_quad's vertices and cells, one square at a time."""
+    verts = loop_grid(n, box)
+
+    def vid(i, j):
+        return i * (n + 1) + j
+
+    cells = []
+    for i in range(n):
+        for j in range(n):
+            cells.append((vid(i, j), vid(i + 1, j), vid(i + 1, j + 1), vid(i, j + 1)))
+    return verts, np.array(cells, dtype=np.int64)
+
+
+def loop_refine_red(mesh):
+    """refine_red's vertices and cells, one cell and edge midpoint at a time."""
+    verts = list(map(tuple, mesh.vertices))
+    midpoint = {}
+
+    def mid(a, b):
+        key = (a, b) if a < b else (b, a)
+        idx = midpoint.get(key)
+        if idx is None:
+            idx = len(verts)
+            verts.append(tuple((mesh.vertices[a] + mesh.vertices[b]) / 2.0))
+            midpoint[key] = idx
+        return idx
+
+    cells = []
+    for v0, v1, v2 in mesh.cells:
+        m01, m12, m02 = mid(v0, v1), mid(v1, v2), mid(v0, v2)
+        cells.extend([(v0, m01, m02), (m01, v1, m12), (m02, m12, v2), (m01, m12, m02)])
+    return np.array(verts), np.array(cells, dtype=np.int64)
+
+
 TWO_TRI_FILE = """# unit square from two triangles
 dim 2 kind tri
 vertices 4
@@ -286,6 +365,17 @@ class TestReadMesh:
         bad = TWO_TRI_FILE.replace("0 1 2", "0 1 1")
         with pytest.raises(MeshError, match="line 9"):
             read_mesh(bad)
+
+    def test_first_zero_measure_cell_named(self):
+        # the 2nd and 4th cells of the n=2 grid flattened onto grid lines
+        mesh = build_uniform_tri(2, BOX2)
+        cells = mesh.cells.copy()
+        cells[1], cells[3] = (0, 3, 6), (1, 4, 7)
+        lines = ["dim 2 kind tri", "vertices 9"]
+        lines += [" ".join(map(repr, row)) for row in mesh.vertices.tolist()]
+        lines += ["cells 8"] + [" ".join(map(str, row)) for row in cells.tolist()]
+        with pytest.raises(MeshError, match="^line 14: zero-measure cell$"):
+            read_mesh("\n".join(lines))
 
     def test_comments_ignored(self):
         commented = "\n".join("# note\n" + line for line in TWO_TRI_FILE.splitlines())
@@ -376,6 +466,36 @@ class TestRefineRed:
     def test_non_triangle_rejected(self):
         with pytest.raises(MeshError):
             refine_red(build_uniform_quad(2, BOX2))
+
+    @pytest.mark.parametrize("mesh_fn,times", [
+        (shipped_mesh, 3),
+        (lambda: build_uniform_tri(1, BOX2), 1),
+        (lambda: build_uniform_tri(3, SKEWED_BOX2), 1),
+        (lambda: build_uniform_tri(8, BOX2), 1),
+    ], ids=["shipped", "tri1", "tri3", "tri8"])
+    def test_matches_loop_reference(self, mesh_fn, times):
+        # each refinement against the loop applied to the same coarse mesh
+        mesh = mesh_fn()
+        for _ in range(times):
+            fine = refine_red(mesh)
+            assert_same_mesh(fine, *loop_refine_red(mesh))
+            mesh = fine
+
+
+class TestValidate:
+    @pytest.mark.parametrize("repeat,duplicate,match", [
+        (3, 5, "cell 3 repeats a vertex"),
+        (None, 5, "duplicated cell 5"),
+        (5, 3, "duplicated cell 3"),
+    ], ids=["repeat-first", "duplicate-only", "duplicate-first"])
+    def test_first_bad_cell_named(self, repeat, duplicate, match):
+        mesh = build_uniform_tri(2, BOX2)
+        cells = mesh.cells.copy()
+        if repeat is not None:
+            cells[repeat, 2] = cells[repeat, 0]
+        cells[duplicate] = np.roll(cells[1], 1)
+        with pytest.raises(MeshError, match=f"^{match}$"):
+            _make_mesh(2, "triangle", mesh.vertices, cells, BOX2)
 
 
 class TestFaceTopology:

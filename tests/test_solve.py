@@ -298,6 +298,15 @@ class TestTwoLevel:
         diff = np.linalg.norm(coeffs.values - direct.values)
         assert diff <= 1e-10 * np.linalg.norm(direct.values)
 
+    @pytest.mark.parametrize("stab,fewest,most", [
+        (StabilizationParams(), 38, 45), (C22_ONE, 55, 63)], ids=["default", "c11=hinv,c22=1"])
+    def test_iterations_pinned(self, stab, fewest, most):
+        # tet n=4, k=1 converges in 41 and 59 iterations; a slower Krylov
+        # method or preconditioner leaves the band
+        mesh, system = tet_system(4, stab)
+        _, report = solve_saddle(system, mesh)
+        assert fewest <= report.iterations <= most
+
     @pytest.mark.parametrize("case", ["2d", "c22zero", "odd-n", "one-argument", "small"])
     def test_direct_path(self, case, monkeypatch):
         if case != "small":  # tet n=2 at k=1 has 1,728 dofs, below the size constant

@@ -154,6 +154,15 @@ class TestProjectStress:
         with pytest.raises(ValueError, match="symmetric"):
             project_stress(mesh, dm, bad)
 
+    def test_asymmetric_in_second_cell_rejected(self, two_tri):
+        # symmetric in cell 0, below the diagonal x2 = x1, and not in cell 1
+        mesh, _ = two_tri
+        dm = build_dofmap(mesh, 1, 1)
+        bad = lambda x: np.einsum("q,ij->qij", np.maximum(x[:, 1] - x[:, 0], 0.0),
+                                  [[0.0, 1.0], [0.0, 0.0]])
+        with pytest.raises(ValueError, match="symmetric"):
+            project_stress(mesh, dm, bad)
+
     def test_case_stress_rate(self, case2d):
         errs = []
         for n in (4, 8):

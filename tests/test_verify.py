@@ -3,10 +3,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mixeddg import (
+    assemble_system,
     build_dofmap,
     build_face_topology,
+    build_uniform_quad,
     build_uniform_tet,
     build_uniform_tri,
     case_2d_poly,
@@ -17,6 +21,8 @@ from mixeddg import (
     observed_orders,
     project_displacement,
     project_stress,
+    read_mesh,
+    solve_saddle,
 )
 from mixeddg.forms import StabilizationParams
 from mixeddg.polybasis import cell_quadrature
@@ -275,6 +281,45 @@ class TestSeminormB:
                                    data_exactness(dm)))
         rates = [math.log2(vals[i] / vals[i + 1]) for i in range(2)]
         assert all(r > 0.3 for r in rates)
+
+
+def solved_errors(mesh, case):
+    """(err_l2, err_energy) of elas2d_poly at k = l = 1, by a rule exact for
+    its degree-14 integrands, so that only roundoff depends on the numbering."""
+    topo = build_face_topology(mesh)
+    dm = build_dofmap(mesh, 1, 1)
+    stab = StabilizationParams()
+    coeffs, _ = solve_saddle(assemble_system(mesh, topo, dm, case.material, stab, case.f))
+    return (error_l2(mesh, dm, coeffs, case, exactness=16),
+            error_energy(mesh, topo, dm, coeffs, coeffs, case, stab, exactness=16))
+
+
+RELABEL_MESHES = {"tri": build_uniform_tri(4, BOX2), "quad": build_uniform_quad(4, BOX2)}
+
+
+class TestRelabelling:
+    @pytest.mark.parametrize("kind", sorted(RELABEL_MESHES))
+    @settings(max_examples=15, derandomize=True, database=None, deadline=None)
+    @given(data=st.data())
+    def test_errors_unchanged(self, case2d, kind, data):
+        mesh = RELABEL_MESHES[kind]
+        nc, nvc = mesh.cells.shape
+        new_id = np.array(data.draw(st.permutations(range(mesh.num_vertices))))
+        order = data.draw(st.permutations(range(nc)))
+        shift = np.array(data.draw(st.lists(st.integers(0, nvc - 1), min_size=nc, max_size=nc)))
+        flip = np.array(data.draw(st.lists(st.booleans(), min_size=nc, max_size=nc)))
+        # each cell's vertices rotated cyclically, then reversed where flip is
+        # set, which read_mesh's orientation normalization must undo
+        local = (np.arange(nvc) + shift[:, None]) % nvc
+        local = np.where(flip[:, None], local[:, ::-1], local)
+        cells = new_id[np.take_along_axis(mesh.cells, local, axis=1)][order]
+        verts = np.empty_like(mesh.vertices)
+        verts[new_id] = mesh.vertices
+        lines = [f"dim 2 kind {kind}", f"vertices {len(verts)}"]
+        lines += [" ".join(map(repr, row)) for row in verts.tolist()]
+        lines += [f"cells {nc}"] + [" ".join(map(str, row)) for row in cells.tolist()]
+        got = solved_errors(read_mesh("\n".join(lines)), case2d)
+        assert got == pytest.approx(solved_errors(mesh, case2d), rel=1e-12, abs=0.0)
 
 
 class TestObservedOrders:
