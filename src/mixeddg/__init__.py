@@ -31,7 +31,6 @@ from .spaces import (
     DofMap,
     FieldCoeffs,
     build_dofmap,
-    evaluate_field,
     project_displacement,
     project_stress,
 )
@@ -71,7 +70,6 @@ __all__ = [
     "compliance_apply",
     "error_energy",
     "error_l2",
-    "evaluate_field",
     "observed_orders",
     "orthonormal_basis",
     "project_displacement",

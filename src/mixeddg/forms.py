@@ -122,15 +122,16 @@ class AssembledSystem:
     displacement dofs and zeros at the stress dofs.  M stores the nonzero
     entries of the block of each cell with itself and with its face
     neighbours and no exact zero, so the neighbour stress-stress part is
-    absent when C22 vanishes; with_c22 tells whether it is.  The Aa, Bb and
-    Cc properties pick the stress and displacement dofs out of M on each
-    access; Aa and Cc are symmetric.
+    absent when C22 vanishes.  stab is the penalty family M was assembled
+    with, from which solve_saddle picks its path.  The Aa, Bb and Cc
+    properties pick the stress and displacement dofs out of M on each access;
+    Aa and Cc are symmetric.
     """
 
     M: sp.csc_matrix
     b: np.ndarray
     dofmap: DofMap
-    with_c22: bool
+    stab: StabilizationParams
 
     Aa = property(lambda self: self._block(0, 0))
     Bb = property(lambda self: self._block(0, 1))
@@ -295,4 +296,4 @@ def assemble_system(mesh, topo, dofmap: DofMap, mat: MaterialParams,
     MT = sp.bsr_matrix((blocks, pair_row, cell_ptr), shape=(n, n)).tocsr()
     MT.eliminate_zeros()
     M = sp.csc_matrix((MT.data, MT.indices, MT.indptr), shape=(n, n))
-    return AssembledSystem(M=M, b=b, dofmap=dofmap, with_c22=with_c22)
+    return AssembledSystem(M=M, b=b, dofmap=dofmap, stab=stab)

@@ -107,14 +107,6 @@ class Mesh:
     def h_max(self) -> float:
         return float(self.diameters.max())
 
-    def cell_points(self, cell: int, ref_points: np.ndarray) -> np.ndarray:
-        """Map reference points to physical coordinates of a cell."""
-        return self.cell_v0[cell] + ref_points @ self.jacobians[cell].T
-
-    def cell_ref_coords(self, cell: int, phys_points: np.ndarray) -> np.ndarray:
-        """Invert the affine cell map at physical points."""
-        return (phys_points - self.cell_v0[cell]) @ self.jac_inv[cell].T
-
 
 def _box_array(box) -> np.ndarray:
     b = np.asarray(box, dtype=float)
@@ -179,10 +171,32 @@ def _grid_squares(n: int, box):
 
 def build_uniform_tri(n: int, box=((-1.0, 1.0), (-1.0, 1.0))) -> Mesh:
     """n-by-n grid of squares, each split by its lower-left/upper-right diagonal
-    into (ll, lr, ur) and (ll, ur, ul)."""
+    into (ll, lr, ur) and (ll, ur, ul).
+
+    Square (i, j), with i the x-index, holds cells 2 (i n + j) and
+    2 (i n + j) + 1, in that order.  With n even the mesh has a coarse level:
+    the n/2 mesh.
+    """
     box, verts, corners = _grid_squares(n, box)
     cells = corners[:, [[0, 1, 2], [0, 2, 3]]].reshape(-1, 3)
-    return _make_mesh(2, "triangle", verts, cells, box)
+    coarsen = partial(_tri_coarse_level, n, box) if n % 2 == 0 else None
+    return _make_mesh(2, "triangle", verts, cells, box, coarsen)
+
+
+def _tri_coarse_level(n: int, box):
+    """build_uniform_tri(n // 2) and the parent of each cell of build_uniform_tri(n).
+
+    Square (i, j) lies in coarse square (i // 2, j // 2).  When i and j have
+    the same parity the square lies on the coarse diagonal, and its half t
+    lies in the coarse half t; otherwise both halves lie in coarse half
+    1 - i % 2, the lower one for i odd.
+    """
+    square, t = np.divmod(np.arange(2 * n * n), 2)
+    i, j = np.divmod(square, n)
+    half = np.where(i % 2 == j % 2, t, 1 - i % 2)
+    parent = 2 * ((i // 2) * (n // 2) + j // 2) + half
+    parent.setflags(write=False)
+    return build_uniform_tri(n // 2, box), parent
 
 
 def build_uniform_quad(n: int, box=((-1.0, 1.0), (-1.0, 1.0))) -> Mesh:
@@ -477,8 +491,7 @@ def build_face_topology(mesh: Mesh) -> FaceTopology:
 
 def all_cell_points(mesh: Mesh, ref_points: np.ndarray) -> np.ndarray:
     """Physical images of reference points in every cell; (nc, nq, d)."""
-    return mesh.cell_v0[:, None, :] + np.einsum(
-        "qr,Fir->Fqi", ref_points, mesh.jacobians)
+    return mesh.cell_v0[:, None, :] + ref_points @ mesh.jacobians.transpose(0, 2, 1)
 
 
 def side_ref_coords(mesh: Mesh, cells, x):

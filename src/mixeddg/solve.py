@@ -1,10 +1,12 @@
 """Solution of the assembled saddle-point system.
 
-Sparse LU solves every system, except the 3D levels that have a coarse
-level, C22 != 0 and at least KRYLOV_MIN_DOFS dofs: scipy's GMRES, right-
-preconditioned by a two-level cycle, solves those, falling back to LU if it
-misses KRYLOV_TOL within KRYLOV_MAX_ITERATIONS.  (In 2D, and with C22 = 0,
-the preconditioner was measured not to beat the direct solve.)
+Sparse LU solves every system, except the levels that have a coarse level,
+C22 != 0 and at least KRYLOV_MIN_DOFS dofs, and that in 2D also have the
+penalties C11 ~ 1/h and C22 ~ h: scipy's GMRES, right-preconditioned by a
+multilevel cycle over the nested meshes, solves those, falling back to LU if
+it misses KRYLOV_TOL within KRYLOV_MAX_ITERATIONS.  (With C22 = 0, and in 2D
+with any other penalty scaling, the cycle was measured not to beat the direct
+solve.)
 """
 
 from __future__ import annotations
@@ -56,10 +58,12 @@ class SolveReport:
     """Seconds in the set-up and in the solve plus residual check.
 
     On the direct path factor_s covers the block ordering, the permuted copy
-    of M and its LU factorization, and iterations is 0.  On the GMRES path
-    factor_s is the preconditioner's set-up, solve_s the iterations, and
-    factor_nnz and iterations are the coarse LU's and GMRES's.  A GMRES run
-    that falls back to LU reports the direct path, its time in factor_s.
+    of M and its LU factorization, iterations is 0 and levels 1.  On the
+    GMRES path factor_s is the preconditioner's set-up, solve_s the
+    iterations, factor_nnz the coarsest level's LU's, iterations GMRES's and
+    levels the number of grids in the cycle, the level's own included.  A
+    GMRES run that falls back to LU reports the direct path, its time in
+    factor_s.
 
     factor_nnz is SuperLU.nnz, the stored factor entries; it is not
     L.nnz + U.nnz, which would copy the factors to count.
@@ -70,6 +74,7 @@ class SolveReport:
     solve_s: float
     factor_nnz: int
     iterations: int = 0
+    levels: int = 1
 
 
 def _block_graph(M, dofmap):
@@ -144,18 +149,30 @@ def _cell_blocks(M, dofmap):
     return D
 
 
-def _two_level(system, mesh):
-    """One two-level cycle as a preconditioner for M, and its coarse LU's nnz.
+def _recurses(dofmap, mesh):
+    """Whether the level takes a cycle of its own: big enough, with a coarse level."""
+    return dofmap.total_dofs >= KRYLOV_MIN_DOFS and mesh.coarse_level is not None
+
+
+def _multilevel(M, dofmap, mesh):
+    """One multilevel cycle as a preconditioner for M: (cycle, nnz, grids).
 
     Two damped cell-block Jacobi sweeps, whose blocks are the cells' own
     diagonal blocks of M (a Vanka-type smoother); a coarse correction by the
-    Galerkin operator P^T M P of the prolongation P from mesh.coarse_level,
-    factored like M on the direct path; then two more sweeps.
+    Galerkin operator P^T M P of the prolongation P from mesh.coarse_level;
+    then two more sweeps.  The correction applies the coarse level's own
+    cycle to P^T M P when _recurses holds for that level, and otherwise an LU
+    of P^T M P, factored like M on the direct path.  nnz is that coarsest
+    LU's, and grids counts the levels down to it, this one included.
     """
-    M, dofmap = system.M, system.dofmap
     P = prolongation(mesh, dofmap)
-    coarse = build_dofmap(mesh.coarse_level[0], dofmap.k, dofmap.l)
-    coarse_solve, nnz = _factor((P.T @ (M @ P)).tocsc(), coarse)
+    coarse_mesh = mesh.coarse_level[0]
+    coarse = build_dofmap(coarse_mesh, dofmap.k, dofmap.l)
+    M_coarse = (P.T @ (M @ P)).tocsc()
+    if _recurses(coarse, coarse_mesh):
+        coarse_solve, nnz, grids = _multilevel(M_coarse, coarse, coarse_mesh)
+    else:
+        (coarse_solve, nnz), grids = _factor(M_coarse, coarse), 1
     D_inv = np.linalg.inv(_cell_blocks(M, dofmap))
     size = dofmap.cell_size
 
@@ -170,7 +187,7 @@ def _two_level(system, mesh):
         x += jacobi(r - M @ x)
         return x
 
-    return cycle, nnz
+    return cycle, nnz, grids + 1
 
 
 def _gmres(M, b, precondition):
@@ -194,22 +211,23 @@ def solve_saddle(system, mesh=None):
 
     mesh is the mesh the system was assembled on; without it, or off the
     GMRES cases in the module docstring, M is factored by sparse LU in the
-    stress-first block order of _stress_first_order.  Relative residuals
-    above RESIDUAL_TOL, taken on M and b, raise on either path; the system is
-    never silently regularized.
+    stress-first block order of _stress_first_order.  The penalties are read
+    from system.stab.  Relative residuals above RESIDUAL_TOL, taken on M and
+    b, raise on either path; the system is never silently regularized.
     """
-    M, b, dofmap = system.M, system.b, system.dofmap
+    M, b, dofmap, stab = system.M, system.b, system.dofmap, system.stab
     t0 = time.perf_counter()
-    x, iterations = None, 0
-    if (mesh is not None and mesh.dim == 3 and system.with_c22
-            and dofmap.total_dofs >= KRYLOV_MIN_DOFS and mesh.coarse_level is not None):
-        precondition, nnz = _two_level(system, mesh)
+    x = None
+    h_scaled = stab.alpha1 == -1.0 and stab.beta1 == 1.0  # C11 ~ 1/h, C22 ~ h
+    if (mesh is not None and not stab.c22_zero and (mesh.dim == 3 or h_scaled)
+            and _recurses(dofmap, mesh)):
+        precondition, nnz, levels = _multilevel(M, dofmap, mesh)
         t1 = time.perf_counter()
         x, iterations = _gmres(M, b, precondition)
     if x is None:
         lu_solve, nnz = _factor(M, dofmap)
         t1 = time.perf_counter()
-        x, iterations = lu_solve(b), 0
+        x, iterations, levels = lu_solve(b), 0, 1
     if not np.all(np.isfinite(x)):
         raise SingularSystemError("factorization produced non-finite solution")
     norm_b = np.linalg.norm(b)
@@ -220,6 +238,7 @@ def solve_saddle(system, mesh=None):
         solve_s=time.perf_counter() - t1,
         factor_nnz=nnz,
         iterations=iterations,
+        levels=levels,
     )
     if resid > RESIDUAL_TOL:
         raise ResidualToleranceError(report)

@@ -18,7 +18,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .mesh import all_cell_points, side_ref_coords
-from .polybasis import CELL_DIM, cell_quadrature, orthonormal_basis, space_dimension
+from .polybasis import cell_quadrature, orthonormal_basis, space_dimension
 
 STRESS_COMPONENTS = {
     2: ((0, 0), (1, 1), (0, 1)),
@@ -110,14 +110,6 @@ class FieldCoeffs:
         if self.values.shape != (self.dofmap.total_dofs,):
             raise ValueError("coefficient vector has wrong length")
 
-    def stress_block(self, cell: int) -> np.ndarray:
-        """View of cell stress coefficients, shape (n_comp, m_l)."""
-        return self.all_stress_blocks()[cell]
-
-    def disp_block(self, cell: int) -> np.ndarray:
-        """View of cell displacement coefficients, shape (dim, m_k)."""
-        return self.all_disp_blocks()[cell]
-
     def all_stress_blocks(self) -> np.ndarray:
         """Writable view of every cell's stress coefficients, (cells, n_comp, m_l)."""
         dm = self.dofmap
@@ -169,18 +161,6 @@ def project_stress(mesh, dofmap: DofMap, sigma_exact, exactness=None) -> FieldCo
     coeffs = FieldCoeffs(dofmap)
     coeffs.all_stress_blocks()[:] = np.einsum("Fqa,q,mq->Fam", comp_vals, rule.weights, Vl)
     return coeffs
-
-
-def evaluate_field(coeffs: FieldCoeffs, cell: int, ref_points: np.ndarray):
-    """Displacement vectors and full symmetric stress tensors at reference points."""
-    dm = coeffs.dofmap
-    pts = np.asarray(ref_points, dtype=float)
-    Vk = orthonormal_basis(dm.cell_kind, dm.k).eval(pts)
-    Vl = orthonormal_basis(dm.cell_kind, dm.l).eval(pts)
-    u = coeffs.disp_block(cell) @ Vk                     # (dim, nq)
-    sig_comp = coeffs.stress_block(cell) @ Vl            # (n_comp, nq)
-    sigma = tensor_from_components(sig_comp.T, dm.dim)   # (nq, dim, dim)
-    return u.T, sigma
 
 
 def prolongation(mesh, dofmap: DofMap) -> sp.csr_matrix:

@@ -169,17 +169,14 @@ def error_l2(mesh, dofmap: DofMap, u_h: FieldCoeffs, case: ManufacturedCase,
     return math.sqrt(total)
 
 
-def _side_error_traces(mesh, cells, x, bases, sigma_h, u_h, case):
-    """(u - u_h, sigma - sigma_h) traces on one side of a batch of faces."""
+def _side_error_traces(mesh, cells, x, bases, sigma_h, u_h, ue, se):
+    """(u - u_h, sigma - sigma_h) traces on one side of a batch of faces,
+    from the exact values ue and se at the face points x."""
     ref = side_ref_coords(mesh, cells, x)
     Vk_s, Vl_s = (eval_on_faces(basis, ref) for basis in bases)
     uh = np.einsum("Fim,mFq->Fqi", u_h.all_disp_blocks()[cells], Vk_s)
     comp = np.einsum("Fam,mFq->Fqa", sigma_h.all_stress_blocks()[cells], Vl_s)
-    sh = tensor_from_components(comp, mesh.dim)
-    flat = x.reshape(-1, mesh.dim)
-    ue = np.asarray(case.u(flat)).reshape(uh.shape)
-    se = np.asarray(case.sigma(flat)).reshape(sh.shape)
-    return ue - uh, se - sh
+    return ue - uh, se - tensor_from_components(comp, mesh.dim)
 
 
 def error_energy(mesh, topo, dofmap: DofMap, sigma_h: FieldCoeffs,
@@ -209,10 +206,14 @@ def error_energy(mesh, topo, dofmap: DofMap, sigma_h: FieldCoeffs,
         plus = topo.plus[faces]
         minus = topo.minus[faces] if faces == topo.interior else None
         c11 = penalty_values(mesh, dofmap, stab, "c11", plus, minus)
+        # the exact fields at the face points, shared by both sides
+        flat = x.reshape(-1, d)
+        exact = (np.asarray(case.u(flat)).reshape(x.shape),
+                 np.asarray(case.sigma(flat)).reshape(x.shape + (d,)))
 
-        eu_p, es_p = _side_error_traces(mesh, plus, x, bases, sigma_h, u_h, case)
+        eu_p, es_p = _side_error_traces(mesh, plus, x, bases, sigma_h, u_h, *exact)
         if minus is not None:
-            eu_m, es_m = _side_error_traces(mesh, minus, x, bases, sigma_h, u_h, case)
+            eu_m, es_m = _side_error_traces(mesh, minus, x, bases, sigma_h, u_h, *exact)
             mj = _sym_outer(eu_p, n[:, None, :]) - _sym_outer(eu_m, n[:, None, :])
             c22 = penalty_values(mesh, dofmap, stab, "c22", plus, minus)
             if np.any(c22 != 0.0):

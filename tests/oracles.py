@@ -20,7 +20,45 @@ from mixeddg.forms import (
 )
 from mixeddg.mesh import face_quadrature
 from mixeddg.polybasis import BasisSet, cell_quadrature, orthonormal_basis
-from mixeddg.spaces import DofMap, FieldCoeffs, data_exactness, stress_unit_tensors
+from mixeddg.spaces import (
+    DofMap,
+    FieldCoeffs,
+    data_exactness,
+    stress_unit_tensors,
+    tensor_from_components,
+)
+
+
+def cell_points(mesh, cell: int, ref_points: np.ndarray) -> np.ndarray:
+    """Map reference points to physical coordinates of a cell."""
+    return mesh.cell_v0[cell] + ref_points @ mesh.jacobians[cell].T
+
+
+def cell_ref_coords(mesh, cell: int, phys_points: np.ndarray) -> np.ndarray:
+    """Invert the affine cell map at physical points."""
+    return (phys_points - mesh.cell_v0[cell]) @ mesh.jac_inv[cell].T
+
+
+def stress_block(coeffs: FieldCoeffs, cell: int) -> np.ndarray:
+    """View of cell stress coefficients, shape (n_comp, m_l)."""
+    return coeffs.all_stress_blocks()[cell]
+
+
+def disp_block(coeffs: FieldCoeffs, cell: int) -> np.ndarray:
+    """View of cell displacement coefficients, shape (dim, m_k)."""
+    return coeffs.all_disp_blocks()[cell]
+
+
+def evaluate_field(coeffs: FieldCoeffs, cell: int, ref_points: np.ndarray):
+    """Displacement vectors and full symmetric stress tensors at reference points."""
+    dm = coeffs.dofmap
+    pts = np.asarray(ref_points, dtype=float)
+    Vk = orthonormal_basis(dm.cell_kind, dm.k).eval(pts)
+    Vl = orthonormal_basis(dm.cell_kind, dm.l).eval(pts)
+    u = disp_block(coeffs, cell) @ Vk                    # (dim, nq)
+    sig_comp = stress_block(coeffs, cell) @ Vl           # (n_comp, nq)
+    sigma = tensor_from_components(sig_comp.T, dm.dim)   # (nq, dim, dim)
+    return u.T, sigma
 
 
 def stress_offset(dofmap: DofMap, cell: int) -> int:
@@ -42,7 +80,7 @@ def evaluate_displacement_gradient(coeffs: FieldCoeffs, mesh, cell: int, ref_poi
     basis = orthonormal_basis(dm.cell_kind, dm.k)
     gref = basis.eval_grad(np.asarray(ref_points, dtype=float))
     gphys = np.einsum("mqr,rs->mqs", gref, mesh.jac_inv[cell])
-    return np.einsum("im,mqs->qis", coeffs.disp_block(cell), gphys)
+    return np.einsum("im,mqs->qis", disp_block(coeffs, cell), gphys)
 
 
 def jump_avg_kernels(normal, v_plus=None, v_minus=None, tau_plus=None, tau_minus=None):
@@ -97,7 +135,7 @@ def form_a_direct(mesh, topo, dofmap, mat, stab, tau1, tau2, exactness):
     rule = cell_quadrature(mesh.cell_kind, exactness)
     total = 0.0
     for c in range(mesh.num_cells):
-        x = mesh.cell_points(c, rule.points)
+        x = cell_points(mesh, c, rule.points)
         wq = rule.weights * abs(mesh.det_jac[c])
         total += np.einsum("q,qij,qij->", wq,
                            compliance_apply(tau1(c, x), mat), tau2(c, x))
@@ -117,7 +155,7 @@ def form_b_direct(mesh, topo, v, grad_v, tau, exactness):
     rule = cell_quadrature(mesh.cell_kind, exactness)
     total = 0.0
     for c in range(mesh.num_cells):
-        x = mesh.cell_points(c, rule.points)
+        x = cell_points(mesh, c, rule.points)
         wq = rule.weights * abs(mesh.det_jac[c])
         g = np.asarray(grad_v(c, x))
         eps = 0.5 * (g + np.swapaxes(g, -1, -2))
@@ -176,7 +214,7 @@ def exact_residual(mesh, topo, dofmap: DofMap, mat: MaterialParams,
     Gk = basis_k.eval_grad(rule.points)
 
     for c in range(mesh.num_cells):
-        x = mesh.cell_points(c, rule.points)
+        x = cell_points(mesh, c, rule.points)
         wq = rule.weights * abs(mesh.det_jac[c])
         sig = np.asarray(sigma_fn(x))
         g = np.asarray(grad_u_fn(x))
@@ -218,7 +256,7 @@ def exact_residual(mesh, topo, dofmap: DofMap, mat: MaterialParams,
         avg_s_n = ker["avg_tau"] @ n
 
         for cell, sign in sides:
-            ref = mesh.cell_ref_coords(cell, x)
+            ref = cell_ref_coords(mesh, cell, x)
             Vl_t = basis_l.eval(ref)
             Vk_t = basis_k.eval(ref)
             so = stress_offset(dofmap, cell)

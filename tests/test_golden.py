@@ -1,0 +1,37 @@
+"""The CLI's CSV tables, byte for byte, against tables kept in tests/golden.
+
+Each table was printed by `python -m mixeddg <argv>` from the repository root;
+a change to any layer that moves a printed digit, or the solver path of a
+level, shows here.  The file mesh is passed by its installed path, which does
+not appear in the table.
+"""
+
+from importlib import resources
+from pathlib import Path
+
+import pytest
+
+from mixeddg import cli
+
+GOLDEN = Path(__file__).resolve().parent / "golden"
+SHIPPED_MESH = "file:" + str(resources.files("mixeddg") / "data/unstructured_square.msh")
+
+TABLES = {
+    "tri_k1": ["--problem", "elas2d_poly", "--mesh", "tri-uniform",
+               "--levels", "8,16,32", "--k", "1"],
+    "tet_k1": ["--problem", "elas3d_sine", "--mesh", "tet-uniform",
+               "--levels", "2,3,4", "--k", "1"],
+    "quad_k2": ["--problem", "elas2d_poly", "--mesh", "quad-uniform",
+                "--levels", "2,4,8", "--k", "2"],
+    "file_k1": ["--problem", "elas2d_poly", "--mesh", SHIPPED_MESH, "--levels", "0,1,2"],
+    "tri_c22zero": ["--flux", "c11=hinv,c22=0", "--levels", "4,8,16"],
+    "tet_c22one": ["--problem", "elas3d_sine", "--mesh", "tet-uniform",
+                   "--levels", "2,4", "--k", "1", "--flux", "c11=hinv,c22=1"],
+}
+
+
+@pytest.mark.parametrize("name", list(TABLES))
+def test_table_unchanged(name, tmp_path):
+    out = tmp_path / f"{name}.csv"
+    assert cli.main(TABLES[name] + ["--out", str(out)]) == 0
+    assert out.read_bytes() == (GOLDEN / f"{name}.csv").read_bytes()

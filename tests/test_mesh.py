@@ -85,6 +85,25 @@ def shipped_mesh():
     return read_mesh(text)
 
 
+def assert_cells_lie_in_parents(mesh, coarse_mesh):
+    """mesh.coarse_level is coarse_mesh and 2^dim children in each parent."""
+    coarse, parent = mesh.coarse_level
+    children = 2 ** mesh.dim
+    assert np.array_equal(coarse.vertices, coarse_mesh.vertices)
+    assert np.array_equal(coarse.cells, coarse_mesh.cells)
+    assert np.array_equal(np.bincount(parent, minlength=coarse.num_cells),
+                          np.full(coarse.num_cells, children))
+    # barycentric coordinates in the parent: every fine vertex in its
+    # closure, the fine centroid strictly inside
+    pts = np.concatenate([mesh.vertices[mesh.cells], mesh.centroids[:, None]], axis=1)
+    ref = np.einsum("Frs,Fvs->Fvr", coarse.jac_inv[parent],
+                    pts - coarse.cell_v0[parent][:, None, :])
+    bary = np.concatenate([1.0 - ref.sum(-1, keepdims=True), ref], axis=-1)
+    assert bary[:, :-1].min() >= -1e-12
+    assert bary[:, -1].min() > 0.01
+    assert np.allclose(mesh.measures, coarse.measures[parent] / children, rtol=1e-12)
+
+
 class TestUniformTri:
     def test_smallest_split(self):
         mesh = build_uniform_tri(1, BOX2)
@@ -121,6 +140,15 @@ class TestUniformTri:
     @pytest.mark.parametrize("box", [BOX2, SKEWED_BOX2], ids=["square", "skewed"])
     def test_matches_loop_reference(self, n, box):
         assert_same_mesh(build_uniform_tri(n, box), *loop_uniform_tri(n, box))
+
+    @pytest.mark.parametrize("n", range(2, 65, 2))
+    def test_cells_lie_in_parents(self, n):
+        mesh = build_uniform_tri(n, SKEWED_BOX2)
+        assert_cells_lie_in_parents(mesh, build_uniform_tri(n // 2, SKEWED_BOX2))
+
+    @pytest.mark.parametrize("n", [1, 3, 5])
+    def test_odd_n_has_no_coarse_level(self, n):
+        assert build_uniform_tri(n, BOX2).coarse_level is None
 
 
 class TestUniformQuad:
@@ -183,27 +211,13 @@ class TestUniformTet:
     @pytest.mark.parametrize("n", [2, 4, 6])
     def test_cells_lie_in_parents(self, n):
         mesh = build_uniform_tet(n, ((-1.0, 2.0), (0.5, 0.7), (-3.0, -1.0)))
-        coarse, parent = mesh.coarse_level
-        assert coarse.num_cells * 8 == mesh.num_cells
-        assert np.array_equal(coarse.vertices, build_uniform_tet(n // 2, mesh.domain_box).vertices)
-        assert np.array_equal(np.bincount(parent, minlength=coarse.num_cells),
-                              np.full(coarse.num_cells, 8))
-        # barycentric coordinates in the parent: every fine vertex in its
-        # closure, the fine centroid strictly inside
-        pts = np.concatenate([mesh.vertices[mesh.cells], mesh.centroids[:, None]], axis=1)
-        ref = np.einsum("Frs,Fvs->Fvr", coarse.jac_inv[parent],
-                        pts - coarse.cell_v0[parent][:, None, :])
-        bary = np.concatenate([1.0 - ref.sum(-1, keepdims=True), ref], axis=-1)
-        assert bary[:, :4].min() >= -1e-12
-        assert bary[:, 4].min() > 0.01
-        assert np.allclose(mesh.measures, coarse.measures[parent] / 8, rtol=1e-12)
+        assert_cells_lie_in_parents(mesh, build_uniform_tet(n // 2, mesh.domain_box))
 
     @pytest.mark.parametrize("n", [1, 3, 5])
     def test_odd_n_has_no_coarse_level(self, n):
         assert build_uniform_tet(n).coarse_level is None
 
     def test_other_meshes_have_no_coarse_level(self):
-        assert build_uniform_tri(4, BOX2).coarse_level is None
         assert build_uniform_quad(4, BOX2).coarse_level is None
         assert refine_red(build_uniform_tri(2, BOX2)).coarse_level is None
         assert read_mesh(TWO_TRI_FILE).coarse_level is None

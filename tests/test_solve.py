@@ -8,7 +8,7 @@ from scipy.sparse.linalg import splu
 
 from mixeddg import build_dofmap, build_face_topology, \
     build_uniform_quad, build_uniform_tet, build_uniform_tri, case_2d_poly, \
-    case_3d_sine, error_energy, error_l2, evaluate_field, read_mesh, solve_saddle
+    case_3d_sine, error_energy, error_l2, read_mesh, refine_red, solve_saddle
 from mixeddg import solve as solve_module
 from mixeddg.cli import FLUX_ALIASES
 from mixeddg.polybasis import cell_quadrature
@@ -16,7 +16,7 @@ from mixeddg.spaces import FieldCoeffs, prolongation
 from mixeddg.forms import MaterialParams, StabilizationParams, assemble_system
 from mixeddg.solve import ResidualToleranceError, SingularSystemError, \
     _block_graph, _stress_first_order
-from oracles import exact_residual
+from oracles import cell_points, cell_ref_coords, evaluate_field, exact_residual
 
 BOX2 = ((-1.0, 1.0), (-1.0, 1.0))
 BOX3 = ((0.0, 1.0), (0.0, 1.0), (0.0, 1.0))
@@ -257,29 +257,50 @@ def tet_system(n, stab=StabilizationParams(), k=1):
                                  case.f)
 
 
+def tri_system(n, stab=StabilizationParams(), mesh=None):
+    mesh = build_uniform_tri(n, BOX2) if mesh is None else mesh
+    case = case_2d_poly()
+    dm = build_dofmap(mesh, 1, 1)
+    return mesh, assemble_system(mesh, build_face_topology(mesh), dm, case.material, stab,
+                                 case.f)
+
+
 def true_residual(system, x):
     return np.linalg.norm(system.M @ x - system.b) / np.linalg.norm(system.b)
 
 
 C22_ONE = StabilizationParams(**FLUX_ALIASES["c11=hinv,c22=1"])
+# (alpha1, beta1) of the penalties C11 ~ 1/h, C22 ~ h, the one 2D scaling on
+# which the multilevel cycle beats LU
+H_SCALED = (-1.0, 1.0)
+
+
+def assert_prolongation_reproduces(mesh, k, l, rng):
+    """P maps a random coarse field to the same field on the fine cells."""
+    coarse, parent = mesh.coarse_level
+    dm, coarse_dm = build_dofmap(mesh, k, l), build_dofmap(coarse, k, l)
+    P = prolongation(mesh, dm)
+    assert P.shape == (dm.total_dofs, coarse_dm.total_dofs)
+    xc = FieldCoeffs(coarse_dm, rng.randn(coarse_dm.total_dofs))
+    xf = FieldCoeffs(dm, P @ xc.values)
+    points = cell_quadrature(mesh.cell_kind, 4).points
+    for cell in range(mesh.num_cells):
+        on_coarse = cell_ref_coords(coarse, parent[cell], cell_points(mesh, cell, points))
+        for fine, ref in zip(evaluate_field(xf, cell, points),
+                             evaluate_field(xc, parent[cell], on_coarse)):
+            assert np.abs(fine - ref).max() <= 1e-13 * np.abs(ref).max()
 
 
 class TestTwoLevel:
     @pytest.mark.parametrize("k,l", [(1, 1), (2, 1), (1, 0)])
     def test_prolongation_reproduces_coarse_field(self, k, l, rng):
         mesh = build_uniform_tet(4, ((-1.0, 2.0), (0.5, 0.7), (-3.0, -1.0)))
-        coarse, parent = mesh.coarse_level
-        dm, coarse_dm = build_dofmap(mesh, k, l), build_dofmap(coarse, k, l)
-        P = prolongation(mesh, dm)
-        assert P.shape == (dm.total_dofs, coarse_dm.total_dofs)
-        xc = FieldCoeffs(coarse_dm, rng.randn(coarse_dm.total_dofs))
-        xf = FieldCoeffs(dm, P @ xc.values)
-        points = cell_quadrature(mesh.cell_kind, 4).points
-        for cell in range(mesh.num_cells):
-            on_coarse = coarse.cell_ref_coords(parent[cell], mesh.cell_points(cell, points))
-            for fine, ref in zip(evaluate_field(xf, cell, points),
-                                 evaluate_field(xc, parent[cell], on_coarse)):
-                assert np.abs(fine - ref).max() <= 1e-13 * np.abs(ref).max()
+        assert_prolongation_reproduces(mesh, k, l, rng)
+
+    @pytest.mark.parametrize("k,l", [(1, 1), (2, 1), (1, 0)])
+    def test_prolongation_reproduces_coarse_field_tri(self, k, l, rng):
+        assert_prolongation_reproduces(build_uniform_tri(8, ((-1.0, 2.0), (0.5, 0.7))),
+                                       k, l, rng)
 
     @pytest.mark.parametrize("stab", [StabilizationParams(), C22_ONE],
                              ids=["default", "c11=hinv,c22=1"])
@@ -306,29 +327,71 @@ class TestTwoLevel:
         mesh, system = tet_system(4, stab)
         _, report = solve_saddle(system, mesh)
         assert fewest <= report.iterations <= most
+        assert report.levels == 2  # the coarse n=2 level is below KRYLOV_MIN_DOFS
+
+    def test_tri_iterations_pinned(self):
+        # tri n=32, k=1 at the default C11 ~ 1/h, C22 ~ h: 28 iterations,
+        # its coarse n=16 level factored
+        mesh, system = tri_system(32)
+        _, report = solve_saddle(system, mesh)
+        assert 25 <= report.iterations <= 31
+        assert report.levels == 2
+
+    @pytest.mark.parametrize("kind,grids", [("tri", 4), ("tet", 3)])
+    def test_recursive_matches_direct(self, kind, grids, monkeypatch):
+        # with no size floor tri n=8 and tet n=4 recurse down to n=1
+        monkeypatch.setattr(solve_module, "KRYLOV_MIN_DOFS", 0)
+        mesh, system = tri_system(8) if kind == "tri" else tet_system(4)
+        direct, direct_report = solve_saddle(system)
+        coeffs, report = solve_saddle(system, mesh)
+        assert report.levels == grids
+        assert 0 < report.iterations < solve_module.KRYLOV_MAX_ITERATIONS
+        coarsest = build_dofmap(build_uniform_tri(1) if kind == "tri" else build_uniform_tet(1),
+                                1, 1).total_dofs
+        # the LU of the n=1 level: SuperLU stores the diagonal in L and in U
+        assert report.factor_nnz <= coarsest ** 2 + coarsest
+        assert true_residual(system, coeffs.values) <= 1e-12
+        diff = np.linalg.norm(coeffs.values - direct.values)
+        assert diff <= 1e-10 * np.linalg.norm(direct.values)
+
+    @pytest.mark.parametrize("case", [name for name, exps in FLUX_ALIASES.items()
+                                      if (exps["alpha1"], exps["beta1"]) != H_SCALED]
+                             + ["quad", "refined"])
+    def test_2d_direct_path(self, case, monkeypatch):
+        # every 2D penalty scaling but C11 ~ 1/h, C22 ~ h, and every 2D mesh
+        # but the uniform triangles, is solved by LU
+        monkeypatch.setattr(solve_module, "KRYLOV_MIN_DOFS", 0)
+        stab = StabilizationParams(**FLUX_ALIASES.get(case, {}))
+        mesh = {"quad": build_uniform_quad(8, BOX2),
+                "refined": refine_red(refine_red(build_uniform_tri(2, BOX2)))}.get(case)
+        mesh, system = tri_system(8, stab, mesh=mesh)
+
+        def no_cycle(*_):
+            raise AssertionError("the multilevel set-up ran")
+
+        monkeypatch.setattr(solve_module, "_multilevel", no_cycle)
+        _, report = solve_saddle(system, mesh)
+        assert (report.iterations, report.levels) == (0, 1)
 
     @pytest.mark.parametrize("case", ["2d", "c22zero", "odd-n", "one-argument", "small"])
     def test_direct_path(self, case, monkeypatch):
         if case != "small":  # tet n=2 at k=1 has 1,728 dofs, below the size constant
             monkeypatch.setattr(solve_module, "KRYLOV_MIN_DOFS", 0)
-        if case == "2d":
-            mesh = build_uniform_tri(8, BOX2)
-            c2 = case_2d_poly()
-            system = assemble_system(mesh, build_face_topology(mesh), build_dofmap(mesh, 1, 1),
-                                     c2.material, StabilizationParams(), c2.f)
+        if case == "2d":  # C22 ~ 1, off the 2D path rule
+            mesh, system = tri_system(8, C22_ONE)
         else:
             n = 3 if case == "odd-n" else 2
             stab = StabilizationParams(eta=0.0) if case == "c22zero" else StabilizationParams()
             mesh, system = tet_system(n, stab)
         args = (system,) if case == "one-argument" else (system, mesh)
 
-        def no_two_level(*_):
-            raise AssertionError("the two-level set-up ran")
+        def no_cycle(*_):
+            raise AssertionError("the multilevel set-up ran")
 
-        monkeypatch.setattr(solve_module, "_two_level", no_two_level)
+        monkeypatch.setattr(solve_module, "_multilevel", no_cycle)
         coeffs, report = solve_saddle(*args)
         direct, direct_report = solve_saddle(system)
-        assert report.iterations == 0
+        assert (report.iterations, report.levels) == (0, 1)
         assert report.factor_nnz == direct_report.factor_nnz
         assert np.array_equal(coeffs.values, direct.values)
 
