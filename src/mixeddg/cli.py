@@ -1,7 +1,7 @@
 """Experiment driver: h-sweeps and p-sweeps with CSV/markdown tables.
 
 Exit codes: 0 success, 2 configuration validation failure, 3 solver
-residual failure.
+failure (a residual, a singular system or SuperLU out of memory).
 """
 
 from __future__ import annotations

@@ -12,10 +12,10 @@ assembled in one pass into the saddle matrix M, which is [[Aa, Bb], [-Bb^T, Cc]]
 on (stress; displacement) coefficients.  The dofs are numbered cell by cell,
 so M is block-sparse with one dense [stress | displacement] block per pair of
 a cell with itself or with a face neighbour.  Each volume and face term is
-such a block, batched over the cells and the interior and boundary faces; a
-0/1 pair-by-term product sums each pair's terms in a fixed order, so reruns
-are bit-identical, and scipy's BSR-to-CSR conversion lays the blocks out as
-M's CSC arrays, without their exact zeros.  Homogeneous Dirichlet data enters
+such a block, batched over the cells and the interior and boundary faces, and
+written into its pair's block, where they add in a fixed order, so reruns are
+bit-identical; scipy's BSR-to-CSR conversion lays the blocks out as M's CSC
+arrays, without their exact zeros.  Homogeneous Dirichlet data enters
 only through the retained boundary-face terms.
 """
 
@@ -188,15 +188,16 @@ def assemble_system(mesh, topo, dofmap: DofMap, mat: MaterialParams,
     nc = mesh.num_cells
     s_size, d_size, size = dofmap.stress_cell_size, dofmap.disp_cell_size, dofmap.cell_size
     detj = np.abs(mesh.det_jac)
-    inner = topo.interior
-    c22 = penalty_values(mesh, dofmap, stab, "c22", topo.plus[inner], topo.minus[inner])
+    plus_in, minus_in = topo.plus[topo.interior], topo.minus[topo.interior]
+    c22 = penalty_values(mesh, dofmap, stab, "c22", plus_in, minus_in)
     with_c22 = bool(np.any(c22 != 0.0))
 
-    # one dense block per term of M, stored (term, local column, local row):
-    # every cell's volume terms, then every interior face under the four
-    # (row side, column side) combinations, then every boundary face
-    terms = np.zeros((nc + 4 * topo.interior_count + topo.boundary_count, size, size))
-    rows, cols = [np.arange(nc)], [np.arange(nc)]
+    # a dense block per cell pair, (pair, local column, local row) by column, then
+    # row cell; slot numbers the own pairs, then each face's (plus, minus), (minus, plus)
+    keys, slot = np.unique(np.concatenate([np.arange(nc) * (nc + 1), minus_in * nc + plus_in,
+                                           plus_in * nc + minus_in]), return_inverse=True)
+    blocks = np.zeros((len(keys), size, size))
+    stress, disp = slice(None, s_size), slice(s_size, None)
 
     # volume terms, batched over cells
     rule = cell_quadrature(mesh.cell_kind, matrix_exactness)
@@ -209,9 +210,9 @@ def assemble_system(mesh, topo, dofmap: DofMap, mat: MaterialParams,
     T_ref = np.einsum("iq,q,jqr->ijr", Vl, w, Gk)
     blocks_b = -np.einsum("acm,ijr,Frm,F->Faicj", E, T_ref, mesh.jac_inv,
                           detj).reshape(nc, s_size, d_size)
-    terms[:nc, :s_size, :s_size] = detj[:, None, None] * kron.T[None, :, :]
-    terms[:nc, s_size:, :s_size] = blocks_b.transpose(0, 2, 1)
-    terms[:nc, :s_size, s_size:] = -blocks_b
+    blocks[slot[:nc], stress, stress] = detj[:, None, None] * kron.T[None, :, :]
+    blocks[slot[:nc], disp, stress] = blocks_b.transpose(0, 2, 1)
+    blocks[slot[:nc], stress, disp] = -blocks_b
 
     # load vector, batched over cells at data exactness
     rule_f = cell_quadrature(mesh.cell_kind, data_exactness(dofmap))
@@ -221,8 +222,9 @@ def assemble_system(mesh, topo, dofmap: DofMap, mat: MaterialParams,
     b = np.zeros(dofmap.total_dofs)
     b[dofmap.disp_dofs] = np.einsum("Fqc,q,jq,F->Fcj", fx, rule_f.weights, Vk_f, detj).ravel()
 
-    # face terms, batched over the interior and then the boundary faces
-    start = nc
+    # face terms, batched over the interior and then the boundary faces; a
+    # cell's own block adds them in face order, one round of distinct cells at
+    # a time, and a neighbour pair's block holds one term
     for faces in (topo.interior, topo.boundary):
         nf = faces.stop - faces.start
         if nf == 0:
@@ -239,52 +241,47 @@ def assemble_system(mesh, topo, dofmap: DofMap, mat: MaterialParams,
             sides = ((plus, 1.0), (minus, -1.0))
             avg_w = 0.5
             R = np.einsum("Fai,Fbi->Fab", En, En)
+            neighbour = (slot[nc:nc + nf], slot[nc + nf:])
         else:
             sides = ((plus, 1.0),)
             avg_w = 1.0
 
-        Vk_s, Vl_s = [], []
+        Vk_s, Vl_s, rounds = [], [], []
         for cells, _sign in sides:
             ref = side_ref_coords(mesh, cells, x)
             Vk_s.append(eval_on_faces(basis_k, ref))
             Vl_s.append(eval_on_faces(basis_l, ref))
+            by_cell = np.argsort(cells, kind="stable")
+            rank = np.arange(nf) - np.searchsorted(cells[by_cell], cells[by_cell])
+            rounds.append([by_cell[rank == r] for r in range(rank.max() + 1)])
 
-        ns = len(sides)
-        blk = terms[start:start + ns * ns * nf].reshape(ns, ns, nf, size, size)
-        start += ns * ns * nf
+        def add(i, j, rows, cols, part):
+            if i != j:
+                blocks[neighbour[i], rows, cols] = part
+            else:
+                for faces_r in rounds[i]:
+                    blocks[slot[sides[i][0][faces_r]], rows, cols] += part[faces_r]
+
         for i, (cells_i, sign_i) in enumerate(sides):
             for j, (cells_j, sign_j) in enumerate(sides):
-                rows.append(cells_i)
-                cols.append(cells_j)
                 Mk = np.einsum("iFq,Fq,jFq->Fij", Vk_s[i], wq, Vk_s[j])
-                blk[i, j, :, s_size:, s_size:] = np.einsum(
+                add(i, j, disp, disp, np.einsum(
                     "F,Fcd,Fjk->Fdkcj", c11 * (sign_i * sign_j), Q, Mk
-                ).reshape(nf, d_size, d_size)
+                ).reshape(nf, d_size, d_size))
 
                 if minus is not None and with_c22:
                     Ml = np.einsum("iFq,Fq,jFq->Fij", Vl_s[i], wq, Vl_s[j])
-                    blk[i, j, :, :s_size, :s_size] = np.einsum(
+                    add(i, j, stress, stress, np.einsum(
                         "F,Fab,Fik->Fbkai", c22 * (sign_i * sign_j), R, Ml
-                    ).reshape(nf, s_size, s_size)
+                    ).reshape(nf, s_size, s_size))
 
                 # b with stress tests on side i and displacements on side j,
                 # transposed; minus b^T is the lower left of block (j, i)
                 Mlk = np.einsum("iFq,Fq,jFq->Fij", Vl_s[i], wq, Vk_s[j])
                 blk_bt = (avg_w * sign_j) * np.einsum(
                     "Fac,Fij->Fcjai", En, Mlk).reshape(nf, d_size, s_size)
-                blk[i, j, :, s_size:, :s_size] = blk_bt
-                blk[j, i, :, :s_size, s_size:] = -blk_bt.transpose(0, 2, 1)
-
-    # number the cell pairs sorted by column cell, then row cell; a 0/1
-    # pair-by-term product sums each pair's terms in term order
-    rows, cols = np.concatenate(rows), np.concatenate(cols)
-    keys, pair_of_term = np.unique(cols * nc + rows, return_inverse=True)
-    incidence = sp.csr_matrix(
-        (np.ones(len(rows)), np.argsort(pair_of_term, kind="stable"),
-         np.concatenate([[0], np.cumsum(np.bincount(pair_of_term))])),
-        shape=(len(keys), len(rows)))
-    blocks = (incidence @ terms.reshape(len(rows), -1)).reshape(-1, size, size)
-    del terms, blk  # freed before the layout is built
+                add(i, j, disp, stress, blk_bt)
+                add(j, i, stress, disp, -blk_bt.transpose(0, 2, 1))
 
     # the blocks, (pair, local column, local row) by column cell, are a BSR
     # of M^T, so the CSR arrays of M^T are the CSC arrays of M; the exact
@@ -294,6 +291,8 @@ def assemble_system(mesh, topo, dofmap: DofMap, mat: MaterialParams,
     cell_ptr = np.searchsorted(pair_col, np.arange(nc + 1))
     n = dofmap.total_dofs
     MT = sp.bsr_matrix((blocks, pair_row, cell_ptr), shape=(n, n)).tocsr()
+    del blocks
     MT.eliminate_zeros()
-    M = sp.csc_matrix((MT.data, MT.indices, MT.indptr), shape=(n, n))
+    # eliminate_zeros keeps buffers under twice the entries: copy the entries
+    M = sp.csc_matrix((MT.data.copy(), MT.indices.copy(), MT.indptr), shape=(n, n))
     return AssembledSystem(M=M, b=b, dofmap=dofmap, stab=stab)

@@ -6,11 +6,13 @@ penalties C11 ~ 1/h and C22 ~ h: scipy's GMRES, right-preconditioned by a
 multilevel cycle over the nested meshes, solves those, falling back to LU if
 it misses KRYLOV_TOL within KRYLOV_MAX_ITERATIONS.  (With C22 = 0, and in 2D
 with any other penalty scaling, the cycle was measured not to beat the direct
-solve.)
+solve.)  The LU is float32, refined in float64 to KRYLOV_TOL, or float64 where
+that fails; the multilevel cycle's coarsest LU is float64.
 """
 
 from __future__ import annotations
 
+import contextlib
 import time
 from dataclasses import dataclass
 
@@ -42,6 +44,10 @@ class SingularSystemError(SolverError):
     """Factorization failed: zeta <= 0 stabilization or a broken mesh."""
 
 
+class FactorMemoryError(SolverError):
+    """SuperLU ran out of memory."""
+
+
 class ResidualToleranceError(SolverError):
     """Factorization succeeded but the residual gate failed."""
 
@@ -58,12 +64,12 @@ class SolveReport:
     """Seconds in the set-up and in the solve plus residual check.
 
     On the direct path factor_s covers the block ordering, the permuted copy
-    of M and its LU factorization, iterations is 0 and levels 1.  On the
-    GMRES path factor_s is the preconditioner's set-up, solve_s the
+    of M and its LU, solve_s the refinement, factor_nnz is the float32 LU's
+    (the float64 one's after a fallback), iterations is 0 and levels 1.  On
+    the GMRES path factor_s is the preconditioner's set-up, solve_s the
     iterations, factor_nnz the coarsest level's LU's, iterations GMRES's and
     levels the number of grids in the cycle, the level's own included.  A
-    GMRES run that falls back to LU reports the direct path, its time in
-    factor_s.
+    fallback from GMRES reports the direct path, its time in factor_s.
 
     factor_nnz is SuperLU.nnz, the stored factor entries; it is not
     L.nnz + U.nnz, which would copy the factors to count.
@@ -113,13 +119,15 @@ def _stress_first_order(M, dofmap):
     return np.argsort(rank[node], kind="stable")
 
 
-def _factor(M, dofmap):
-    """LU of M in the stress-first block order: (solve function, factor nnz)."""
+def _factor(M, dofmap, dtype=np.float64):
+    """LU of M in dtype, in the stress-first block order: (float64 solve, factor nnz)."""
     perm = _stress_first_order(M, dofmap)
     inv = np.empty(len(perm), np.int32)
     inv[perm] = np.arange(len(perm), dtype=np.int32)
-    # relabel the rows on M's own arrays, then copy once by gathering columns
-    Mp = sp.csc_matrix((M.data, inv[M.indices], M.indptr), shape=M.shape)[:, perm]
+    # cast (FloatingPointError out of dtype's normal range), relabel, gather columns
+    with np.errstate(over="raise", under="raise"):
+        Mp = sp.csc_matrix((M.data.astype(dtype), inv[M.indices], M.indptr),
+                           shape=M.shape)[:, perm]
     Mp.sort_indices()
     try:
         # the block pattern is structurally symmetric; symmetric-mode SuperLU
@@ -127,15 +135,31 @@ def _factor(M, dofmap):
         # the residual gate catches any pivoting damage
         lu = splu(Mp, permc_spec="NATURAL",
                   options={"SymmetricMode": True, "DiagPivotThresh": 0.001})
+    except (MemoryError, SystemError) as exc:
+        # SuperLU reports running out of memory as invalid arguments
+        raise FactorMemoryError(f"sparse LU factorization ran out of memory: {exc}") from exc
     except RuntimeError as exc:
         raise SingularSystemError(f"sparse LU factorization failed: {exc}") from exc
 
     def solve(b):
         x = np.empty_like(b)
-        x[perm] = lu.solve(b[perm])
+        x[perm] = lu.solve(b[perm].astype(dtype, copy=False))
         return x
 
     return solve, int(lu.nnz)
+
+
+def _refine(M, b, lu_solve):
+    """x by float64 refinement on a float32 LU, or None if it misses KRYLOV_TOL."""
+    x, r = np.zeros_like(b), b
+    norm_b = norm_r = np.linalg.norm(b)
+    for _ in range(KRYLOV_MAX_ITERATIONS if norm_b > 0 else 0):
+        x += norm_r * lu_solve(r / norm_r)  # at unit norm the cast stays in range
+        r = b - M @ x
+        last, norm_r = norm_r, np.linalg.norm(r)
+        if not 0 < norm_r <= 0.5 * last:  # the true residual no longer halves
+            break
+    return x if norm_r <= KRYLOV_TOL * norm_b else None
 
 
 def _cell_blocks(M, dofmap):
@@ -161,9 +185,9 @@ def _multilevel(M, dofmap, mesh):
     diagonal blocks of M (a Vanka-type smoother); a coarse correction by the
     Galerkin operator P^T M P of the prolongation P from mesh.coarse_level;
     then two more sweeps.  The correction applies the coarse level's own
-    cycle to P^T M P when _recurses holds for that level, and otherwise an LU
-    of P^T M P, factored like M on the direct path.  nnz is that coarsest
-    LU's, and grids counts the levels down to it, this one included.
+    cycle to P^T M P when _recurses holds for that level, and otherwise a
+    float64 _factor of P^T M P (a float32 one made the cycle nonlinear at
+    1e-7).  nnz is that LU's, and grids counts the levels down to it.
     """
     P = prolongation(mesh, dofmap)
     coarse_mesh = mesh.coarse_level[0]
@@ -191,18 +215,21 @@ def _multilevel(M, dofmap, mesh):
 
 
 def _gmres(M, b, precondition):
-    """Right-preconditioned GMRES from x = 0, without restarts: (x, iterations).
+    """Right-preconditioned GMRES from x = 0: (x, iterations).
 
     scipy's GMRES on the operator v -> M precondition(v) tests the true
-    relative residual of x = precondition(y) against KRYLOV_TOL, and its one
-    cycle caps the Arnoldi steps at KRYLOV_MAX_ITERATIONS.  x is None when the
-    run ends above the tolerance: at the cap, or when the Arnoldi estimate
-    passes but the recomputed true residual does not.
+    relative residual of x = precondition(y) against KRYLOV_TOL.  When the
+    Arnoldi estimate passes but the true residual does not, a second cycle
+    starts from y; the two share KRYLOV_MAX_ITERATIONS Arnoldi steps.  x is
+    None when the run ends above the tolerance.
     """
-    steps = []
-    y, info = gmres(LinearOperator(M.shape, lambda v: M @ precondition(v), dtype=M.dtype), b,
-                    rtol=KRYLOV_TOL, atol=0.0, restart=KRYLOV_MAX_ITERATIONS, maxiter=1,
-                    callback=steps.append, callback_type="pr_norm")
+    steps, y, info = [], None, 1
+    operator = LinearOperator(M.shape, lambda v: M @ precondition(v), dtype=M.dtype)
+    for _ in range(2):
+        if info > 0 and len(steps) < KRYLOV_MAX_ITERATIONS:
+            y, info = gmres(operator, b, x0=y, rtol=KRYLOV_TOL, atol=0.0, maxiter=1,
+                            restart=KRYLOV_MAX_ITERATIONS - len(steps),
+                            callback=steps.append, callback_type="pr_norm")
     return (None if info != 0 else precondition(y)), len(steps)
 
 
@@ -211,9 +238,10 @@ def solve_saddle(system, mesh=None):
 
     mesh is the mesh the system was assembled on; without it, or off the
     GMRES cases in the module docstring, M is factored by sparse LU in the
-    stress-first block order of _stress_first_order.  The penalties are read
-    from system.stab.  Relative residuals above RESIDUAL_TOL, taken on M and
-    b, raise on either path; the system is never silently regularized.
+    stress-first block order of _stress_first_order, in the precisions of the
+    module docstring.  The penalties are read from system.stab.  Relative
+    residuals above RESIDUAL_TOL, taken on M and b, raise on either path; the
+    system is never silently regularized.
     """
     M, b, dofmap, stab = system.M, system.b, system.dofmap, system.stab
     t0 = time.perf_counter()
@@ -225,21 +253,22 @@ def solve_saddle(system, mesh=None):
         t1 = time.perf_counter()
         x, iterations = _gmres(M, b, precondition)
     if x is None:
+        iterations, levels = 0, 1
+        with contextlib.suppress(FloatingPointError, SingularSystemError):
+            lu_solve, nnz = _factor(M, dofmap, np.float32)
+            t1 = time.perf_counter()
+            x = _refine(M, b, lu_solve)
+    if x is None:
         lu_solve, nnz = _factor(M, dofmap)
         t1 = time.perf_counter()
-        x, iterations, levels = lu_solve(b), 0, 1
+        x = lu_solve(b)
     if not np.all(np.isfinite(x)):
         raise SingularSystemError("factorization produced non-finite solution")
     norm_b = np.linalg.norm(b)
     resid = np.linalg.norm(M @ x - b) / (norm_b if norm_b > 0 else 1.0)
-    report = SolveReport(
-        relative_residual=float(resid),
-        factor_s=t1 - t0,
-        solve_s=time.perf_counter() - t1,
-        factor_nnz=nnz,
-        iterations=iterations,
-        levels=levels,
-    )
+    report = SolveReport(relative_residual=float(resid), factor_s=t1 - t0,
+                         solve_s=time.perf_counter() - t1, factor_nnz=nnz,
+                         iterations=iterations, levels=levels)
     if resid > RESIDUAL_TOL:
         raise ResidualToleranceError(report)
     return FieldCoeffs(dofmap, x), report

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from mixeddg import cli
+from mixeddg import solve as solve_module
 from mixeddg.solve import ResidualToleranceError, SolveReport
 
 
@@ -216,6 +217,26 @@ class TestSolverFailureExit:
         monkeypatch.setattr(cli, "solve_saddle", fail)
         run(tmp_path, "--levels", "1", "--k", "0")
         assert "level 2" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("error", [SystemError("gstrf was called with invalid arguments"),
+                                       MemoryError()], ids=["system-error", "memory-error"])
+    def test_out_of_memory_names_level(self, tmp_path, monkeypatch, capsys, error):
+        # SuperLU reports running out of memory as invalid arguments; the
+        # float32 factorization's failure is not retried in float64
+        factorizations, real = [], solve_module.splu
+
+        def splu(A, permc_spec=None, **kwargs):
+            if permc_spec != "NATURAL":  # the block graph's ordering
+                return real(A, permc_spec=permc_spec, **kwargs)
+            factorizations.append(A.dtype)
+            raise error
+
+        monkeypatch.setattr(solve_module, "splu", splu)
+        code, _ = run(tmp_path, "--levels", "1", "--k", "0")
+        assert code == 3
+        err = capsys.readouterr().err
+        assert "level 2" in err and "out of memory" in err
+        assert factorizations == [np.float32]
 
 
 class TestSolverPath:

@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -11,6 +12,8 @@ from mixeddg import (
     build_uniform_quad,
     build_uniform_tet,
     build_uniform_tri,
+    case_2d_poly,
+    case_3d_sine,
 )
 from mixeddg.forms import (
     MaterialParams,
@@ -324,6 +327,28 @@ class TestAssembly:
         ref = sp.csc_matrix((np.ones(len(indices)), indices, indptr), shape=M.shape)
         rows, cols = M.nonzero()
         assert np.all(ref[rows, cols] == 1.0)
+
+    @pytest.mark.parametrize("kind,n,k,eta,digest", [
+        ("tri", 4, 2, 1.0, "a3a9a6b7a9796900124bed10d69a07da21e9dfa5a12440ecb5f4e3d553bf4339"),
+        ("tri", 4, 2, 0.0, "cb7712c436389fb500442fad8f1340cadb0f8f438887b7592b499d82b3bffe92"),
+        ("tet", 2, 1, 1.0, "81595791de3c9898f863527e60fc604ff0ffdf16688ece3627b74328c13204b8"),
+        ("tet", 2, 1, 0.0, "26108d6553c7db0a02730b34c6824d0509fea1a1aa09dddabae7648eacc3b50a"),
+        ("quad", 2, 3, 1.0, "9b79d11bed6f6865710c286b24c2a8890bd83ba764b33f22f89d95699dd3ee9d"),
+        ("quad", 2, 3, 0.0, "05fca0606c1a0649fbdf44ba7a02c9606f3d6cf44d09cc8cb7b7ade381d346ef"),
+    ], ids=["tri4-k2", "tri4-k2-c22zero", "tet2", "tet2-c22zero", "quad2-k3",
+            "quad2-k3-c22zero"])
+    def test_bits_pinned(self, kind, n, k, eta, digest):
+        # SHA-256 of M's indptr, indices and data and of b, with the manufactured
+        # load: any change to the term order or the layout changes a bit
+        mesh = {"tri": build_uniform_tri, "quad": build_uniform_quad,
+                "tet": build_uniform_tet}[kind](n, BOX3 if kind == "tet" else BOX2)
+        case = case_2d_poly() if mesh.dim == 2 else case_3d_sine()
+        system = assemble_system(mesh, build_face_topology(mesh), build_dofmap(mesh, k, k),
+                                 case.material, StabilizationParams(eta=eta), case.f)
+        sha = hashlib.sha256()
+        for array in (system.M.indptr, system.M.indices, system.M.data, system.b):
+            sha.update(array.tobytes())
+        assert sha.hexdigest() == digest
 
     def test_reassembly_bit_identical(self):
         mesh = build_uniform_tri(4, BOX2)

@@ -1,4 +1,5 @@
 import dataclasses
+import warnings
 from importlib import resources
 
 import numpy as np
@@ -15,7 +16,7 @@ from mixeddg.polybasis import cell_quadrature
 from mixeddg.spaces import FieldCoeffs, prolongation
 from mixeddg.forms import MaterialParams, StabilizationParams, assemble_system
 from mixeddg.solve import ResidualToleranceError, SingularSystemError, \
-    _block_graph, _stress_first_order
+    _block_graph, _factor, _stress_first_order
 from oracles import cell_points, cell_ref_coords, evaluate_field, exact_residual
 
 BOX2 = ((-1.0, 1.0), (-1.0, 1.0))
@@ -180,6 +181,106 @@ class TestBlockOrder:
         solve_saddle(system)
         for name, old in zip(("data", "indices", "indptr"), before):
             assert np.array_equal(getattr(system.M, name), old)
+
+
+def spy_factor(monkeypatch):
+    """The dtypes of the matrices SuperLU factors, in call order."""
+    dtypes, real = [], solve_module.splu
+
+    def splu(A, permc_spec=None, **kwargs):
+        if permc_spec == "NATURAL":  # not the block graph's ordering
+            dtypes.append(A.dtype)
+        return real(A, permc_spec=permc_spec, **kwargs)
+
+    monkeypatch.setattr(solve_module, "splu", splu)
+    return dtypes
+
+
+def double_lu(system):
+    """Solution and fill of the float64 LU of the stress-first order."""
+    lu_solve, nnz = _factor(system.M, system.dofmap)
+    return lu_solve(system.b), nnz
+
+
+class TestMixedPrecision:
+    @STABS
+    @pytest.mark.parametrize("name", ["tri-1-1", "quad-2-2", "tet-1-1", "file-1-1"])
+    def test_matches_double_lu(self, name, stab, monkeypatch):
+        system = assemble_case(name, stab)
+        dtypes = spy_factor(monkeypatch)
+        coeffs, report = solve_saddle(system)
+        assert dtypes == [np.float32]
+        x, nnz = double_lu(system)
+        assert np.linalg.norm(coeffs.values - x) <= 1e-12 * np.linalg.norm(x)
+        assert true_residual(system, coeffs.values) <= 1e-13
+        assert report.factor_nnz == nnz  # the same fill in both precisions
+
+    @pytest.mark.parametrize("scale", [1e38, 1e-30], ids=["overflow", "subnormal"])
+    def test_out_of_single_range_takes_double(self, scale, monkeypatch):
+        system = assemble_case("tri-1-1")
+        scaled = dataclasses.replace(system, M=system.M * scale, b=system.b * scale)
+        finfo, magnitude = np.finfo(np.float32), np.abs(scaled.M.data)
+        assert magnitude.max() > finfo.max or magnitude.min() < finfo.tiny
+        dtypes = spy_factor(monkeypatch)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            coeffs, _ = solve_saddle(scaled)
+        assert dtypes == [np.float64]
+        assert np.array_equal(coeffs.values, double_lu(scaled)[0])
+
+    def test_small_load_stays_single(self, monkeypatch):
+        # each residual is scaled to unit norm before its cast, so a load far
+        # under float32's normal range refines like any other
+        system = assemble_case("tri-1-1")
+        small = dataclasses.replace(system, b=system.b * 1e-40)
+        dtypes = spy_factor(monkeypatch)
+        coeffs, _ = solve_saddle(small)
+        assert dtypes == [np.float32]
+        assert true_residual(small, coeffs.values) <= 1e-13
+
+    def test_single_failure_takes_double(self, monkeypatch):
+        real = solve_module.splu
+
+        def splu(A, **kwargs):
+            if A.dtype == np.float32:
+                raise RuntimeError("Factor is exactly singular")
+            return real(A, **kwargs)
+
+        monkeypatch.setattr(solve_module, "splu", splu)
+        system = assemble_case("tet-1-1")
+        coeffs, report = solve_saddle(system)
+        x, nnz = double_lu(system)
+        assert np.array_equal(coeffs.values, x)
+        assert report.factor_nnz == nnz
+
+    def test_refinement_miss_takes_double(self, monkeypatch):
+        # no refinement reaches a zero residual
+        monkeypatch.setattr(solve_module, "KRYLOV_TOL", 0.0)
+        system = assemble_case("quad-2-2")
+        dtypes = spy_factor(monkeypatch)
+        coeffs, _ = solve_saddle(system)
+        assert dtypes == [np.float32, np.float64]
+        assert np.array_equal(coeffs.values, double_lu(system)[0])
+
+    @pytest.mark.parametrize("kind,n,k", [("tri", 16, 1), ("tet", 3, 1), ("tri", 2, 10)])
+    def test_refinement_steps(self, kind, n, k, monkeypatch):
+        # 4 steps at each: the fourth no longer halves the residual
+        steps, real = [], solve_module._refine
+
+        def refine(M, b, lu_solve):
+            def counted(r):
+                steps.append(r)
+                return lu_solve(r)
+            return real(M, b, counted)
+
+        monkeypatch.setattr(solve_module, "_refine", refine)
+        mesh = (build_uniform_tri(n, BOX2) if kind == "tri" else build_uniform_tet(n, BOX3))
+        case = case_2d_poly() if mesh.dim == 2 else case_3d_sine()
+        system = assemble_system(mesh, build_face_topology(mesh), build_dofmap(mesh, k, k),
+                                 case.material, StabilizationParams(), case.f)
+        _, report = solve_saddle(system)
+        assert 2 <= len(steps) <= 6
+        assert report.relative_residual <= 1e-13
 
 
 class TestPolynomialReproduction:
@@ -394,6 +495,35 @@ class TestTwoLevel:
         assert (report.iterations, report.levels) == (0, 1)
         assert report.factor_nnz == direct_report.factor_nnz
         assert np.array_equal(coeffs.values, direct.values)
+
+    def test_estimate_miss_takes_second_cycle(self, monkeypatch):
+        # scipy ends its cycle when the Arnoldi estimate passes but the true
+        # residual does not; a first cycle stopped at 1e-6 stands in for that
+        monkeypatch.setattr(solve_module, "KRYLOV_MIN_DOFS", 0)
+        runs, real = [], solve_module.gmres
+
+        def gmres(A, b, x0=None, *, rtol, restart, callback, **kwargs):
+            steps = []
+            y, info = real(A, b, x0=x0, rtol=1e-6 if not runs else rtol, restart=restart,
+                           callback=lambda norm: (steps.append(norm), callback(norm)), **kwargs)
+            runs.append((restart, len(steps)))
+            return y, 1 if len(runs) == 1 else info
+
+        def coarse_lu_only(M, dofmap, dtype=np.float64):
+            if dtype != np.float64:
+                raise AssertionError("the direct path ran")
+            return real_factor(M, dofmap, dtype)
+
+        real_factor = solve_module._factor
+        monkeypatch.setattr(solve_module, "gmres", gmres)
+        monkeypatch.setattr(solve_module, "_factor", coarse_lu_only)
+        mesh, system = tet_system(2)
+        coeffs, report = solve_saddle(system, mesh)
+        cap = solve_module.KRYLOV_MAX_ITERATIONS
+        assert len(runs) == 2
+        assert runs[0][0] == cap and runs[1][0] == cap - runs[0][1]
+        assert report.iterations == runs[0][1] + runs[1][1] <= cap
+        assert true_residual(system, coeffs.values) <= 1e-12
 
     def test_iteration_cap_falls_back_to_direct(self, monkeypatch):
         monkeypatch.setattr(solve_module, "KRYLOV_MIN_DOFS", 0)
