@@ -137,7 +137,7 @@ def _factor(M, dofmap, dtype=np.float64):
                   options={"SymmetricMode": True, "DiagPivotThresh": 0.001})
     except (MemoryError, SystemError) as exc:
         # SuperLU reports running out of memory as invalid arguments
-        raise FactorMemoryError(f"sparse LU factorization ran out of memory: {exc}") from exc
+        raise FactorMemoryError("sparse LU factorization ran out of memory") from exc
     except RuntimeError as exc:
         raise SingularSystemError(f"sparse LU factorization failed: {exc}") from exc
 
