@@ -35,7 +35,6 @@ from .spaces import (
     project_stress,
 )
 from .verify import (
-    ErrorReport,
     ManufacturedCase,
     case_2d_poly,
     case_3d_sine,
@@ -48,7 +47,6 @@ __all__ = [
     "AssembledSystem",
     "BasisSet",
     "DofMap",
-    "ErrorReport",
     "FaceTopology",
     "FieldCoeffs",
     "ManufacturedCase",

@@ -1,13 +1,13 @@
 """Experiment driver: h-sweeps and p-sweeps with CSV/markdown tables.
 
 Exit codes: 0 success, 2 configuration validation failure, 3 solver
-failure (a residual, a singular system or SuperLU out of memory).
+failure (a residual, a singular system, or running out of memory in any
+layer from a level's face topology to its error norms).
 """
 
 from __future__ import annotations
 
 import argparse
-import math
 import sys
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -26,7 +26,7 @@ from .mesh import (
 )
 from .solve import SolverError, solve_saddle
 from .spaces import build_dofmap
-from .verify import ErrorReport, case_2d_poly, case_3d_sine, error_energy, error_l2
+from .verify import case_2d_poly, case_3d_sine, error_energy, error_l2, observed_orders
 
 PROBLEMS = ("elas2d_poly", "elas3d_sine")
 MESHES = ("tri-uniform", "quad-uniform", "tet-uniform")
@@ -53,16 +53,10 @@ class RunConfig:
     problem: str = "elas2d_poly"
     mesh: str = "tri-uniform"
     levels: list = field(default_factory=lambda: [2, 4, 8, 16])
-    k: int = 1
-    l: int = 1
-    k_list: list = None          # set for p-sweeps
+    degrees: list = field(default_factory=lambda: [(1, 1)])  # (k, l); several: a p-sweep
     stab: StabilizationParams = None
     fmt: str = "csv"
     out: str = None
-
-    @property
-    def is_p_sweep(self) -> bool:
-        return self.k_list is not None
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -110,14 +104,13 @@ def config_from_args(args) -> RunConfig:
     ls = None if args.l is None else _parse_ints(args.l, "--l")
     if any(k < 0 for k in ks):
         raise ConfigError("degrees must be >= 0")
-    k_list = None
     if len(ks) > 1:
         if ls is not None and ls != ks:
             raise ConfigError("p-sweeps run with l = k; omit --l")
-        k_list, k, l = ks, ks[0], ks[0]
+        degrees = [(k, k) for k in ks]
     else:
-        k = ks[0]
-        l = k if ls is None else ls[0]
+        degrees = [(ks[0], ks[0] if ls is None else ls[0])]
+    k, l = degrees[0]
     if abs(k - l) > 1:
         raise ConfigError(f"|k - l| = {abs(k - l)} > 1 violates the space inclusions")
 
@@ -131,7 +124,7 @@ def config_from_args(args) -> RunConfig:
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
 
-    levels = _parse_levels(args.levels, mesh, p_sweep=k_list is not None)
+    levels = _parse_levels(args.levels, mesh, p_sweep=len(degrees) > 1)
     if args.problem == "elas3d_sine" and mesh != "tet-uniform":
         raise ConfigError("elas3d_sine runs on tet-uniform meshes")
     if args.problem == "elas2d_poly" and mesh == "tet-uniform":
@@ -146,7 +139,7 @@ def config_from_args(args) -> RunConfig:
 
     return RunConfig(
         problem=args.problem, mesh=mesh, levels=levels,
-        k=k, l=l, k_list=k_list, stab=stab,
+        degrees=degrees, stab=stab,
         fmt=args.fmt, out=args.out,
     )
 
@@ -172,6 +165,8 @@ def _parse_levels(spec: str, mesh: str, p_sweep: bool = False) -> list:
         raise ConfigError("explicit levels must be nonnegative")
     if p_sweep and len(parts) != 1:
         raise ConfigError("p-sweeps need exactly one mesh level")
+    if not mesh.startswith("file:") and min(parts) < 1:
+        raise ConfigError("structured levels need n >= 1")
     return parts
 
 
@@ -187,8 +182,6 @@ def _meshes_for(config: RunConfig, case):
     }
     if config.mesh in builders:
         for n in config.levels:
-            if n < 1:
-                raise ConfigError("structured levels need n >= 1")
             yield str(n), builders[config.mesh](n, case.box)
         return
     path = Path(config.mesh[len("file:"):])
@@ -220,77 +213,57 @@ def _solve_level(mesh, case, k, l, stab):
     coeffs, _report = solve_saddle(system, mesh)
     e_l2 = error_l2(mesh, dofmap, coeffs, case)
     e_en = error_energy(mesh, topo, dofmap, coeffs, coeffs, case, stab)
-    return dofmap, e_l2, e_en
+    return dofmap.total_dofs, e_l2, e_en
 
 
-def run_h_sweep(config: RunConfig):
-    """One solve per level; table rows (level, h, dofs, err_l2, order, err_energy, order)."""
-    case = _case_for(config)
-    report = ErrorReport()
-    for level_id, mesh in _meshes_for(config, case):
-        try:
-            dofmap, e_l2, e_en = _solve_level(mesh, case, config.k, config.l, config.stab)
-        except SolverError as exc:
-            raise SolverError(f"level {level_id}: {exc}") from exc
-        report.add_level(level_id, mesh.h_max, dofmap.total_dofs, e_l2, e_en)
-    rows = _report_rows(report)
-    return report, _render(rows, "h", config.fmt)
+def run_sweep(config: RunConfig) -> str:
+    """One solve and one table row per level: a mesh of an h-sweep, or a
+    degree pair of a p-sweep on its one mesh.
 
-
-def run_p_sweep(config: RunConfig):
-    """Fixed mesh, k = l sweep; errors scaled by the expected p powers.
-
-    Rows hold p^(k+1) * err_l2 and p^s * err_energy with s = k + 1/2 for
+    h-sweep rows carry observed orders when every level halves h. p-sweep
+    rows hold p^(k+1) * err_l2 and p^s * err_energy with s = k + 1/2 for
     C22 = O(1) and s = k for decaying or absent C22, p = min(k,l) + 1, then
     the raw errors.
     """
     case = _case_for(config)
-    if len(config.levels) != 1:
-        raise ConfigError("p-sweeps need exactly one mesh level")
-    meshes = list(_meshes_for(config, case))
-    _, mesh = meshes[0]
+    p_sweep = len(config.degrees) > 1
+    if p_sweep:
+        _, mesh = next(_meshes_for(config, case))
+        levels = [(str(k), mesh, (k, l)) for k, l in config.degrees]
+    else:
+        # lazily, so that one level's mesh is alive at a time
+        levels = ((level_id, mesh, config.degrees[0])
+                  for level_id, mesh in _meshes_for(config, case))
+    c22_order_one = config.stab.beta2 == 0.0 and not config.stab.c22_zero
     rows = []
-    for k in config.k_list:
+    for level_id, mesh, (k, l) in levels:
         try:
-            dofmap, e_l2, e_en = _solve_level(mesh, case, k, k, config.stab)
+            dofs, e_l2, e_en = _solve_level(mesh, case, k, l, config.stab)
+        except MemoryError as exc:
+            raise SolverError(f"level {level_id}: out of memory") from exc
         except SolverError as exc:
-            raise SolverError(f"k = {k}: {exc}") from exc
-        p = k + 1
-        s = k + 0.5 if (config.stab.beta2 == 0.0 and not config.stab.c22_zero) else k
-        rows.append({
-            "level": str(k),
-            "x": float(k),
-            "dofs": dofmap.total_dofs,
-            "err_l2": p ** (k + 1) * e_l2,
-            "order_l2": None,
-            "err_energy": p ** s * e_en,
-            "order_energy": None,
-            "raw": (e_l2, e_en),
-        })
-    return rows, _render(rows, "k", config.fmt)
-
-
-def _report_rows(report: ErrorReport):
-    o_l2 = report.orders_l2()
-    o_en = report.orders_energy()
-    rows = []
-    for i in range(len(report.h)):
-        rows.append({
-            "level": report.level_ids[i],
-            "x": report.h[i],
-            "dofs": report.dofs[i],
-            "err_l2": report.err_l2[i],
-            "order_l2": o_l2[i - 1] if i > 0 else None,
-            "err_energy": report.err_energy[i],
-            "order_energy": o_en[i - 1] if i > 0 else None,
-        })
-    return rows
+            raise SolverError(f"level {level_id}: {exc}") from exc
+        row = {"level": level_id, "x": mesh.h_max, "dofs": dofs, "err_l2": e_l2,
+               "order_l2": None, "err_energy": e_en, "order_energy": None}
+        if p_sweep:
+            p = min(k, l) + 1
+            s = k + 0.5 if c22_order_one else k
+            row.update(x=k, err_l2=p ** (k + 1) * e_l2, err_energy=p ** s * e_en,
+                       raw=(e_l2, e_en))
+        rows.append(row)
+    if not p_sweep:
+        for norm in ("l2", "energy"):
+            try:
+                orders = observed_orders([(r["x"], r[f"err_{norm}"]) for r in rows])
+            except ValueError:  # some level does not halve h
+                continue
+            for row, order in zip(rows[1:], orders):
+                row[f"order_{norm}"] = order
+    return _render(rows, "k" if p_sweep else "h", config.fmt)
 
 
 def _fmt_order(v):
-    if v is None or (isinstance(v, float) and math.isnan(v)):
-        return ""
-    return f"{v:.2f}"
+    return "" if v is None else f"{v:.2f}"
 
 
 def _render(rows, x_name: str, fmt: str) -> str:
@@ -325,10 +298,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         config = config_from_args(args)
-        if config.is_p_sweep:
-            _, text = run_p_sweep(config)
-        else:
-            _, text = run_h_sweep(config)
+        text = run_sweep(config)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

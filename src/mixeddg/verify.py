@@ -9,7 +9,7 @@ correct.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -34,16 +34,23 @@ from .spaces import (
 
 @dataclass(frozen=True)
 class ManufacturedCase:
-    """Exact displacement/stress pair with the load that drives it."""
+    """Exact displacement with the load that drives it; the exact stress
+    follows from the material."""
 
-    dim: int
     box: tuple
     material: MaterialParams
     u: callable          # (n, d) -> (n, d)
     grad_u: callable     # (n, d) -> (n, d, d), [q, i, j] = du_i/dx_j
-    sigma: callable      # (n, d) -> (n, d, d)
     f: callable          # (n, d) -> (n, d)
-    description: str
+
+    @property
+    def dim(self) -> int:
+        return self.material.dim
+
+    def sigma(self, x):
+        """(n, d) -> (n, d, d): the stiffness applied to sym(grad u)."""
+        g = self.grad_u(x)
+        return stiffness_apply(0.5 * (g + np.swapaxes(g, -1, -2)), self.material)
 
 
 def case_2d_poly(lam: float = 0.3, mu: float = 0.35) -> ManufacturedCase:
@@ -74,10 +81,6 @@ def case_2d_poly(lam: float = 0.3, mu: float = 0.35) -> ManufacturedCase:
         g[..., 1, 1] = A * dR2 - B * dP2
         return g
 
-    def sigma(x):
-        g = grad_u(x)
-        return stiffness_apply(0.5 * (g + np.swapaxes(g, -1, -2)), mat)
-
     def f(x):
         x1, x2 = x[..., 0], x[..., 1]
         f1 = -8 * (x1 + x2) * (
@@ -91,14 +94,11 @@ def case_2d_poly(lam: float = 0.3, mu: float = 0.35) -> ManufacturedCase:
         return np.stack([f1, f2], axis=-1)
 
     return ManufacturedCase(
-        dim=2,
         box=((-1.0, 1.0), (-1.0, 1.0)),
         material=mat,
         u=u,
         grad_u=grad_u,
-        sigma=sigma,
         f=f,
-        description="2d polynomial displacement on (-1,1)^2",
     )
 
 
@@ -121,10 +121,6 @@ def case_3d_sine(lam: float = 0.3, mu: float = 0.35) -> ManufacturedCase:
         dg[..., 2] = pi * s[..., 0] * s[..., 1] * c[..., 2]
         return a[:, None] * dg[..., None, :]
 
-    def sigma(x):
-        g = grad_u(x)
-        return stiffness_apply(0.5 * (g + np.swapaxes(g, -1, -2)), mat)
-
     def f(x):
         # -div(2 mu eps(u) + lam div(u) I) in closed form; gated by the
         # finite-difference equilibrium oracle in the test suite.
@@ -143,14 +139,11 @@ def case_3d_sine(lam: float = 0.3, mu: float = 0.35) -> ManufacturedCase:
         return out
 
     return ManufacturedCase(
-        dim=3,
         box=((0.0, 1.0), (0.0, 1.0), (0.0, 1.0)),
         material=mat,
         u=u,
         grad_u=grad_u,
-        sigma=sigma,
         f=f,
-        description="3d sine displacement on the unit cube",
     )
 
 
@@ -237,39 +230,3 @@ def observed_orders(errors) -> list:
             )
         orders.append(math.log2(es[i] / es[i + 1]))
     return orders
-
-
-@dataclass
-class ErrorReport:
-    """Per-level errors of a refinement study with observed orders."""
-
-    level_ids: list = field(default_factory=list)
-    h: list = field(default_factory=list)
-    dofs: list = field(default_factory=list)
-    err_l2: list = field(default_factory=list)
-    err_energy: list = field(default_factory=list)
-
-    def add_level(self, level_id, h, dofs, err_l2, err_energy):
-        self.level_ids.append(level_id)
-        self.h.append(float(h))
-        self.dofs.append(int(dofs))
-        self.err_l2.append(float(err_l2))
-        self.err_energy.append(float(err_energy))
-
-    @property
-    def halving(self) -> bool:
-        return all(
-            math.isclose(self.h[i + 1] / self.h[i], 0.5, rel_tol=1e-9)
-            for i in range(len(self.h) - 1)
-        )
-
-    def orders_l2(self) -> list:
-        return self._orders(self.err_l2)
-
-    def orders_energy(self) -> list:
-        return self._orders(self.err_energy)
-
-    def _orders(self, errors) -> list:
-        if not self.halving:
-            return [float("nan")] * max(len(self.h) - 1, 0)
-        return observed_orders(list(zip(self.h, errors)))

@@ -1,3 +1,6 @@
+import os
+import subprocess
+import sys
 from importlib import resources
 from pathlib import Path
 
@@ -105,6 +108,13 @@ class TestHSweep:
         assert first[0] == "2" and first[4] == "" and first[6] == ""
         last = lines[-1].split(",")
         assert float(last[4]) > 1.0  # l2 order heading toward 2
+
+    def test_non_halving_levels_leave_orders_blank(self, tmp_path):
+        code, out = run(tmp_path, "--levels", "4,8,12", "--k", "1")
+        assert code == 0
+        rows = [ln.split(",") for ln in out.read_text().strip().splitlines()[1:]]
+        assert [r[0] for r in rows] == ["4", "8", "12"]
+        assert all(r[4] == "" and r[6] == "" for r in rows)
 
     def test_one_level_run(self, tmp_path):
         code, out = run(tmp_path, "--levels", "1", "--k", "0")
@@ -218,9 +228,25 @@ class TestSolverFailureExit:
         run(tmp_path, "--levels", "1", "--k", "0")
         assert "level 2" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("error", [SystemError("gstrf was called with invalid arguments"),
-                                       MemoryError()], ids=["system-error", "memory-error"])
-    def test_out_of_memory_names_level(self, tmp_path, monkeypatch, capsys, error):
+    def test_p_sweep_failure_names_level(self, tmp_path, monkeypatch, capsys):
+        real = cli.solve_saddle
+
+        def fail_at_k3(system, mesh=None):
+            if system.dofmap.k == 3:
+                raise ResidualToleranceError(SolveReport(1.0, 0.0, 0.0, 0))
+            return real(system, mesh)
+
+        monkeypatch.setattr(cli, "solve_saddle", fail_at_k3)
+        code, _ = run(tmp_path, "--k", "1,2,3", "--levels", "1")
+        assert code == 3
+        assert "level 3:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("where,error", [
+        ("splu", SystemError("gstrf was called with invalid arguments")),
+        ("splu", MemoryError()),
+        ("assembly", MemoryError("Unable to allocate 55.8 MiB")),
+    ], ids=["system-error", "memory-error", "assembly-memory-error"])
+    def test_out_of_memory_names_level(self, tmp_path, monkeypatch, capsys, where, error):
         # SuperLU reports running out of memory as invalid arguments; the
         # float32 factorization's failure is not retried in float64
         factorizations, real = [], solve_module.splu
@@ -231,12 +257,18 @@ class TestSolverFailureExit:
             factorizations.append(A.dtype)
             raise error
 
-        monkeypatch.setattr(solve_module, "splu", splu)
+        def assemble(*args):
+            raise error
+
+        if where == "splu":
+            monkeypatch.setattr(solve_module, "splu", splu)
+        else:
+            monkeypatch.setattr(cli, "assemble_system", assemble)
         code, _ = run(tmp_path, "--levels", "1", "--k", "0")
         assert code == 3
         err = capsys.readouterr().err
-        assert "level 2" in err and "out of memory" in err
-        assert factorizations == [np.float32]
+        assert "level 2" in err and "out of memory" in err and err.count("\n") == 1
+        assert factorizations == ([np.float32] if where == "splu" else [])
 
 
 class TestSolverPath:
@@ -260,3 +292,21 @@ class TestStdout:
         code = cli.main(["--levels", "1", "--k", "0"])
         assert code == 0
         assert capsys.readouterr().out.startswith("level,h,dofs")
+
+
+class TestEntryPoint:
+    @pytest.mark.parametrize("argv,code", [
+        (["--problem", "heat"], 2),
+        (["--levels", "1", "--k", "0"], 0),
+    ], ids=["config-error", "one-level"])
+    def test_python_m_mixeddg(self, argv, code):
+        src = str(Path(cli.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [src] + ([os.environ["PYTHONPATH"]] if os.environ.get("PYTHONPATH") else [])))
+        proc = subprocess.run([sys.executable, "-m", "mixeddg"] + argv, env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == code
+        if code == 2:
+            assert proc.stderr.startswith("config error") and proc.stderr.count("\n") == 1
+        else:
+            assert proc.stdout.startswith("level,h,dofs,err_l2,order,err_energy,order\n")

@@ -26,7 +26,6 @@ from mixeddg import (
 from mixeddg.forms import StabilizationParams
 from mixeddg.polybasis import cell_quadrature
 from mixeddg.spaces import FieldCoeffs, data_exactness
-from mixeddg.verify import ErrorReport
 from oracles import (
     cell_points,
     cell_ref_coords,
@@ -245,7 +244,6 @@ class TestErrorEnergy:
             case2d,
             u=lambda x: scale * case2d.u(x),
             grad_u=lambda x: scale * case2d.grad_u(x),
-            sigma=lambda x: scale * case2d.sigma(x),
             f=lambda x: scale * case2d.f(x),
         )
         scaled_coeffs = FieldCoeffs(dm, scale * coeffs.values)
@@ -342,16 +340,3 @@ class TestObservedOrders:
     def test_non_halving_rejected(self):
         with pytest.raises(ValueError, match="halve"):
             observed_orders([(1.0, 4.0), (0.4, 1.0)])
-
-    def test_error_report_orders(self):
-        rep = ErrorReport()
-        rep.add_level("2", 1.0, 10, 4.0, 2.0)
-        rep.add_level("4", 0.5, 40, 1.0, 1.0)
-        assert rep.orders_l2() == pytest.approx([2.0])
-        assert rep.orders_energy() == pytest.approx([1.0])
-
-    def test_error_report_non_halving_gives_nan(self):
-        rep = ErrorReport()
-        rep.add_level("a", 1.0, 10, 4.0, 2.0)
-        rep.add_level("b", 0.7, 40, 1.0, 1.0)
-        assert all(math.isnan(o) for o in rep.orders_l2())
