@@ -2,7 +2,7 @@
 
 Exit codes: 0 success, 2 configuration validation failure, 3 solver
 failure (a residual, a singular system, or running out of memory in any
-layer from a level's face topology to its error norms).
+layer from a level's mesh to its error norms).
 """
 
 from __future__ import annotations
@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import sys
 from dataclasses import dataclass, field
+from functools import cache, partial
 from pathlib import Path
 
 import numpy as np
@@ -175,15 +176,18 @@ def _case_for(config: RunConfig):
 
 
 def _meshes_for(config: RunConfig, case):
+    """(level id, function that builds its mesh) of each mesh level, in order.
+
+    Each level builds its own mesh, so that one level's mesh is alive at a
+    time and running out of memory while building it names the level.
+    """
     builders = {
         "tri-uniform": build_uniform_tri,
         "quad-uniform": build_uniform_quad,
         "tet-uniform": build_uniform_tet,
     }
     if config.mesh in builders:
-        for n in config.levels:
-            yield str(n), builders[config.mesh](n, case.box)
-        return
+        return [(str(n), partial(builders[config.mesh], n, case.box)) for n in config.levels]
     path = Path(config.mesh[len("file:"):])
     try:
         mesh = read_mesh(path.read_text())
@@ -197,23 +201,25 @@ def _meshes_for(config: RunConfig, case):
     if not np.allclose(mesh.domain_box, box, atol=1e-9):
         raise ConfigError(
             f"mesh covers {mesh.domain_box.tolist()}, problem domain is {box.tolist()}")
-    refinements = sorted(config.levels)
-    current, done = mesh, 0
-    for r in refinements:
-        while done < r:
-            current = refine_red(current)
-            done += 1
-        yield f"r{r}", current
+    return [(f"r{r}", partial(_refined, mesh, r)) for r in sorted(config.levels)]
 
 
-def _solve_level(mesh, case, k, l, stab):
+def _refined(mesh, times):
+    """mesh after `times` red refinements."""
+    for _ in range(times):
+        mesh = refine_red(mesh)
+    return mesh
+
+
+def _solve_level(build_mesh, case, k, l, stab):
+    mesh = build_mesh()
     topo = build_face_topology(mesh)
     dofmap = build_dofmap(mesh, k, l)
     system = assemble_system(mesh, topo, dofmap, case.material, stab, case.f)
     coeffs, _report = solve_saddle(system, mesh)
     e_l2 = error_l2(mesh, dofmap, coeffs, case)
     e_en = error_energy(mesh, topo, dofmap, coeffs, coeffs, case, stab)
-    return dofmap.total_dofs, e_l2, e_en
+    return mesh.h_max, dofmap.total_dofs, e_l2, e_en
 
 
 def run_sweep(config: RunConfig) -> str:
@@ -226,24 +232,23 @@ def run_sweep(config: RunConfig) -> str:
     the raw errors.
     """
     case = _case_for(config)
+    meshes = _meshes_for(config, case)
     p_sweep = len(config.degrees) > 1
     if p_sweep:
-        _, mesh = next(_meshes_for(config, case))
-        levels = [(str(k), mesh, (k, l)) for k, l in config.degrees]
+        build_mesh = cache(meshes[0][1])  # built by the first degree, shared by the rest
+        levels = [(str(k), build_mesh, (k, l)) for k, l in config.degrees]
     else:
-        # lazily, so that one level's mesh is alive at a time
-        levels = ((level_id, mesh, config.degrees[0])
-                  for level_id, mesh in _meshes_for(config, case))
+        levels = [(level_id, build_mesh, config.degrees[0]) for level_id, build_mesh in meshes]
     c22_order_one = config.stab.beta2 == 0.0 and not config.stab.c22_zero
     rows = []
-    for level_id, mesh, (k, l) in levels:
+    for level_id, build_mesh, (k, l) in levels:
         try:
-            dofs, e_l2, e_en = _solve_level(mesh, case, k, l, config.stab)
+            h, dofs, e_l2, e_en = _solve_level(build_mesh, case, k, l, config.stab)
         except MemoryError as exc:
             raise SolverError(f"level {level_id}: out of memory") from exc
         except SolverError as exc:
             raise SolverError(f"level {level_id}: {exc}") from exc
-        row = {"level": level_id, "x": mesh.h_max, "dofs": dofs, "err_l2": e_l2,
+        row = {"level": level_id, "x": h, "dofs": dofs, "err_l2": e_l2,
                "order_l2": None, "err_energy": e_en, "order_energy": None}
         if p_sweep:
             p = min(k, l) + 1

@@ -2,12 +2,16 @@
 
 Sparse LU solves every system, except the levels that have a coarse level,
 C22 != 0 and at least KRYLOV_MIN_DOFS dofs, and that in 2D also have the
-penalties C11 ~ 1/h and C22 ~ h: scipy's GMRES, right-preconditioned by a
-multilevel cycle over the nested meshes, solves those, falling back to LU if
-it misses KRYLOV_TOL within KRYLOV_MAX_ITERATIONS.  (With C22 = 0, and in 2D
-with any other penalty scaling, the cycle was measured not to beat the direct
-solve.)  The LU is float32, refined in float64 to KRYLOV_TOL, or float64 where
-that fails; the multilevel cycle's coarsest LU is float64.
+penalties C11 ~ 1/h and C22 ~ h: flexible GMRES, right-preconditioned by a
+float32 multilevel cycle over the nested meshes, solves those.  (With
+C22 = 0, and in 2D with any other penalty scaling, the cycle was measured not
+to beat the direct solve.)  The cycle is linear only to float32 roundoff,
+which plain GMRES does not allow; flexible GMRES keeps each preconditioned
+vector instead.  It restarts from its iterate whenever the true residual
+misses KRYLOV_TOL, and falls back to LU when KRYLOV_MAX_ITERATIONS cycle
+applications, summed over the restarts, do not reach it, or when M leaves
+float32's normal range.  The LU is float32, refined in float64 to KRYLOV_TOL,
+or float64 where that fails; the multilevel cycle's coarsest LU is float32.
 """
 
 from __future__ import annotations
@@ -18,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.sparse.linalg import LinearOperator, gmres, splu
+from scipy.sparse.linalg import splu
 
 from .spaces import FieldCoeffs, build_dofmap, prolongation
 
@@ -28,7 +32,7 @@ RESIDUAL_TOL = 1e-9
 # true relative residual at which GMRES stops, far under RESIDUAL_TOL so that
 # the printed errors match the direct solve's
 KRYLOV_TOL = 1e-12
-# Arnoldi steps after which GMRES gives up and LU takes over
+# cycle applications after which GMRES gives up and LU takes over
 KRYLOV_MAX_ITERATIONS = 100
 # dofs from which GMRES beats the direct solve
 KRYLOV_MIN_DOFS = 10_000
@@ -67,7 +71,8 @@ class SolveReport:
     of M and its LU, solve_s the refinement, factor_nnz is the float32 LU's
     (the float64 one's after a fallback), iterations is 0 and levels 1.  On
     the GMRES path factor_s is the preconditioner's set-up, solve_s the
-    iterations, factor_nnz the coarsest level's LU's, iterations GMRES's and
+    iterations, factor_nnz the coarsest level's float32 LU's, iterations the
+    cycle's applications on the fine grid, summed over GMRES's restarts, and
     levels the number of grids in the cycle, the level's own included.  A
     fallback from GMRES reports the direct path, its time in factor_s.
 
@@ -150,14 +155,24 @@ def _factor(M, dofmap, dtype=np.float64):
 
 
 def _refine(M, b, lu_solve):
-    """x by float64 refinement on a float32 LU, or None if it misses KRYLOV_TOL."""
+    """x by float64 refinement on a float32 LU, or None if it misses KRYLOV_TOL.
+
+    Refinement stops when the true residual no longer halves, or when the
+    next correction, extrapolated from the last two by their ratio, would
+    fall under float64's resolution of x.
+    """
     x, r = np.zeros_like(b), b
     norm_b = norm_r = np.linalg.norm(b)
+    norm_d = 0.0
     for _ in range(KRYLOV_MAX_ITERATIONS if norm_b > 0 else 0):
-        x += norm_r * lu_solve(r / norm_r)  # at unit norm the cast stays in range
+        d = norm_r * lu_solve(r / norm_r)  # at unit norm the cast stays in range
+        x += d
         r = b - M @ x
         last, norm_r = norm_r, np.linalg.norm(r)
+        last_d, norm_d = norm_d, np.linalg.norm(d)
         if not 0 < norm_r <= 0.5 * last:  # the true residual no longer halves
+            break
+        if norm_d ** 2 <= np.finfo(float).eps * np.linalg.norm(x) * last_d:
             break
     return x if norm_r <= KRYLOV_TOL * norm_b else None
 
@@ -178,17 +193,40 @@ def _recurses(dofmap, mesh):
     return dofmap.total_dofs >= KRYLOV_MIN_DOFS and mesh.coarse_level is not None
 
 
+def _single_operator(M, dofmap):
+    """v -> M v in float32, over M's own index arrays.
+
+    M's CSC arrays read as CSR hold M^T, and since Aa and Cc are symmetric,
+    M = S M^T S with S = +1 on the stress and -1 on the displacement dofs.
+    The float32 data is the one new array of M's size; the CSR product is
+    also faster than the CSC one.  Raises FloatingPointError out of float32's
+    normal range.
+    """
+    sign = np.ones(M.shape[0], np.float32)
+    sign[dofmap.disp_dofs] = -1.0
+    with np.errstate(over="raise", under="raise"):
+        MT = sp.csr_matrix((M.data.astype(np.float32), M.indices, M.indptr), shape=M.shape)
+    return lambda x: sign * (MT @ (sign * x))
+
+
 def _multilevel(M, dofmap, mesh):
-    """One multilevel cycle as a preconditioner for M: (cycle, nnz, grids).
+    """One float32 multilevel cycle as a preconditioner for M: (cycle, nnz, grids).
 
     Two damped cell-block Jacobi sweeps, whose blocks are the cells' own
-    diagonal blocks of M (a Vanka-type smoother); a coarse correction by the
-    Galerkin operator P^T M P of the prolongation P from mesh.coarse_level;
-    then two more sweeps.  The correction applies the coarse level's own
-    cycle to P^T M P when _recurses holds for that level, and otherwise a
-    float64 _factor of P^T M P (a float32 one made the cycle nonlinear at
-    1e-7).  nnz is that LU's, and grids counts the levels down to it.
+    diagonal blocks of M (a Vanka-type smoother), inverted in float64; a
+    coarse correction by the Galerkin operator P^T M P of the prolongation P
+    from mesh.coarse_level; then two more sweeps.  The correction applies the
+    coarse level's own cycle to P^T M P when _recurses holds for that level,
+    and otherwise a float32 _factor of P^T M P.  The cycle maps float32 to
+    float32; M enters it through _single_operator.  nnz is the coarsest LU's,
+    and grids counts the levels down to it.  Raises FloatingPointError out of
+    float32's normal range.
     """
+    # the cell blocks' index arrays are the set-up's peak: before any coarse data
+    with np.errstate(over="raise", under="raise"):
+        D_inv = np.linalg.inv(_cell_blocks(M, dofmap)).astype(np.float32)
+    matvec = _single_operator(M, dofmap)
+    size = dofmap.cell_size
     P = prolongation(mesh, dofmap)
     coarse_mesh = mesh.coarse_level[0]
     coarse = build_dofmap(coarse_mesh, dofmap.k, dofmap.l)
@@ -196,41 +234,78 @@ def _multilevel(M, dofmap, mesh):
     if _recurses(coarse, coarse_mesh):
         coarse_solve, nnz, grids = _multilevel(M_coarse, coarse, coarse_mesh)
     else:
-        (coarse_solve, nnz), grids = _factor(M_coarse, coarse), 1
-    D_inv = np.linalg.inv(_cell_blocks(M, dofmap))
-    size = dofmap.cell_size
+        (coarse_solve, nnz), grids = _factor(M_coarse, coarse, np.float32), 1
+    with np.errstate(over="raise", under="raise"):
+        P = P.astype(np.float32)
+    PT = P.T.tocsr()
 
     def jacobi(r):
         return SMOOTHER_DAMPING * (D_inv @ r.reshape(-1, size, 1)).ravel()
 
     def cycle(r):
         x = jacobi(r)
-        x += jacobi(r - M @ x)
-        x += P @ coarse_solve(P.T @ (r - M @ x))
-        x += jacobi(r - M @ x)
-        x += jacobi(r - M @ x)
+        x += jacobi(r - matvec(x))
+        x += P @ coarse_solve(PT @ (r - matvec(x)))
+        x += jacobi(r - matvec(x))
+        x += jacobi(r - matvec(x))
         return x
 
     return cycle, nnz, grids + 1
 
 
-def _gmres(M, b, precondition):
-    """Right-preconditioned GMRES from x = 0: (x, iterations).
+def _arnoldi_cycle(M, r, precondition, steps, tol):
+    """One cycle of flexible GMRES on M dx = r: (dx, applications).
 
-    scipy's GMRES on the operator v -> M precondition(v) tests the true
-    relative residual of x = precondition(y) against KRYLOV_TOL.  When the
-    Arnoldi estimate passes but the true residual does not, a second cycle
-    starts from y; the two share KRYLOV_MAX_ITERATIONS Arnoldi steps.  x is
-    None when the run ends above the tolerance.
+    The float64 Arnoldi basis V is built by classical Gram-Schmidt, done
+    twice, on the products M z_j of the preconditioned vectors
+    z_j = precondition(v_j).  They are kept in float32, as precondition may
+    change from step to step.  The cycle ends when the least-squares
+    estimate of ||r - M dx|| passes tol, or after steps applications of
+    precondition; dx = Z y is summed in float64.
     """
-    steps, y, info = [], None, 1
-    operator = LinearOperator(M.shape, lambda v: M @ precondition(v), dtype=M.dtype)
-    for _ in range(2):
-        if info > 0 and len(steps) < KRYLOV_MAX_ITERATIONS:
-            y, info = gmres(operator, b, x0=y, rtol=KRYLOV_TOL, atol=0.0, maxiter=1,
-                            restart=KRYLOV_MAX_ITERATIONS - len(steps),
-                            callback=steps.append, callback_type="pr_norm")
-    return (None if info != 0 else precondition(y)), len(steps)
+    V = np.empty((steps + 1, len(r)))  # rows take memory only when written
+    Z = np.empty((steps, len(r)), np.float32)
+    H = np.zeros((steps + 1, steps))
+    g = np.zeros(steps + 1)
+    g[0] = np.linalg.norm(r)
+    V[0] = r / g[0]
+    for j in range(steps):
+        Z[j] = precondition(V[j].astype(np.float32))
+        w = M @ Z[j]
+        h = V[:j + 1] @ w
+        w -= V[:j + 1].T @ h
+        again = V[:j + 1] @ w
+        w -= V[:j + 1].T @ again
+        H[:j + 1, j] = h + again
+        H[j + 1, j] = np.linalg.norm(w)
+        y = np.linalg.lstsq(H[:j + 2, :j + 1], g[:j + 2], rcond=None)[0]
+        if H[j + 1, j] == 0 or np.linalg.norm(g[:j + 2] - H[:j + 2, :j + 1] @ y) <= tol:
+            break
+        V[j + 1] = w / H[j + 1, j]
+    dx = np.zeros_like(r)
+    for y_i, z_i in zip(y, Z):
+        dx += y_i * z_i
+    return dx, j + 1
+
+
+def _fgmres(M, b, precondition):
+    """Flexible GMRES from x = 0, right-preconditioned: (x, applications).
+
+    An _arnoldi_cycle's estimate can pass KRYLOV_TOL while the true residual
+    b - M x does not; a new cycle then starts from x with the steps left.
+    KRYLOV_MAX_ITERATIONS caps the applications of precondition over all
+    cycles; x is None when they run out above the tolerance.
+    """
+    tol = KRYLOV_TOL * np.linalg.norm(b)
+    x, r, applications = np.zeros_like(b), b, 0
+    while np.linalg.norm(r) > tol:
+        if applications == KRYLOV_MAX_ITERATIONS:
+            return None, applications
+        dx, steps = _arnoldi_cycle(M, r, precondition, KRYLOV_MAX_ITERATIONS - applications, tol)
+        x += dx
+        applications += steps
+        r = b - M @ x
+    return x, applications
 
 
 def solve_saddle(system, mesh=None):
@@ -249,9 +324,10 @@ def solve_saddle(system, mesh=None):
     h_scaled = stab.alpha1 == -1.0 and stab.beta1 == 1.0  # C11 ~ 1/h, C22 ~ h
     if (mesh is not None and not stab.c22_zero and (mesh.dim == 3 or h_scaled)
             and _recurses(dofmap, mesh)):
-        precondition, nnz, levels = _multilevel(M, dofmap, mesh)
-        t1 = time.perf_counter()
-        x, iterations = _gmres(M, b, precondition)
+        with contextlib.suppress(FloatingPointError, SingularSystemError):
+            precondition, nnz, levels = _multilevel(M, dofmap, mesh)
+            t1 = time.perf_counter()
+            x, iterations = _fgmres(M, b, precondition)
     if x is None:
         iterations, levels = 0, 1
         with contextlib.suppress(FloatingPointError, SingularSystemError):

@@ -270,6 +270,23 @@ class TestSolverFailureExit:
         assert "level 2" in err and "out of memory" in err and err.count("\n") == 1
         assert factorizations == ([np.float32] if where == "splu" else [])
 
+    @pytest.mark.parametrize("argv,level", [
+        (("--levels", "2,4"), "4"), (("--k", "1,2", "--levels", "4"), "1"),
+    ], ids=["h-sweep", "p-sweep"])
+    def test_mesh_out_of_memory_names_level(self, tmp_path, monkeypatch, capsys, argv, level):
+        # a mesh too large to build fails inside its level
+        real = cli.build_uniform_tri
+
+        def build(n, box):
+            if n == 4:
+                raise MemoryError("Unable to allocate 74.5 GiB")
+            return real(n, box)
+
+        monkeypatch.setattr(cli, "build_uniform_tri", build)
+        code, _ = run(tmp_path, *argv)
+        assert code == 3
+        assert capsys.readouterr().err == f"solver failure: level {level}: out of memory\n"
+
 
 class TestSolverPath:
     def test_solve_gets_the_mesh(self, tmp_path, monkeypatch):

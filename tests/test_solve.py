@@ -264,7 +264,8 @@ class TestMixedPrecision:
 
     @pytest.mark.parametrize("kind,n,k", [("tri", 16, 1), ("tet", 3, 1), ("tri", 2, 10)])
     def test_refinement_steps(self, kind, n, k, monkeypatch):
-        # 4 steps at each: the fourth no longer halves the residual
+        # 3 steps at each: the residual reaches its roundoff floor at the
+        # third, and a fourth correction would be under x's last bit
         steps, real = [], solve_module._refine
 
         def refine(M, b, lu_solve):
@@ -279,7 +280,7 @@ class TestMixedPrecision:
         system = assemble_system(mesh, build_face_topology(mesh), build_dofmap(mesh, k, k),
                                  case.material, StabilizationParams(), case.f)
         _, report = solve_saddle(system)
-        assert 2 <= len(steps) <= 6
+        assert len(steps) == 3
         assert report.relative_residual <= 1e-13
 
 
@@ -496,49 +497,108 @@ class TestTwoLevel:
         assert report.factor_nnz == direct_report.factor_nnz
         assert np.array_equal(coeffs.values, direct.values)
 
-    def test_estimate_miss_takes_second_cycle(self, monkeypatch):
-        # scipy ends its cycle when the Arnoldi estimate passes but the true
-        # residual does not; a first cycle stopped at 1e-6 stands in for that
+    def test_restart_from_x_reaches_tolerance(self, monkeypatch):
+        # a cycle ends when its estimate passes, which the true residual may
+        # not; a first cycle stopped at 1e-6 stands in for that, and the
+        # restart from x takes the steps left
         monkeypatch.setattr(solve_module, "KRYLOV_MIN_DOFS", 0)
-        runs, real = [], solve_module.gmres
+        runs, real = [], solve_module._arnoldi_cycle
 
-        def gmres(A, b, x0=None, *, rtol, restart, callback, **kwargs):
-            steps = []
-            y, info = real(A, b, x0=x0, rtol=1e-6 if not runs else rtol, restart=restart,
-                           callback=lambda norm: (steps.append(norm), callback(norm)), **kwargs)
-            runs.append((restart, len(steps)))
-            return y, 1 if len(runs) == 1 else info
+        def arnoldi_cycle(M, r, precondition, steps, tol):
+            loose = tol * 1e6 if not runs else tol
+            dx, applications = real(M, r, precondition, steps, loose)
+            runs.append((steps, applications))
+            return dx, applications
 
-        def coarse_lu_only(M, dofmap, dtype=np.float64):
-            if dtype != np.float64:
-                raise AssertionError("the direct path ran")
-            return real_factor(M, dofmap, dtype)
-
-        real_factor = solve_module._factor
-        monkeypatch.setattr(solve_module, "gmres", gmres)
-        monkeypatch.setattr(solve_module, "_factor", coarse_lu_only)
+        monkeypatch.setattr(solve_module, "_arnoldi_cycle", arnoldi_cycle)
         mesh, system = tet_system(2)
         coeffs, report = solve_saddle(system, mesh)
         cap = solve_module.KRYLOV_MAX_ITERATIONS
         assert len(runs) == 2
         assert runs[0][0] == cap and runs[1][0] == cap - runs[0][1]
         assert report.iterations == runs[0][1] + runs[1][1] <= cap
+        assert report.levels == 2  # no fallback to LU
         assert true_residual(system, coeffs.values) <= 1e-12
 
     def test_iteration_cap_falls_back_to_direct(self, monkeypatch):
+        # the cap counts cycle applications summed over the restarts
         monkeypatch.setattr(solve_module, "KRYLOV_MIN_DOFS", 0)
-        monkeypatch.setattr(solve_module, "KRYLOV_MAX_ITERATIONS", 2)
-        runs, real_gmres = [], solve_module._gmres
+        monkeypatch.setattr(solve_module, "KRYLOV_MAX_ITERATIONS", 6)
+        steps_given, applied = [], []
+        real_cycle, real_fgmres = solve_module._arnoldi_cycle, solve_module._fgmres
 
-        def gmres(*args):
-            runs.append(real_gmres(*args))
+        def arnoldi_cycle(M, r, precondition, steps, tol):
+            steps_given.append(steps)
+
+            def counted(v):
+                applied.append(v)
+                return precondition(v)
+
+            return real_cycle(M, r, counted, min(steps, 4), tol)
+
+        runs = []
+
+        def fgmres(*args):
+            runs.append(real_fgmres(*args))
             return runs[-1]
 
-        monkeypatch.setattr(solve_module, "_gmres", gmres)
+        monkeypatch.setattr(solve_module, "_arnoldi_cycle", arnoldi_cycle)
+        monkeypatch.setattr(solve_module, "_fgmres", fgmres)
         mesh, system = tet_system(2)
         coeffs, report = solve_saddle(system, mesh)
         direct, direct_report = solve_saddle(system)
-        assert [(x, iterations) for x, iterations in runs] == [(None, 2)]
+        assert steps_given == [6, 2] and len(applied) == 6
+        assert [(x, applications) for x, applications in runs] == [(None, 6)]
         assert report.iterations == 0
         assert report.factor_nnz == direct_report.factor_nnz
         assert np.array_equal(coeffs.values, direct.values)
+
+    def test_out_of_single_range_takes_direct(self, monkeypatch):
+        # the float32 cycle cannot hold M; the direct path takes float64
+        monkeypatch.setattr(solve_module, "KRYLOV_MIN_DOFS", 0)
+        mesh, system = tet_system(2)
+        scaled = dataclasses.replace(system, M=system.M * 1e38, b=system.b * 1e38)
+        dtypes = spy_factor(monkeypatch)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            coeffs, report = solve_saddle(scaled, mesh)
+        assert dtypes == [np.float64]
+        assert (report.iterations, report.levels) == (0, 1)
+        assert np.array_equal(coeffs.values, double_lu(scaled)[0])
+
+    def test_cycle_is_single_precision(self, monkeypatch):
+        monkeypatch.setattr(solve_module, "KRYLOV_MIN_DOFS", 0)
+        mesh, system = tri_system(8)
+        dtypes = spy_factor(monkeypatch)
+        cycle, _, grids = solve_module._multilevel(system.M, system.dofmap, mesh)
+        r = np.ones(system.dofmap.total_dofs, np.float32)
+        assert cycle(r).dtype == np.float32
+        assert dtypes == [np.float32] and grids == 4  # the n=1 level's LU
+
+
+class TestSignSymmetry:
+    """M = S M^T S, S = +1 on stress and -1 on displacement dofs, which lets
+    the cycle apply M through its own index arrays read as CSR."""
+
+    @pytest.mark.parametrize("stab", [StabilizationParams(), C22_ONE],
+                             ids=["default", "c11=hinv,c22=1"])
+    @pytest.mark.parametrize("mesh_fn", [
+        lambda: build_uniform_tri(8, BOX2), lambda: build_uniform_quad(4, BOX2),
+        lambda: build_uniform_tet(2, BOX3),
+    ], ids=["tri", "quad", "tet"])
+    def test_float32_operator(self, mesh_fn, stab, rng):
+        mesh = mesh_fn()
+        case = case_2d_poly() if mesh.dim == 2 else case_3d_sine()
+        dm = build_dofmap(mesh, 2, 2)
+        M = assemble_system(mesh, build_face_topology(mesh), dm, case.material, stab,
+                            case.f).M
+        sign = np.ones(dm.total_dofs)
+        sign[dm.disp_dofs] = -1.0
+        S = sp.diags(sign)
+        assert abs(S @ M.T @ S - M).max() <= 1e-14 * abs(M).max()
+        x = rng.randn(dm.total_dofs).astype(np.float32)
+        y = solve_module._single_operator(M, dm)(x)
+        assert y.dtype == np.float32
+        exact = x.astype(float)
+        bound = np.finfo(np.float32).eps * np.linalg.norm(abs(M) @ abs(exact))
+        assert np.linalg.norm(y - M @ exact) <= bound
