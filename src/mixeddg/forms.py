@@ -14,9 +14,11 @@ so M is block-sparse with one dense [stress | displacement] block per pair of
 a cell with itself or with a face neighbour.  Each volume and face term is
 such a block, batched over the cells and the interior and boundary faces, and
 written into its pair's block, where they add in a fixed order, so reruns are
-bit-identical; scipy's BSR-to-CSR conversion lays the blocks out as M's CSC
-arrays, without their exact zeros.  Homogeneous Dirichlet data enters
-only through the retained boundary-face terms.
+bit-identical.  The blocks are stored by column cell, each column cell's pairs
+ordered by row cell and padded with zero blocks to a common count, so that a
+transposed view of them is M's CSC order; one boolean gather of that view
+drops the exact zeros and gives M's data and row indices.  Homogeneous
+Dirichlet data enters only through the retained boundary-face terms.
 """
 
 from __future__ import annotations
@@ -192,11 +194,17 @@ def assemble_system(mesh, topo, dofmap: DofMap, mat: MaterialParams,
     c22 = penalty_values(mesh, dofmap, stab, "c22", plus_in, minus_in)
     with_c22 = bool(np.any(c22 != 0.0))
 
-    # a dense block per cell pair, (pair, local column, local row) by column, then
-    # row cell; slot numbers the own pairs, then each face's (plus, minus), (minus, plus)
+    # a dense block per cell pair, (column cell, rank, local column, local row),
+    # where rank orders a column cell's pairs by their row cells, padded with zero
+    # blocks to the same number of ranks for every column cell; slot numbers the
+    # own pairs, then each face's (plus, minus), (minus, plus)
     keys, slot = np.unique(np.concatenate([np.arange(nc) * (nc + 1), minus_in * nc + plus_in,
                                            plus_in * nc + minus_in]), return_inverse=True)
-    blocks = np.zeros((len(keys), size, size))
+    pair_row, pair_col = keys % nc, keys // nc
+    pair_rank = np.arange(len(keys)) - np.searchsorted(pair_col, pair_col)
+    ranks = pair_rank.max() + 1
+    slot = (pair_col * ranks + pair_rank)[slot]
+    blocks = np.zeros((nc * ranks, size, size))
     stress, disp = slice(None, s_size), slice(s_size, None)
 
     # volume terms, batched over cells
@@ -213,14 +221,6 @@ def assemble_system(mesh, topo, dofmap: DofMap, mat: MaterialParams,
     blocks[slot[:nc], stress, stress] = detj[:, None, None] * kron.T[None, :, :]
     blocks[slot[:nc], disp, stress] = blocks_b.transpose(0, 2, 1)
     blocks[slot[:nc], stress, disp] = -blocks_b
-
-    # load vector, batched over cells at data exactness
-    rule_f = cell_quadrature(mesh.cell_kind, data_exactness(dofmap))
-    Vk_f = basis_k.eval(rule_f.points)
-    phys = all_cell_points(mesh, rule_f.points)
-    fx = np.asarray(f(phys.reshape(-1, d))).reshape(nc, rule_f.size, d)
-    b = np.zeros(dofmap.total_dofs)
-    b[dofmap.disp_dofs] = np.einsum("Fqc,q,jq,F->Fcj", fx, rule_f.weights, Vk_f, detj).ravel()
 
     # face terms, batched over the interior and then the boundary faces; a
     # cell's own block adds them in face order, one round of distinct cells at
@@ -283,16 +283,27 @@ def assemble_system(mesh, topo, dofmap: DofMap, mat: MaterialParams,
                 add(i, j, disp, stress, blk_bt)
                 add(j, i, stress, disp, -blk_bt.transpose(0, 2, 1))
 
-    # the blocks, (pair, local column, local row) by column cell, are a BSR
-    # of M^T, so the CSR arrays of M^T are the CSC arrays of M; the exact
-    # zeros, the neighbour stress-stress blocks among them when C22 = 0,
-    # are not stored
-    pair_row, pair_col = keys % nc, keys // nc
-    cell_ptr = np.searchsorted(pair_col, np.arange(nc + 1))
+    # read as (column cell, local column, rank, local row), the blocks are M's
+    # CSC arrays with the exact zeros, the padding and, when C22 = 0, the
+    # neighbour stress-stress blocks among them: keep the nonzeros
+    by_col = blocks.reshape(nc, ranks, size, size).transpose(0, 2, 1, 3)
+    nonzero = by_col != 0.0
+    data = by_col[nonzero]
+    del blocks, by_col
+    row_cell = np.zeros((nc, 1, ranks, 1), np.int32)
+    row_cell[pair_col, 0, pair_rank, 0] = pair_row
+    indices = np.broadcast_to(row_cell * size + np.arange(size, dtype=np.int32),
+                              nonzero.shape)[nonzero]
     n = dofmap.total_dofs
-    MT = sp.bsr_matrix((blocks, pair_row, cell_ptr), shape=(n, n)).tocsr()
-    del blocks
-    MT.eliminate_zeros()
-    # eliminate_zeros keeps buffers under twice the entries: copy the entries
-    M = sp.csc_matrix((MT.data.copy(), MT.indices.copy(), MT.indptr), shape=(n, n))
+    indptr = np.zeros(n + 1, np.int32)
+    indptr[1:] = np.cumsum(nonzero.sum(axis=(2, 3)))
+    M = sp.csc_matrix((data, indices, indptr), shape=(n, n))
+
+    # load vector, batched over cells at data exactness, after the blocks are freed
+    rule_f = cell_quadrature(mesh.cell_kind, data_exactness(dofmap))
+    Vk_f = basis_k.eval(rule_f.points)
+    phys = all_cell_points(mesh, rule_f.points)
+    fx = np.asarray(f(phys.reshape(-1, d))).reshape(nc, rule_f.size, d)
+    b = np.zeros(n)
+    b[dofmap.disp_dofs] = np.einsum("Fqc,q,jq,F->Fcj", fx, rule_f.weights, Vk_f, detj).ravel()
     return AssembledSystem(M=M, b=b, dofmap=dofmap, stab=stab)

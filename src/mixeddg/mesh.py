@@ -489,9 +489,11 @@ def build_face_topology(mesh: Mesh) -> FaceTopology:
     return FaceTopology(plus, minus, fverts, normals, measures, n_int)
 
 
-def all_cell_points(mesh: Mesh, ref_points: np.ndarray) -> np.ndarray:
-    """Physical images of reference points in every cell; (nc, nq, d)."""
-    return mesh.cell_v0[:, None, :] + ref_points @ mesh.jacobians.transpose(0, 2, 1)
+def all_cell_points(mesh: Mesh, ref_points: np.ndarray, cells=slice(None)) -> np.ndarray:
+    """Physical images of reference points in every cell, or in the cells that
+    `cells` (a slice or index array) selects; (nc, nq, d)."""
+    return (mesh.cell_v0[cells][:, None, :]
+            + ref_points @ mesh.jacobians[cells].transpose(0, 2, 1))
 
 
 def side_ref_coords(mesh: Mesh, cells, x):

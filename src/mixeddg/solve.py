@@ -38,6 +38,8 @@ KRYLOV_MAX_ITERATIONS = 100
 KRYLOV_MIN_DOFS = 10_000
 # damping of the cell-block Jacobi smoother
 SMOOTHER_DAMPING = 0.7
+# stored entries of M scanned at a time for the smoother's cell blocks
+SCAN_ENTRIES = 1 << 18
 
 
 class SolverError(RuntimeError):
@@ -178,13 +180,23 @@ def _refine(M, b, lu_solve):
 
 
 def _cell_blocks(M, dofmap):
-    """Each cell's own dense diagonal block of M, (cells, cell size, cell size)."""
+    """Each cell's own dense diagonal block of M, (cells, cell size, cell size).
+
+    M's columns are scanned a chunk of whole cells at a time, of about
+    SCAN_ENTRIES stored entries, so that the index arrays stay that small.
+    """
     size = dofmap.cell_size
-    col = np.repeat(np.arange(M.shape[1]), np.diff(M.indptr))
-    own = M.indices // size == col // size
-    row, col = M.indices[own], col[own]
     D = np.zeros((dofmap.num_cells, size, size))
-    D[col // size, row % size, col % size] = M.data[own]
+    chunk = max(1, SCAN_ENTRIES * dofmap.num_cells // M.nnz) * size
+    for start in range(0, M.shape[1], chunk):
+        stop = min(start + chunk, M.shape[1])
+        lo, hi = M.indptr[start], M.indptr[stop]
+        col = np.repeat(np.arange(start, stop, dtype=M.indices.dtype),
+                        np.diff(M.indptr[start:stop + 1]))
+        row = M.indices[lo:hi]
+        own = row // size == col // size
+        row, col = row[own], col[own]
+        D[col // size, row % size, col % size] = M.data[lo:hi][own]
     return D
 
 
@@ -222,7 +234,7 @@ def _multilevel(M, dofmap, mesh):
     and grids counts the levels down to it.  Raises FloatingPointError out of
     float32's normal range.
     """
-    # the cell blocks' index arrays are the set-up's peak: before any coarse data
+    # the float64 cell blocks and their inverses live before any coarse data
     with np.errstate(over="raise", under="raise"):
         D_inv = np.linalg.inv(_cell_blocks(M, dofmap)).astype(np.float32)
     matvec = _single_operator(M, dofmap)

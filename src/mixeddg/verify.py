@@ -31,6 +31,10 @@ from .spaces import (
     tensor_from_components,
 )
 
+# quadrature points per batch of cells in the energy error's volume term, which
+# holds a few (points, d, d) float64 arrays at a time
+VOLUME_BATCH_POINTS = 1 << 14
+
 
 @dataclass(frozen=True)
 class ManufacturedCase:
@@ -184,12 +188,19 @@ def error_energy(mesh, topo, dofmap: DofMap, sigma_h: FieldCoeffs,
     Vl = orthonormal_basis(mesh.cell_kind, dofmap.l).eval(rule.points)
     bases = tuple(orthonormal_basis(mesh.cell_kind, p) for p in (dofmap.k, dofmap.l))
 
-    comp = np.einsum("Fam,mq->Fqa", sigma_h.all_stress_blocks(), Vl)
-    sh = tensor_from_components(comp, d)
-    phys = all_cell_points(mesh, rule.points)
-    es = np.asarray(case.sigma(phys.reshape(-1, d))).reshape(sh.shape) - sh
-    total = np.einsum("F,q,Fqij,Fqij->", np.abs(mesh.det_jac), rule.weights,
-                      compliance_apply(es, mat), es)
+    # the volume term over batches of cells, of at most VOLUME_BATCH_POINTS
+    # quadrature points unless one cell has more
+    total = 0.0
+    stress_blocks = sigma_h.all_stress_blocks()
+    batch = max(1, VOLUME_BATCH_POINTS // rule.size)
+    for start in range(0, mesh.num_cells, batch):
+        cells = slice(start, start + batch)
+        comp = np.einsum("Fam,mq->Fqa", stress_blocks[cells], Vl)
+        sh = tensor_from_components(comp, d)
+        phys = all_cell_points(mesh, rule.points, cells)
+        es = np.asarray(case.sigma(phys.reshape(-1, d))).reshape(sh.shape) - sh
+        total += np.einsum("F,q,Fqij,Fqij->", np.abs(mesh.det_jac[cells]), rule.weights,
+                           compliance_apply(es, mat), es)
 
     for faces in (topo.interior, topo.boundary):
         if faces.start == faces.stop:

@@ -328,3 +328,15 @@ def eval_basis_on_cell(basis: BasisSet, mesh, cell: int, ref_points: np.ndarray)
     jinv = mesh.jac_inv[cell]
     grads = np.einsum("iqr,rs->iqs", basis.eval_grad(ref_points), jinv)
     return vals, grads
+
+
+def cell_blocks(M, dofmap: DofMap) -> np.ndarray:
+    """Each cell's own dense diagonal block of M, (cells, cell size, cell size),
+    picked out through index arrays of M's full size in one pass."""
+    size = dofmap.cell_size
+    col = np.repeat(np.arange(M.shape[1]), np.diff(M.indptr))
+    own = M.indices // size == col // size
+    row, col = M.indices[own], col[own]
+    D = np.zeros((dofmap.num_cells, size, size))
+    D[col // size, row % size, col % size] = M.data[own]
+    return D

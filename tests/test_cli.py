@@ -6,6 +6,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mixeddg import cli
 from mixeddg import solve as solve_module
@@ -199,6 +201,21 @@ class TestPSweep:
             assert len(cells) == 9
             assert float(cells[7]) * p ** (k + 1) == pytest.approx(float(cells[3]), rel=1e-6)
             assert float(cells[8]) * p ** (k + 0.5) == pytest.approx(float(cells[5]), rel=1e-6)
+
+    @settings(max_examples=6, derandomize=True, database=None, deadline=None)
+    @given(ks=st.lists(st.integers(0, 3), min_size=2, max_size=3, unique=True),
+           flux=st.sampled_from(sorted(cli.FLUX_ALIASES)))
+    def test_scaled_columns_are_p_powers_of_raw(self, ks, flux):
+        # p = k + 1; energy is scaled by p^(k+1/2) for C22 = O(1) and by p^k
+        # for C22 = 0 or C22 ~ 1/p
+        argv = ["--levels", "2", "--k", ",".join(map(str, ks)), "--flux", flux]
+        text = cli.run_sweep(cli.config_from_args(cli.build_parser().parse_args(argv)))
+        rows = [line.split(",") for line in text.strip().splitlines()[1:]]
+        assert [float(row[1]) for row in rows] == ks
+        for row, k in zip(rows, ks):
+            s = k if flux.endswith(("c22=0", "c22=pinv")) else k + 0.5
+            assert float(row[3]) == pytest.approx((k + 1) ** (k + 1) * float(row[7]), rel=1e-6)
+            assert float(row[5]) == pytest.approx((k + 1) ** s * float(row[8]), rel=1e-6)
 
     def test_markdown_raw_columns(self, tmp_path):
         code, out = run(tmp_path, "--k", "1,2", "--levels", "2", "--format", "md")

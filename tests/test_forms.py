@@ -1,5 +1,6 @@
 import hashlib
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -349,6 +350,25 @@ class TestAssembly:
         for array in (system.M.indptr, system.M.indices, system.M.data, system.b):
             sha.update(array.tobytes())
         assert sha.hexdigest() == digest
+
+    @pytest.mark.parametrize("kind,n,k", [("tet", 3, 1), ("quad", 3, 2), ("tri", 2, 8)])
+    def test_scratch_bounded(self, kind, n, k):
+        # the traced peak inside assemble_system stays within 20 % of the
+        # cell-pair blocks, padded to the most pairs of any column cell, plus
+        # the final M: no scratch array of M's size beside the blocks
+        mesh = {"tri": build_uniform_tri, "quad": build_uniform_quad,
+                "tet": build_uniform_tet}[kind](n, BOX3 if kind == "tet" else BOX2)
+        topo, dm, mat, _ = _assemble(mesh, k, k)  # fills the basis and quadrature caches
+        tracemalloc.start()
+        try:
+            M = assemble_system(mesh, topo, dm, mat, StabilizationParams(), _zero_load).M
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        pairs = 1 + np.bincount(np.concatenate([topo.plus[topo.interior],
+                                                topo.minus[topo.interior]]))
+        blocks = mesh.num_cells * pairs.max() * dm.cell_size ** 2 * 8
+        assert peak <= 1.2 * (blocks + M.data.nbytes + M.indices.nbytes + M.indptr.nbytes)
 
     def test_reassembly_bit_identical(self):
         mesh = build_uniform_tri(4, BOX2)

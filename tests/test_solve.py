@@ -17,7 +17,7 @@ from mixeddg.spaces import FieldCoeffs, prolongation
 from mixeddg.forms import MaterialParams, StabilizationParams, assemble_system
 from mixeddg.solve import ResidualToleranceError, SingularSystemError, \
     _block_graph, _factor, _stress_first_order
-from oracles import cell_points, cell_ref_coords, evaluate_field, exact_residual
+from oracles import cell_blocks, cell_points, cell_ref_coords, evaluate_field, exact_residual
 
 BOX2 = ((-1.0, 1.0), (-1.0, 1.0))
 BOX3 = ((0.0, 1.0), (0.0, 1.0), (0.0, 1.0))
@@ -574,6 +574,26 @@ class TestTwoLevel:
         r = np.ones(system.dofmap.total_dofs, np.float32)
         assert cycle(r).dtype == np.float32
         assert dtypes == [np.float32] and grids == 4  # the n=1 level's LU
+
+
+class TestCellBlocks:
+    @pytest.mark.parametrize("scan", [None, 3000], ids=["default", "chunked"])
+    @pytest.mark.parametrize("mesh_fn", [
+        lambda: build_uniform_tri(8, BOX2), lambda: build_uniform_quad(4, BOX2),
+        lambda: build_uniform_tet(2, BOX3),
+    ], ids=["tri", "quad", "tet"])
+    def test_match_one_pass_oracle(self, mesh_fn, scan, monkeypatch):
+        # a small SCAN_ENTRIES scans one to four cells at a time
+        mesh = mesh_fn()
+        case = case_2d_poly() if mesh.dim == 2 else case_3d_sine()
+        dm = build_dofmap(mesh, 2, 1)
+        M = assemble_system(mesh, build_face_topology(mesh), dm, case.material,
+                            StabilizationParams(), case.f).M
+        if scan is not None:
+            monkeypatch.setattr(solve_module, "SCAN_ENTRIES", scan)
+        D = solve_module._cell_blocks(M, dm)
+        assert np.array_equal(D, cell_blocks(M, dm))
+        assert np.all(D[:, np.arange(dm.cell_size), np.arange(dm.cell_size)] != 0.0)
 
 
 class TestSignSymmetry:

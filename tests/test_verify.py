@@ -23,6 +23,7 @@ from mixeddg import (
     read_mesh,
     solve_saddle,
 )
+from mixeddg import verify as verify_module
 from mixeddg.forms import StabilizationParams
 from mixeddg.polybasis import cell_quadrature
 from mixeddg.spaces import FieldCoeffs, data_exactness
@@ -250,6 +251,21 @@ class TestErrorEnergy:
         val = error_energy(mesh, topo, dm, scaled_coeffs, scaled_coeffs,
                            scaled_case, stab)
         assert val == pytest.approx(abs(scale) * base, rel=1e-12)
+
+
+    def test_volume_batches_agree(self, rng, monkeypatch):
+        # tet n=3 has 162 cells: batches of 60 cells make three
+        mesh = build_uniform_tet(3, ((0.0, 1.0),) * 3)
+        topo = build_face_topology(mesh)
+        dm = build_dofmap(mesh, 1, 1)
+        case, stab = case_3d_sine(), StabilizationParams()
+        coeffs = FieldCoeffs(dm, rng.randn(dm.total_dofs))
+        points = cell_quadrature(mesh.cell_kind, data_exactness(dm)).size
+        values = []
+        for cells in (mesh.num_cells, 60):
+            monkeypatch.setattr(verify_module, "VOLUME_BATCH_POINTS", cells * points)
+            values.append(error_energy(mesh, topo, dm, coeffs, coeffs, case, stab))
+        assert values[1] == pytest.approx(values[0], rel=1e-13, abs=0.0)
 
 
 class TestSeminormB:
