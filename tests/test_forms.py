@@ -355,7 +355,7 @@ class TestAssembly:
     def test_scratch_bounded(self, kind, n, k):
         # the traced peak inside assemble_system stays within 20 % of the
         # cell-pair blocks, padded to the most pairs of any column cell, plus
-        # the final M: no scratch array of M's size beside the blocks
+        # the final M: no zero-filled copy of the blocks beside them
         mesh = {"tri": build_uniform_tri, "quad": build_uniform_quad,
                 "tet": build_uniform_tet}[kind](n, BOX3 if kind == "tet" else BOX2)
         topo, dm, mat, _ = _assemble(mesh, k, k)  # fills the basis and quadrature caches

@@ -252,7 +252,6 @@ class TestErrorEnergy:
                            scaled_case, stab)
         assert val == pytest.approx(abs(scale) * base, rel=1e-12)
 
-
     def test_volume_batches_agree(self, rng, monkeypatch):
         # tet n=3 has 162 cells: batches of 60 cells make three
         mesh = build_uniform_tet(3, ((0.0, 1.0),) * 3)
