@@ -8,17 +8,17 @@ trace block b(.,.), and a displacement jump penalty c(.,.):
     c(u, v) = int_{all faces} C11 [[u]] : [[v]] ds
     F(v)    = int f . v dx
 
-assembled in one pass into the saddle matrix M, which is [[Aa, Bb], [-Bb^T, Cc]]
-on (stress; displacement) coefficients.  The dofs are numbered cell by cell,
-so M is block-sparse with one dense [stress | displacement] block per pair of
-a cell with itself or with a face neighbour.  Each volume and face term is
-such a block, batched over the cells and the interior and boundary faces, and
-written into its pair's block, where they add in a fixed order, so reruns are
-bit-identical.  The blocks are stored by column cell, each column cell's pairs
+assembled into the saddle matrix M, which is [[Aa, Bb], [-Bb^T, Cc]] on
+(stress; displacement) coefficients.  The dofs are numbered cell by cell, so M
+has one dense block per pair of a cell with itself or with a face neighbour.
+The face terms, the load and verify's error norms integrate in the batches of
+face_batches and cell_batches, of at most BATCH_POINTS quadrature points each;
+the terms add into their pairs' blocks in one order for any batch size, so M
+is bit-identical for all.  The blocks are stored by column cell, its pairs
 ordered by row cell and padded with zero blocks to a common count, so that a
-transposed view of them is M's CSC order; one boolean gather of that view
-drops the exact zeros and gives M's data and row indices.  Homogeneous
-Dirichlet data enters only through the retained boundary-face terms.
+transposed view is M's CSC order; one boolean gather of it drops the exact
+zeros and gives M's data and row indices.  Homogeneous Dirichlet data enters
+only through the retained boundary-face terms.
 """
 
 from __future__ import annotations
@@ -30,8 +30,12 @@ import numpy as np
 import scipy.sparse as sp
 
 from .mesh import all_cell_points, face_quadrature, side_ref_coords
-from .polybasis import cell_quadrature, orthonormal_basis
+from .polybasis import cell_quadrature, orthonormal_basis, simplex_quadrature
 from .spaces import DofMap, data_exactness, stress_unit_tensors
+
+# quadrature points per batch of cells or faces in cell_batches and
+# face_batches, whose callers hold a few arrays of that many points at a time
+BATCH_POINTS = 1 << 14
 
 
 @dataclass(frozen=True)
@@ -144,12 +148,6 @@ class AssembledSystem:
         return self.M[dofs[i]][:, dofs[j]]
 
 
-def eval_on_faces(basis, ref):
-    """Basis values at (nf, nq, d) reference points; shape (m, nf, nq)."""
-    nf, nq, d = ref.shape
-    return basis.eval(ref.reshape(nf * nq, d)).reshape(basis.size, nf, nq)
-
-
 def penalty_values(mesh, dofmap, stab, which: str, plus, minus=None):
     """C11 (which="c11") or C22 ("c22") on faces with incident cells plus/minus.
 
@@ -163,13 +161,49 @@ def penalty_values(mesh, dofmap, stab, which: str, plus, minus=None):
         if minus is None:
             raise ValueError("C22 terms exist on interior faces only")
         coef, e1, e2 = stab.eta, stab.beta1, stab.beta2
-        if stab.c22_zero:
-            return np.zeros(len(plus))
     h = mesh.diameters
     val = h[plus] ** e1 / p ** e2
     if minus is not None:
         val = np.minimum(val, h[minus] ** e1 / p ** e2)
     return coef * val
+
+
+def cell_batches(mesh, rule):
+    """Consecutive batches of cells, of at most BATCH_POINTS points of `rule`
+    unless one cell has more; yields (cells slice, physical points (n, nq, d))."""
+    batch = max(1, BATCH_POINTS // rule.size)
+    for start in range(0, mesh.num_cells, batch):
+        cells = slice(start, min(start + batch, mesh.num_cells))
+        yield cells, all_cell_points(mesh, rule.points, cells)
+
+
+def face_batches(mesh, topo, dofmap: DofMap, stab: StabilizationParams, exactness: int):
+    """Consecutive batches of the interior faces, then of the boundary faces,
+    of at most BATCH_POINTS quadrature points unless one face has more.
+
+    Yields (faces, x, w, c11, c22, sides): the slice of topo's faces, their
+    physical points (nf, nq, d) and weights (nf, nq), the penalties, with c22
+    None where there is no C22 term (on boundary faces, and when it vanishes),
+    and for the plus and, on interior faces, the minus side a tuple (cells,
+    sign, P_k traces, P_l traces), the traces being the bases at the points
+    mapped into the side's cells, (m, nf, nq) each.
+    """
+    bases = [orthonormal_basis(mesh.cell_kind, p) for p in (dofmap.k, dofmap.l)]
+    batch = max(1, BATCH_POINTS // simplex_quadrature(mesh.dim - 1, exactness).size)
+    for group in (topo.interior, topo.boundary):
+        for start in range(group.start, group.stop, batch):
+            faces = slice(start, min(start + batch, group.stop))
+            x, w = face_quadrature(mesh, topo, faces, exactness)
+            plus = topo.plus[faces]
+            minus = topo.minus[faces] if group == topo.interior else None
+            c22 = (None if minus is None or stab.c22_zero
+                   else penalty_values(mesh, dofmap, stab, "c22", plus, minus))
+            sides = []
+            for cells, sign in [(plus, 1.0), (minus, -1.0)][:1 if minus is None else 2]:
+                ref = side_ref_coords(mesh, cells, x).reshape(-1, mesh.dim)
+                sides.append((cells, sign, *(basis.eval(ref).reshape((basis.size,) + w.shape)
+                                             for basis in bases)))
+            yield faces, x, w, penalty_values(mesh, dofmap, stab, "c11", plus, minus), c22, sides
 
 
 def assemble_system(mesh, topo, dofmap: DofMap, mat: MaterialParams,
@@ -191,8 +225,6 @@ def assemble_system(mesh, topo, dofmap: DofMap, mat: MaterialParams,
     s_size, d_size, size = dofmap.stress_cell_size, dofmap.disp_cell_size, dofmap.cell_size
     detj = np.abs(mesh.det_jac)
     plus_in, minus_in = topo.plus[topo.interior], topo.minus[topo.interior]
-    c22 = penalty_values(mesh, dofmap, stab, "c22", plus_in, minus_in)
-    with_c22 = bool(np.any(c22 != 0.0))
 
     # a dense block per cell pair, (column cell, rank, local column, local row),
     # where rank orders a column cell's pairs by their row cells, padded with zero
@@ -222,64 +254,55 @@ def assemble_system(mesh, topo, dofmap: DofMap, mat: MaterialParams,
     blocks[slot[:nc], disp, stress] = blocks_b.transpose(0, 2, 1)
     blocks[slot[:nc], stress, disp] = -blocks_b
 
-    # face terms, batched over the interior and then the boundary faces; a
-    # cell's own block adds them in face order, one round of distinct cells at
-    # a time, and a neighbour pair's block holds one term
-    for faces in (topo.interior, topo.boundary):
-        nf = faces.stop - faces.start
-        if nf == 0:
-            continue
-        x, wq = face_quadrature(mesh, topo, faces, matrix_exactness)
-        n = topo.normals[faces]
-        En = np.einsum("aij,Fj->Fai", E, n)
-        Q = 0.5 * (np.eye(d)[None, :, :] + n[:, :, None] * n[:, None, :])
-        plus = topo.plus[faces]
-        minus = topo.minus[faces] if faces == topo.interior else None
-        c11 = penalty_values(mesh, dofmap, stab, "c11", plus, minus)
+    # face terms, in face_batches.  A neighbour pair's block holds one term; a
+    # cell's own block adds its terms as the plus cell, then as the minus cell
+    # of interior faces, then on boundary faces, each in face order, one round
+    # of distinct cells at a time.  Its minus faces precede its plus faces, so
+    # that order takes two passes over the batches, whatever their size
+    for second in (False, True):
+        for faces, x, wq, c11, c22, sides in face_batches(mesh, topo, dofmap, stab,
+                                                          matrix_exactness):
+            pairs = [(i, j) for i in range(len(sides)) for j in range(len(sides))
+                     if (i + j == 2 or len(sides) == 1) == second]
+            if not pairs:
+                continue
+            n = topo.normals[faces]
+            En = np.einsum("aij,Fj->Fai", E, n)
+            Q = 0.5 * (np.eye(d)[None, :, :] + n[:, :, None] * n[:, None, :])
+            if c22 is not None:
+                R = np.einsum("Fai,Fbi->Fab", En, En)
 
-        if minus is not None:
-            sides = ((plus, 1.0), (minus, -1.0))
-            avg_w = 0.5
-            R = np.einsum("Fai,Fbi->Fab", En, En)
-            neighbour = (slot[nc:nc + nf], slot[nc + nf:])
-        else:
-            sides = ((plus, 1.0),)
-            avg_w = 1.0
+            own = sides[pairs[0][0]][0]  # the cells whose own blocks this pass adds to
+            by_cell = np.argsort(own, kind="stable")
+            rank = np.arange(len(own)) - np.searchsorted(own[by_cell], own[by_cell])
+            rounds = [by_cell[rank == r] for r in range(rank.max() + 1)]
 
-        Vk_s, Vl_s, rounds = [], [], []
-        for cells, _sign in sides:
-            ref = side_ref_coords(mesh, cells, x)
-            Vk_s.append(eval_on_faces(basis_k, ref))
-            Vl_s.append(eval_on_faces(basis_l, ref))
-            by_cell = np.argsort(cells, kind="stable")
-            rank = np.arange(nf) - np.searchsorted(cells[by_cell], cells[by_cell])
-            rounds.append([by_cell[rank == r] for r in range(rank.max() + 1)])
+            def add(i, j, rows, cols, part):
+                if i != j:
+                    blocks[slot[nc + i * topo.interior_count:][faces], rows, cols] = part
+                else:
+                    for faces_r in rounds:
+                        blocks[slot[own[faces_r]], rows, cols] += part[faces_r]
 
-        def add(i, j, rows, cols, part):
-            if i != j:
-                blocks[neighbour[i], rows, cols] = part
-            else:
-                for faces_r in rounds[i]:
-                    blocks[slot[sides[i][0][faces_r]], rows, cols] += part[faces_r]
-
-        for i, (cells_i, sign_i) in enumerate(sides):
-            for j, (cells_j, sign_j) in enumerate(sides):
-                Mk = np.einsum("iFq,Fq,jFq->Fij", Vk_s[i], wq, Vk_s[j])
+            for i, j in pairs:
+                _, sign_i, Vk_i, Vl_i = sides[i]
+                _, sign_j, Vk_j, Vl_j = sides[j]
+                Mk = np.einsum("iFq,Fq,jFq->Fij", Vk_i, wq, Vk_j)
                 add(i, j, disp, disp, np.einsum(
                     "F,Fcd,Fjk->Fdkcj", c11 * (sign_i * sign_j), Q, Mk
-                ).reshape(nf, d_size, d_size))
+                ).reshape(-1, d_size, d_size))
 
-                if minus is not None and with_c22:
-                    Ml = np.einsum("iFq,Fq,jFq->Fij", Vl_s[i], wq, Vl_s[j])
+                if c22 is not None:
+                    Ml = np.einsum("iFq,Fq,jFq->Fij", Vl_i, wq, Vl_j)
                     add(i, j, stress, stress, np.einsum(
                         "F,Fab,Fik->Fbkai", c22 * (sign_i * sign_j), R, Ml
-                    ).reshape(nf, s_size, s_size))
+                    ).reshape(-1, s_size, s_size))
 
                 # b with stress tests on side i and displacements on side j,
                 # transposed; minus b^T is the lower left of block (j, i)
-                Mlk = np.einsum("iFq,Fq,jFq->Fij", Vl_s[i], wq, Vk_s[j])
-                blk_bt = (avg_w * sign_j) * np.einsum(
-                    "Fac,Fij->Fcjai", En, Mlk).reshape(nf, d_size, s_size)
+                Mlk = np.einsum("iFq,Fq,jFq->Fij", Vl_i, wq, Vk_j)
+                blk_bt = (sign_j / len(sides)) * np.einsum(
+                    "Fac,Fij->Fcjai", En, Mlk).reshape(-1, d_size, s_size)
                 add(i, j, disp, stress, blk_bt)
                 add(j, i, stress, disp, -blk_bt.transpose(0, 2, 1))
 
@@ -299,11 +322,13 @@ def assemble_system(mesh, topo, dofmap: DofMap, mat: MaterialParams,
     indptr[1:] = np.cumsum(nonzero.sum(axis=(2, 3)))
     M = sp.csc_matrix((data, indices, indptr), shape=(n, n))
 
-    # load vector, batched over cells at data exactness, after the blocks are freed
+    # load vector, in cell_batches at data exactness, after the blocks are freed
     rule_f = cell_quadrature(mesh.cell_kind, data_exactness(dofmap))
     Vk_f = basis_k.eval(rule_f.points)
-    phys = all_cell_points(mesh, rule_f.points)
-    fx = np.asarray(f(phys.reshape(-1, d))).reshape(nc, rule_f.size, d)
     b = np.zeros(n)
-    b[dofmap.disp_dofs] = np.einsum("Fqc,q,jq,F->Fcj", fx, rule_f.weights, Vk_f, detj).ravel()
+    b_disp = b.reshape(nc, size)[:, s_size:]
+    for cells, phys in cell_batches(mesh, rule_f):
+        fx = np.asarray(f(phys.reshape(-1, d))).reshape(phys.shape)
+        b_disp[cells] = np.einsum("Fqc,q,jq,F->Fcj", fx, rule_f.weights, Vk_f,
+                                  detj[cells]).reshape(-1, d_size)
     return AssembledSystem(M=M, b=b, dofmap=dofmap, stab=stab)

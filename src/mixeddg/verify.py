@@ -3,7 +3,9 @@
 The energy error is the seminorm induced by the diagonal of the method:
 sqrt(a(es, es) + c(eu, eu)) with es = sigma - sigma_h, eu = u - u_h, with
 exact fields evaluated directly on faces so nonzero-trace variants stay
-correct.
+correct.  Both error norms integrate in forms.cell_batches and
+forms.face_batches, the assembly's batches, so their scratch is bounded by
+forms.BATCH_POINTS and not by the mesh.
 """
 
 from __future__ import annotations
@@ -17,12 +19,11 @@ from .forms import (
     MaterialParams,
     StabilizationParams,
     _sym_outer,
+    cell_batches,
     compliance_apply,
-    eval_on_faces,
-    penalty_values,
+    face_batches,
     stiffness_apply,
 )
-from .mesh import all_cell_points, face_quadrature, side_ref_coords
 from .polybasis import cell_quadrature, orthonormal_basis
 from .spaces import (
     DofMap,
@@ -30,10 +31,6 @@ from .spaces import (
     data_exactness,
     tensor_from_components,
 )
-
-# quadrature points per batch of cells in the energy error's volume term, which
-# holds a few (points, d, d) float64 arrays at a time
-VOLUME_BATCH_POINTS = 1 << 14
 
 
 @dataclass(frozen=True)
@@ -158,22 +155,13 @@ def error_l2(mesh, dofmap: DofMap, u_h: FieldCoeffs, case: ManufacturedCase,
         exactness = data_exactness(dofmap)
     rule = cell_quadrature(mesh.cell_kind, exactness)
     Vk = orthonormal_basis(mesh.cell_kind, dofmap.k).eval(rule.points)
-    uh = np.einsum("Fim,mq->Fqi", u_h.all_disp_blocks(), Vk)
-    phys = all_cell_points(mesh, rule.points)
-    ue = np.asarray(case.u(phys.reshape(-1, mesh.dim))).reshape(uh.shape)
-    diff = ue - uh
-    total = np.einsum("F,q,Fqi,Fqi->", np.abs(mesh.det_jac), rule.weights, diff, diff)
+    total = 0.0
+    for cells, phys in cell_batches(mesh, rule):
+        diff = (np.asarray(case.u(phys.reshape(-1, mesh.dim))).reshape(phys.shape)
+                - np.einsum("Fim,mq->Fqi", u_h.all_disp_blocks()[cells], Vk))
+        total += np.einsum("F,q,Fqi,Fqi->", np.abs(mesh.det_jac[cells]), rule.weights,
+                           diff, diff)
     return math.sqrt(total)
-
-
-def _side_error_traces(mesh, cells, x, bases, sigma_h, u_h, ue, se):
-    """(u - u_h, sigma - sigma_h) traces on one side of a batch of faces,
-    from the exact values ue and se at the face points x."""
-    ref = side_ref_coords(mesh, cells, x)
-    Vk_s, Vl_s = (eval_on_faces(basis, ref) for basis in bases)
-    uh = np.einsum("Fim,mFq->Fqi", u_h.all_disp_blocks()[cells], Vk_s)
-    comp = np.einsum("Fam,mFq->Fqa", sigma_h.all_stress_blocks()[cells], Vl_s)
-    return ue - uh, se - tensor_from_components(comp, mesh.dim)
 
 
 def error_energy(mesh, topo, dofmap: DofMap, sigma_h: FieldCoeffs,
@@ -182,49 +170,35 @@ def error_energy(mesh, topo, dofmap: DofMap, sigma_h: FieldCoeffs,
     """Energy seminorm sqrt(a(es,es) + c(eu,eu)) of the error pair."""
     if exactness is None:
         exactness = data_exactness(dofmap)
-    mat = case.material
     d = mesh.dim
     rule = cell_quadrature(mesh.cell_kind, exactness)
     Vl = orthonormal_basis(mesh.cell_kind, dofmap.l).eval(rule.points)
-    bases = tuple(orthonormal_basis(mesh.cell_kind, p) for p in (dofmap.k, dofmap.l))
+    stress_blocks, disp_blocks = sigma_h.all_stress_blocks(), u_h.all_disp_blocks()
 
-    # the volume term over batches of cells, of at most VOLUME_BATCH_POINTS
-    # quadrature points unless one cell has more
     total = 0.0
-    stress_blocks = sigma_h.all_stress_blocks()
-    batch = max(1, VOLUME_BATCH_POINTS // rule.size)
-    for start in range(0, mesh.num_cells, batch):
-        cells = slice(start, start + batch)
-        comp = np.einsum("Fam,mq->Fqa", stress_blocks[cells], Vl)
-        sh = tensor_from_components(comp, d)
-        phys = all_cell_points(mesh, rule.points, cells)
+    for cells, phys in cell_batches(mesh, rule):
+        sh = tensor_from_components(np.einsum("Fam,mq->Fqa", stress_blocks[cells], Vl), d)
         es = np.asarray(case.sigma(phys.reshape(-1, d))).reshape(sh.shape) - sh
         total += np.einsum("F,q,Fqij,Fqij->", np.abs(mesh.det_jac[cells]), rule.weights,
-                           compliance_apply(es, mat), es)
+                           compliance_apply(es, case.material), es)
 
-    for faces in (topo.interior, topo.boundary):
-        if faces.start == faces.stop:
-            continue
-        x, wq = face_quadrature(mesh, topo, faces, exactness)
+    for faces, x, wq, c11, c22, sides in face_batches(mesh, topo, dofmap, stab, exactness):
         n = topo.normals[faces]
-        plus = topo.plus[faces]
-        minus = topo.minus[faces] if faces == topo.interior else None
-        c11 = penalty_values(mesh, dofmap, stab, "c11", plus, minus)
-        # the exact fields at the face points, shared by both sides
+        # the exact fields at the face points, shared by both sides, and the
+        # jumps of the error traces, plus side minus minus side
         flat = x.reshape(-1, d)
-        exact = (np.asarray(case.u(flat)).reshape(x.shape),
-                 np.asarray(case.sigma(flat)).reshape(x.shape + (d,)))
-
-        eu_p, es_p = _side_error_traces(mesh, plus, x, bases, sigma_h, u_h, *exact)
-        if minus is not None:
-            eu_m, es_m = _side_error_traces(mesh, minus, x, bases, sigma_h, u_h, *exact)
-            mj = _sym_outer(eu_p, n[:, None, :]) - _sym_outer(eu_m, n[:, None, :])
-            c22 = penalty_values(mesh, dofmap, stab, "c22", plus, minus)
-            if np.any(c22 != 0.0):
-                jt = np.einsum("Fqij,Fj->Fqi", es_p - es_m, n)
-                total += np.einsum("F,Fq,Fqi,Fqi->", c22, wq, jt, jt)
-        else:
-            mj = _sym_outer(eu_p, n[:, None, :])
+        ue = np.asarray(case.u(flat)).reshape(x.shape)
+        se = np.asarray(case.sigma(flat)).reshape(x.shape + (d,))
+        ju = jt = 0.0
+        for cells, sign, Vk_s, Vl_s in sides:
+            ju = ju + sign * (ue - np.einsum("Fim,mFq->Fqi", disp_blocks[cells], Vk_s))
+            if c22 is not None:
+                sh = tensor_from_components(
+                    np.einsum("Fam,mFq->Fqa", stress_blocks[cells], Vl_s), d)
+                jt = jt + sign * np.einsum("Fqij,Fj->Fqi", se - sh, n)
+        if c22 is not None:
+            total += np.einsum("F,Fq,Fqi,Fqi->", c22, wq, jt, jt)
+        mj = _sym_outer(ju, n[:, None, :])
         total += np.einsum("F,Fq,Fqij,Fqij->", c11, wq, mj, mj)
     return math.sqrt(total)
 

@@ -1,4 +1,5 @@
 import dataclasses
+import inspect
 import warnings
 from importlib import resources
 
@@ -420,6 +421,27 @@ class TestTwoLevel:
         assert report.relative_residual <= 1e-12
         diff = np.linalg.norm(coeffs.values - direct.values)
         assert diff <= 1e-10 * np.linalg.norm(direct.values)
+
+    def test_splu_gets_no_relax_or_panel_size(self, monkeypatch):
+        # scipy's splu hands relax and panel_size to SuperLU unchecked:
+        # panel_size=0 hangs and -1 segfaults, so neither the direct nor the
+        # multilevel path sets them
+        calls, real = [], solve_module.splu
+
+        def splu(*args, **kwargs):
+            calls.append(inspect.signature(real).bind(*args, **kwargs).arguments)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(solve_module, "splu", splu)
+        monkeypatch.setattr(solve_module, "KRYLOV_MIN_DOFS", 0)
+        mesh, system = tet_system(2)
+        solve_saddle(system)
+        direct = len(calls)
+        assert solve_saddle(system, mesh)[1].levels == 2
+        assert 0 < direct < len(calls)
+        for arguments in calls:
+            assert not {"relax", "panel_size"} & set(arguments)
+            assert not {"Relax", "PanelSize"} & set(arguments.get("options") or {})
 
     @pytest.mark.parametrize("stab,fewest,most", [
         (StabilizationParams(), 38, 45), (C22_ONE, 55, 63)], ids=["default", "c11=hinv,c22=1"])

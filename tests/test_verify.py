@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -23,9 +24,9 @@ from mixeddg import (
     read_mesh,
     solve_saddle,
 )
-from mixeddg import verify as verify_module
+from mixeddg import forms as forms_module
 from mixeddg.forms import StabilizationParams
-from mixeddg.polybasis import cell_quadrature
+from mixeddg.polybasis import cell_quadrature, simplex_quadrature
 from mixeddg.spaces import FieldCoeffs, data_exactness
 from oracles import (
     cell_points,
@@ -252,19 +253,61 @@ class TestErrorEnergy:
                            scaled_case, stab)
         assert val == pytest.approx(abs(scale) * base, rel=1e-12)
 
-    def test_volume_batches_agree(self, rng, monkeypatch):
-        # tet n=3 has 162 cells: batches of 60 cells make three
-        mesh = build_uniform_tet(3, ((0.0, 1.0),) * 3)
+
+class TestBatches:
+    @pytest.mark.parametrize("kind,n,k", [("tet", 3, 1), ("tri", 8, 2)],
+                             ids=["tet3-k1", "tri8-k2"])
+    def test_batches_agree(self, kind, n, k, rng, monkeypatch):
+        # batches of a third of the cells or of the smaller face group: M and b
+        # keep their bits, and the error norms agree to roundoff
+        case, stab = case_3d_sine() if kind == "tet" else case_2d_poly(), StabilizationParams()
+        mesh = {"tet": build_uniform_tet, "tri": build_uniform_tri}[kind](n, case.box)
+        topo = build_face_topology(mesh)
+        dm = build_dofmap(mesh, k, k)
+        coeffs = FieldCoeffs(dm, rng.randn(dm.total_dofs))
+        rule = cell_quadrature(mesh.cell_kind, data_exactness(dm))
+        face_exactness = (2 * k + 2, data_exactness(dm))  # assembly's, the norms'
+        few = min([rule.size * (mesh.num_cells // 3)]
+                  + [simplex_quadrature(mesh.dim - 1, e).size
+                     * (min(topo.interior_count, topo.boundary_count) // 3)
+                     for e in face_exactness])
+        runs = []
+        for points in (1 << 40, few):
+            monkeypatch.setattr(forms_module, "BATCH_POINTS", points)
+            system = assemble_system(mesh, topo, dm, case.material, stab, case.f)
+            runs.append(([system.M.data, system.M.indices, system.M.indptr, system.b],
+                         [error_l2(mesh, dm, coeffs, case),
+                          error_energy(mesh, topo, dm, coeffs, coeffs, case, stab)]))
+        counts = [len(list(forms_module.cell_batches(mesh, rule)))]
+        for e in face_exactness:
+            boundary = [c22 is None for *_, c22, _ in
+                        forms_module.face_batches(mesh, topo, dm, stab, e)]
+            counts += [boundary.count(False), boundary.count(True)]
+        assert min(counts) >= 3
+        (arrays, norms), (batched_arrays, batched_norms) = runs
+        for whole, batched in zip(arrays, batched_arrays):
+            assert np.array_equal(whole, batched)
+        assert batched_norms == pytest.approx(norms, rel=1e-13, abs=0.0)
+
+    @pytest.mark.parametrize("norm", ["l2", "energy"])
+    def test_scratch_bounded(self, norm, case2d, rng):
+        # the norms hold a batch of BATCH_POINTS points at a time, not the mesh:
+        # at tri n=64, k=1 whole-mesh arrays took over 20 MB
+        mesh = build_uniform_tri(64, BOX2)
         topo = build_face_topology(mesh)
         dm = build_dofmap(mesh, 1, 1)
-        case, stab = case_3d_sine(), StabilizationParams()
         coeffs = FieldCoeffs(dm, rng.randn(dm.total_dofs))
-        points = cell_quadrature(mesh.cell_kind, data_exactness(dm)).size
-        values = []
-        for cells in (mesh.num_cells, 60):
-            monkeypatch.setattr(verify_module, "VOLUME_BATCH_POINTS", cells * points)
-            values.append(error_energy(mesh, topo, dm, coeffs, coeffs, case, stab))
-        assert values[1] == pytest.approx(values[0], rel=1e-13, abs=0.0)
+        run = {"l2": lambda: error_l2(mesh, dm, coeffs, case2d),
+               "energy": lambda: error_energy(mesh, topo, dm, coeffs, coeffs, case2d,
+                                              StabilizationParams())}[norm]
+        run()  # fills the basis, quadrature and mesh caches
+        tracemalloc.start()
+        try:
+            run()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 10e6
 
 
 class TestSeminormB:
