@@ -31,8 +31,6 @@ from .spaces import (
     DofMap,
     FieldCoeffs,
     build_dofmap,
-    project_displacement,
-    project_stress,
 )
 from .verify import (
     ManufacturedCase,
@@ -70,8 +68,6 @@ __all__ = [
     "error_l2",
     "observed_orders",
     "orthonormal_basis",
-    "project_displacement",
-    "project_stress",
     "read_mesh",
     "refine_red",
     "simplex_quadrature",

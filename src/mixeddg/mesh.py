@@ -419,10 +419,6 @@ class FaceTopology:
         return self.plus.shape[0]
 
     @property
-    def boundary_count(self) -> int:
-        return self.num_faces - self.interior_count
-
-    @property
     def interior(self) -> slice:
         return slice(0, self.interior_count)
 

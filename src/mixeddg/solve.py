@@ -1,17 +1,19 @@
 """Solution of the assembled saddle-point system.
 
-Sparse LU solves every system, except the levels that have a coarse level,
-C22 != 0 and at least KRYLOV_MIN_DOFS dofs, and that in 2D also have the
-penalties C11 ~ 1/h and C22 ~ h: flexible GMRES, right-preconditioned by a
-float32 multilevel cycle over the nested meshes, solves those.  (With
+The direct solve factors M densely when n^2 <= DENSE_MAX_RATIO * nnz(M), by a
+block Cholesky of the quasi-definite S M, and by sparse LU otherwise.  Levels
+with a coarse level, C22 != 0 and at least KRYLOV_MIN_DOFS dofs, and in 2D the
+penalties C11 ~ 1/h and C22 ~ h, are solved instead by flexible GMRES, right-
+preconditioned by a float32 multilevel cycle over the nested meshes.  (With
 C22 = 0, and in 2D with any other penalty scaling, the cycle was measured not
 to beat the direct solve.)  The cycle is linear only to float32 roundoff,
 which plain GMRES does not allow; flexible GMRES keeps each preconditioned
-vector instead.  It restarts from its iterate whenever the true residual
-misses KRYLOV_TOL, and falls back to LU when KRYLOV_MAX_ITERATIONS cycle
-applications, summed over the restarts, do not reach it, or when M leaves
-float32's normal range.  The LU is float32, refined in float64 to KRYLOV_TOL,
-or float64 where that fails; the multilevel cycle's coarsest LU is float32.
+vector instead.  It restarts from its iterate while the true residual misses
+KRYLOV_TOL and still halves, and falls back to the direct solve after
+KRYLOV_MAX_ITERATIONS cycle applications, summed over restarts, or when M
+leaves float32's normal range.  The direct factor is float32, refined in
+float64 to KRYLOV_TOL, or float64 where that fails; the cycle's coarsest
+factor is float32.
 """
 
 from __future__ import annotations
@@ -22,6 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
+from scipy.linalg import get_blas_funcs, get_lapack_funcs
 from scipy.sparse.linalg import splu
 
 from .spaces import FieldCoeffs, build_dofmap, prolongation
@@ -32,13 +35,15 @@ RESIDUAL_TOL = 1e-9
 # true relative residual at which GMRES stops, far under RESIDUAL_TOL so that
 # the printed errors match the direct solve's
 KRYLOV_TOL = 1e-12
-# cycle applications after which GMRES gives up and LU takes over
+# cycle applications after which GMRES gives up and the direct solve takes over
 KRYLOV_MAX_ITERATIONS = 100
 # dofs from which GMRES beats the direct solve
 KRYLOV_MIN_DOFS = 10_000
+# n^2 / nnz(M) up to which the direct solve factors M as a dense matrix
+DENSE_MAX_RATIO = 6
 # damping of the cell-block Jacobi smoother
 SMOOTHER_DAMPING = 0.7
-# stored entries of M scanned at a time for the smoother's cell blocks
+# entries of M read at a time for the smoother's cell blocks and the dense factor
 SCAN_ENTRIES = 1 << 18
 
 
@@ -51,7 +56,7 @@ class SingularSystemError(SolverError):
 
 
 class FactorMemoryError(SolverError):
-    """SuperLU ran out of memory."""
+    """A factorization ran out of memory."""
 
 
 class ResidualToleranceError(SolverError):
@@ -69,17 +74,18 @@ class ResidualToleranceError(SolverError):
 class SolveReport:
     """Seconds in the set-up and in the solve plus residual check.
 
-    On the direct path factor_s covers the block ordering, the permuted copy
-    of M and its LU, solve_s the refinement, factor_nnz is the float32 LU's
-    (the float64 one's after a fallback), iterations is 0 and levels 1.  On
-    the GMRES path factor_s is the preconditioner's set-up, solve_s the
-    iterations, factor_nnz the coarsest level's float32 LU's, iterations the
-    cycle's applications on the fine grid, summed over GMRES's restarts, and
-    levels the number of grids in the cycle, the level's own included.  A
-    fallback from GMRES reports the direct path, its time in factor_s.
+    On the direct path factor_s covers the factorization, with the block
+    ordering and the permuted copy of M for sparse LU, solve_s the refinement,
+    factor_nnz is the float32 factor's (the float64 one's after a fallback),
+    iterations is 0 and levels 1.  On the GMRES path factor_s is the
+    preconditioner's set-up, solve_s the iterations, factor_nnz the coarsest
+    level's float32 factor's, iterations the cycle's applications on the fine
+    grid, summed over GMRES's restarts, and levels the number of grids in the
+    cycle, the level's own included.  A fallback from GMRES reports the direct
+    path, its time in factor_s.
 
-    factor_nnz is SuperLU.nnz, the stored factor entries; it is not
-    L.nnz + U.nnz, which would copy the factors to count.
+    factor_nnz counts stored entries: SuperLU.nnz (L.nnz + U.nnz would copy
+    the factors to count), or when dense L and L2's lower triangles and W.
     """
 
     relative_residual: float
@@ -126,17 +132,67 @@ def _stress_first_order(M, dofmap):
     return np.argsort(rank[node], kind="stable")
 
 
+def _dense_factor(M, dofmap, dtype):
+    """Block Cholesky of S M = [[A, B], [B^T, -C]] in dtype: (solve, factor entries).
+
+    S M is symmetric quasi-definite, so A = L L^T and C + W^T W = L2 L2^T,
+    W = L^-1 B, need no pivoting.  A = Aa, B = Bb and C = Cc are copied into
+    dtype from dense float64 chunks of M's columns, of at most SCAN_ENTRIES
+    entries, each within one cell's stress or displacement columns.
+    """
+    n, ns, nu = M.shape[0], dofmap.n_stress_dofs, dofmap.n_disp_dofs
+    size, s, cells = dofmap.cell_size, dofmap.stress_cell_size, dofmap.num_cells
+    stress, disp = dofmap.stress_dofs, dofmap.disp_dofs
+    A, B, C = (np.zeros(shape, dtype, order="F") for shape in ((ns, ns), (ns, nu), (nu, nu)))
+    width = max(1, SCAN_ENTRIES // n)
+    fields = (((0, s), ((A, slice(0, s)),)), ((s, size), ((B, slice(0, s)), (C, slice(s, size)))))
+    for cell in range(cells):
+        for (lo, hi), blocks in fields:
+            for start in range(lo, hi, width):
+                w, col = min(width, hi - start), cell * size + start
+                # rows as (local row, cell), as are those of each block's columns p:p+w
+                chunk = M[:, col:col + w].toarray(order="F").reshape((size, cells, w), order="F")
+                p = cell * (hi - lo) + start - lo
+                for block, rows in blocks:
+                    block[:, p:p + w].reshape((-1, cells, w), order="F")[...] = chunk[rows]
+    potrf = get_lapack_funcs("potrf", dtype=dtype)
+    trsm, syrk, trsv, gemv = get_blas_funcs(("trsm", "syrk", "trsv", "gemv"), dtype=dtype)
+    L, info = potrf(A, lower=1, clean=0, overwrite_a=1)
+    W = trsm(1.0, L, B, lower=1, overwrite_b=1)
+    L2, info2 = potrf(syrk(1.0, W, beta=1.0, c=C, trans=1, lower=1, overwrite_c=1),
+                      lower=1, clean=0, overwrite_a=1)
+    if info or info2:
+        raise RuntimeError(f"dense Cholesky of A, then of C + W^T W: info {info}, {info2}")
+
+    def solve(b):
+        # level-2 BLAS: LAPACK's potrs and trtrs were erratic under threaded OpenBLAS
+        y = trsv(L, b[stress].astype(dtype), lower=1)
+        u = gemv(1.0, W, y, beta=1.0, y=b[disp].astype(dtype), trans=1)
+        x = np.empty_like(b)
+        x[disp] = u = trsv(L2, trsv(L2, u, lower=1), lower=1, trans=1)
+        x[stress] = trsv(L, gemv(-1.0, W, u, beta=1.0, y=y), lower=1, trans=1)
+        return x
+
+    return solve, ns * (ns + 1) // 2 + ns * nu + nu * (nu + 1) // 2
+
+
 def _factor(M, dofmap, dtype=np.float64):
-    """LU of M in dtype, in the stress-first block order: (float64 solve, factor nnz)."""
-    perm = _stress_first_order(M, dofmap)
-    inv = np.empty(len(perm), np.int32)
-    inv[perm] = np.arange(len(perm), dtype=np.int32)
-    # cast (FloatingPointError out of dtype's normal range), relabel, gather columns
-    with np.errstate(over="raise", under="raise"):
-        Mp = sp.csc_matrix((M.data.astype(dtype), inv[M.indices], M.indptr),
-                           shape=M.shape)[:, perm]
-    Mp.sort_indices()
+    """Factor of M in dtype: (solve, factor entries); solve keeps b's dtype.
+
+    _dense_factor when n^2 <= DENSE_MAX_RATIO * nnz(M), else sparse LU in the
+    stress-first block order.  Raises FloatingPointError when M leaves dtype's
+    normal range.
+    """
     try:
+        with np.errstate(over="raise", under="raise"):
+            if M.shape[0] ** 2 <= DENSE_MAX_RATIO * M.nnz:
+                return _dense_factor(M, dofmap, dtype)
+            perm = _stress_first_order(M, dofmap)
+            inv = np.empty(len(perm), np.int32)
+            inv[perm] = np.arange(len(perm), dtype=np.int32)
+            Mp = sp.csc_matrix((M.data.astype(dtype), inv[M.indices], M.indptr),
+                               shape=M.shape)[:, perm]
+        Mp.sort_indices()
         # the block pattern is structurally symmetric; symmetric-mode SuperLU
         # with a relaxed diagonal pivot threshold cuts fill severalfold, and
         # the residual gate catches any pivoting damage
@@ -144,9 +200,9 @@ def _factor(M, dofmap, dtype=np.float64):
                   options={"SymmetricMode": True, "DiagPivotThresh": 0.001})
     except (MemoryError, SystemError) as exc:
         # SuperLU reports running out of memory as invalid arguments
-        raise FactorMemoryError("sparse LU factorization ran out of memory") from exc
+        raise FactorMemoryError("factorization ran out of memory") from exc
     except RuntimeError as exc:
-        raise SingularSystemError(f"sparse LU factorization failed: {exc}") from exc
+        raise SingularSystemError(f"factorization failed: {exc}") from exc
 
     def solve(b):
         x = np.empty_like(b)
@@ -157,7 +213,7 @@ def _factor(M, dofmap, dtype=np.float64):
 
 
 def _refine(M, b, lu_solve):
-    """x by float64 refinement on a float32 LU, or None if it misses KRYLOV_TOL.
+    """x by float64 refinement on a float32 factor, or None if it misses KRYLOV_TOL.
 
     Refinement stops when the true residual no longer halves, or when the
     next correction, extrapolated from the last two by their ratio, would
@@ -230,9 +286,9 @@ def _multilevel(M, dofmap, mesh):
     from mesh.coarse_level; then two more sweeps.  The correction applies the
     coarse level's own cycle to P^T M P when _recurses holds for that level,
     and otherwise a float32 _factor of P^T M P.  The cycle maps float32 to
-    float32; M enters it through _single_operator.  nnz is the coarsest LU's,
-    and grids counts the levels down to it.  Raises FloatingPointError out of
-    float32's normal range.
+    float32; M enters it through _single_operator.  nnz is the coarsest
+    factor's, and grids counts the levels down to it.  Raises
+    FloatingPointError out of float32's normal range.
     """
     # the float64 cell blocks and their inverses live before any coarse data
     with np.errstate(over="raise", under="raise"):
@@ -272,14 +328,14 @@ def _arnoldi_cycle(M, r, precondition, steps, tol):
     twice, on the products M z_j of the preconditioned vectors
     z_j = precondition(v_j).  They are kept in float32, as precondition may
     change from step to step.  The cycle ends when the least-squares
-    estimate of ||r - M dx|| passes tol, or after steps applications of
-    precondition; dx = Z y is summed in float64.
+    estimate of ||r - M dx|| passes tol or rises (only at its roundoff
+    floor), or after steps applications; dx = Z y is summed in float64.
     """
     V = np.empty((steps + 1, len(r)))  # rows take memory only when written
     Z = np.empty((steps, len(r)), np.float32)
     H = np.zeros((steps + 1, steps))
     g = np.zeros(steps + 1)
-    g[0] = np.linalg.norm(r)
+    g[0] = estimate = np.linalg.norm(r)
     V[0] = r / g[0]
     for j in range(steps):
         Z[j] = precondition(V[j].astype(np.float32))
@@ -291,7 +347,8 @@ def _arnoldi_cycle(M, r, precondition, steps, tol):
         H[:j + 1, j] = h + again
         H[j + 1, j] = np.linalg.norm(w)
         y = np.linalg.lstsq(H[:j + 2, :j + 1], g[:j + 2], rcond=None)[0]
-        if H[j + 1, j] == 0 or np.linalg.norm(g[:j + 2] - H[:j + 2, :j + 1] @ y) <= tol:
+        last, estimate = estimate, np.linalg.norm(g[:j + 2] - H[:j + 2, :j + 1] @ y)
+        if H[j + 1, j] == 0 or estimate <= tol or estimate > last:
             break
         V[j + 1] = w / H[j + 1, j]
     dx = np.zeros_like(r)
@@ -304,19 +361,25 @@ def _fgmres(M, b, precondition):
     """Flexible GMRES from x = 0, right-preconditioned: (x, applications).
 
     An _arnoldi_cycle's estimate can pass KRYLOV_TOL while the true residual
-    b - M x does not; a new cycle then starts from x with the steps left.
+    b - M x does not; a new cycle then starts from x with the steps left.  A
+    cycle that fails to halve the true residual (float64's roundoff floor can
+    lie above KRYLOV_TOL on large meshes) ends the iteration, as in _refine.
     KRYLOV_MAX_ITERATIONS caps the applications of precondition over all
-    cycles; x is None when they run out above the tolerance.
+    cycles; x is None when they run out, or at the end if x fails RESIDUAL_TOL.
     """
-    tol = KRYLOV_TOL * np.linalg.norm(b)
+    norm_b = norm_r = np.linalg.norm(b)
+    tol = KRYLOV_TOL * norm_b
     x, r, applications = np.zeros_like(b), b, 0
-    while np.linalg.norm(r) > tol:
+    while norm_r > tol:
         if applications == KRYLOV_MAX_ITERATIONS:
             return None, applications
         dx, steps = _arnoldi_cycle(M, r, precondition, KRYLOV_MAX_ITERATIONS - applications, tol)
         x += dx
         applications += steps
         r = b - M @ x
+        last, norm_r = norm_r, np.linalg.norm(r)
+        if norm_r > 0.5 * last:  # the true residual no longer halves
+            return (x if norm_r <= RESIDUAL_TOL * norm_b else None), applications
     return x, applications
 
 
@@ -324,11 +387,10 @@ def solve_saddle(system, mesh=None):
     """Solve M x = b, M = [[Aa, Bb], [-Bb^T, Cc]] in cell-major order.
 
     mesh is the mesh the system was assembled on; without it, or off the
-    GMRES cases in the module docstring, M is factored by sparse LU in the
-    stress-first block order of _stress_first_order, in the precisions of the
-    module docstring.  The penalties are read from system.stab.  Relative
-    residuals above RESIDUAL_TOL, taken on M and b, raise on either path; the
-    system is never silently regularized.
+    GMRES cases in the module docstring, M is factored by _factor, in the
+    precisions of the module docstring.  The penalties are read from
+    system.stab.  Relative residuals above RESIDUAL_TOL, taken on M and b,
+    raise on either path; the system is never silently regularized.
     """
     M, b, dofmap, stab = system.M, system.b, system.dofmap, system.stab
     t0 = time.perf_counter()

@@ -1,4 +1,4 @@
-"""Degree-of-freedom layout and elementwise L2 projections.
+"""Degree-of-freedom layout and the prolongation between nested meshes.
 
 Stress fields live in symmetric-tensor-valued P_l per cell, displacements in
 vector-valued P_k, with |k - l| <= 1 so the strain/divergence/compliance
@@ -126,41 +126,6 @@ class FieldCoeffs:
 def data_exactness(dofmap: DofMap) -> int:
     """Default quadrature degree for integrals involving manufactured data."""
     return 2 * max(dofmap.k, dofmap.l) + 8
-
-
-def project_displacement(mesh, dofmap: DofMap, u_exact, exactness=None) -> FieldCoeffs:
-    """Elementwise L2 projection Q_h of a vector field onto the displacement space.
-
-    With the orthonormal reference basis the local mass matrix is |det J|
-    times the identity, so coefficients are plain quadrature moments.
-    """
-    if exactness is None:
-        exactness = data_exactness(dofmap)
-    rule = cell_quadrature(mesh.cell_kind, exactness)
-    Vk = orthonormal_basis(mesh.cell_kind, dofmap.k).eval(rule.points)
-    phys = all_cell_points(mesh, rule.points)
-    vals = np.asarray(u_exact(phys.reshape(-1, mesh.dim))).reshape(phys.shape)
-    coeffs = FieldCoeffs(dofmap)
-    # int_K u phi dx / det J = sum_q w_ref u(x_q) phi(x_q)
-    coeffs.all_disp_blocks()[:] = np.einsum("Fqd,q,mq->Fdm", vals, rule.weights, Vk)
-    return coeffs
-
-
-def project_stress(mesh, dofmap: DofMap, sigma_exact, exactness=None) -> FieldCoeffs:
-    """Componentwise L2 projection P_h of a symmetric tensor field."""
-    if exactness is None:
-        exactness = data_exactness(dofmap)
-    rule = cell_quadrature(mesh.cell_kind, exactness)
-    Vl = orthonormal_basis(mesh.cell_kind, dofmap.l).eval(rule.points)
-    phys = all_cell_points(mesh, rule.points)
-    vals = np.asarray(sigma_exact(phys.reshape(-1, mesh.dim)))
-    if np.max(np.abs(vals - np.swapaxes(vals, -1, -2))) > 1e-10:
-        raise ValueError("stress field is not symmetric")
-    rows, cols = np.array(STRESS_COMPONENTS[dofmap.dim]).T
-    comp_vals = vals[:, rows, cols].reshape(phys.shape[:2] + (len(rows),))
-    coeffs = FieldCoeffs(dofmap)
-    coeffs.all_stress_blocks()[:] = np.einsum("Fqa,q,mq->Fam", comp_vals, rule.weights, Vl)
-    return coeffs
 
 
 def prolongation(mesh, dofmap: DofMap) -> sp.csr_matrix:

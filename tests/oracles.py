@@ -4,7 +4,9 @@ The forms are quadratured directly on arbitrary side-aware fields, one face
 at a time through jump_avg_kernels.  They share only penalty_values and
 face_quadrature with the batched assembly in mixeddg.forms and serve as its
 cross-check.  Field callables take (cell_index, physical_points) and return
-values at the points: (nq, d) for vectors, (nq, d, d) for tensors.
+values at the points: (nq, d) for vectors, (nq, d, d) for tensors.  The
+elementwise L2 projections of exact fields live here too; no library path
+uses them.
 """
 
 import math
@@ -18,9 +20,10 @@ from mixeddg.forms import (
     compliance_apply,
     penalty_values,
 )
-from mixeddg.mesh import face_quadrature
+from mixeddg.mesh import all_cell_points, face_quadrature
 from mixeddg.polybasis import BasisSet, cell_quadrature, orthonormal_basis
 from mixeddg.spaces import (
+    STRESS_COMPONENTS,
     DofMap,
     FieldCoeffs,
     data_exactness,
@@ -37,6 +40,41 @@ def cell_points(mesh, cell: int, ref_points: np.ndarray) -> np.ndarray:
 def cell_ref_coords(mesh, cell: int, phys_points: np.ndarray) -> np.ndarray:
     """Invert the affine cell map at physical points."""
     return (phys_points - mesh.cell_v0[cell]) @ mesh.jac_inv[cell].T
+
+
+def project_displacement(mesh, dofmap: DofMap, u_exact, exactness=None) -> FieldCoeffs:
+    """Elementwise L2 projection Q_h of a vector field onto the displacement space.
+
+    With the orthonormal reference basis the local mass matrix is |det J|
+    times the identity, so coefficients are plain quadrature moments.
+    """
+    if exactness is None:
+        exactness = data_exactness(dofmap)
+    rule = cell_quadrature(mesh.cell_kind, exactness)
+    Vk = orthonormal_basis(mesh.cell_kind, dofmap.k).eval(rule.points)
+    phys = all_cell_points(mesh, rule.points)
+    vals = np.asarray(u_exact(phys.reshape(-1, mesh.dim))).reshape(phys.shape)
+    coeffs = FieldCoeffs(dofmap)
+    # int_K u phi dx / det J = sum_q w_ref u(x_q) phi(x_q)
+    coeffs.all_disp_blocks()[:] = np.einsum("Fqd,q,mq->Fdm", vals, rule.weights, Vk)
+    return coeffs
+
+
+def project_stress(mesh, dofmap: DofMap, sigma_exact, exactness=None) -> FieldCoeffs:
+    """Componentwise L2 projection P_h of a symmetric tensor field."""
+    if exactness is None:
+        exactness = data_exactness(dofmap)
+    rule = cell_quadrature(mesh.cell_kind, exactness)
+    Vl = orthonormal_basis(mesh.cell_kind, dofmap.l).eval(rule.points)
+    phys = all_cell_points(mesh, rule.points)
+    vals = np.asarray(sigma_exact(phys.reshape(-1, mesh.dim)))
+    if np.max(np.abs(vals - np.swapaxes(vals, -1, -2))) > 1e-10:
+        raise ValueError("stress field is not symmetric")
+    rows, cols = np.array(STRESS_COMPONENTS[dofmap.dim]).T
+    comp_vals = vals[:, rows, cols].reshape(phys.shape[:2] + (len(rows),))
+    coeffs = FieldCoeffs(dofmap)
+    coeffs.all_stress_blocks()[:] = np.einsum("Fqa,q,mq->Fam", comp_vals, rule.weights, Vl)
+    return coeffs
 
 
 def stress_block(coeffs: FieldCoeffs, cell: int) -> np.ndarray:

@@ -262,10 +262,12 @@ class TestSolverFailureExit:
         ("splu", SystemError("gstrf was called with invalid arguments")),
         ("splu", MemoryError()),
         ("assembly", MemoryError("Unable to allocate 55.8 MiB")),
-    ], ids=["system-error", "memory-error", "assembly-memory-error"])
+        ("dense", MemoryError("Unable to allocate 9.6 MiB")),
+    ], ids=["system-error", "memory-error", "assembly-memory-error", "dense-memory-error"])
     def test_out_of_memory_names_level(self, tmp_path, monkeypatch, capsys, where, error):
         # SuperLU reports running out of memory as invalid arguments; the
-        # float32 factorization's failure is not retried in float64
+        # float32 factorization's failure is not retried in float64.  tri n=8
+        # at k=0 takes sparse LU, and n=2 the dense factor
         factorizations, real = [], solve_module.splu
 
         def splu(A, permc_spec=None, **kwargs):
@@ -274,18 +276,25 @@ class TestSolverFailureExit:
             factorizations.append(A.dtype)
             raise error
 
+        def dense_factor(M, dofmap, dtype):
+            factorizations.append(dtype)
+            raise error
+
         def assemble(*args):
             raise error
 
         if where == "splu":
             monkeypatch.setattr(solve_module, "splu", splu)
+        elif where == "dense":
+            monkeypatch.setattr(solve_module, "_dense_factor", dense_factor)
         else:
             monkeypatch.setattr(cli, "assemble_system", assemble)
-        code, _ = run(tmp_path, "--levels", "1", "--k", "0")
+        level = "2" if where == "dense" else "8"
+        code, _ = run(tmp_path, "--levels", f"{level},16", "--k", "0")
         assert code == 3
         err = capsys.readouterr().err
-        assert "level 2" in err and "out of memory" in err and err.count("\n") == 1
-        assert factorizations == ([np.float32] if where == "splu" else [])
+        assert f"level {level}:" in err and "out of memory" in err and err.count("\n") == 1
+        assert factorizations == ([] if where == "assembly" else [np.float32])
 
     @pytest.mark.parametrize("argv,level", [
         (("--levels", "2,4"), "4"), (("--k", "1,2", "--levels", "4"), "1"),

@@ -111,7 +111,7 @@ class TestUniformTri:
         assert mesh.num_vertices == 4
         topo = build_face_topology(mesh)
         assert topo.interior_count == 1
-        assert topo.boundary_count == 4
+        assert topo.num_faces - topo.interior_count == 4
 
     def test_n2_counts_and_h(self):
         mesh = build_uniform_tri(2, BOX2)
@@ -125,7 +125,7 @@ class TestUniformTri:
         assert boundary == 8
         assert 3 * mesh.num_cells == 2 * interior + boundary
         topo = build_face_topology(mesh)
-        assert (topo.interior_count, topo.boundary_count) == (interior, boundary)
+        assert (topo.interior_count, topo.num_faces) == (interior, interior + boundary)
 
     @pytest.mark.parametrize("n", [1, 3, 5])
     def test_h_formula(self, n):
@@ -157,7 +157,7 @@ class TestUniformQuad:
         assert mesh.num_cells == 1
         topo = build_face_topology(mesh)
         assert topo.interior_count == 0
-        assert topo.boundary_count == 4
+        assert topo.num_faces - topo.interior_count == 4
 
     def test_n2(self):
         mesh = build_uniform_quad(2, BOX2)
@@ -193,7 +193,7 @@ class TestUniformTet:
         mesh = build_uniform_tet(1)
         interior, boundary = brute_force_face_counts(mesh)
         topo = build_face_topology(mesh)
-        assert (topo.interior_count, topo.boundary_count) == (interior, boundary)
+        assert (topo.interior_count, topo.num_faces) == (interior, interior + boundary)
 
     def test_rejects_zero(self):
         with pytest.raises(MeshError):
@@ -554,7 +554,7 @@ class TestFaceTopology:
         mesh = mesh_fn()
         topo = build_face_topology(mesh)
         interior, boundary = brute_force_face_counts(mesh)
-        assert (topo.interior_count, topo.boundary_count) == (interior, boundary)
+        assert (topo.interior_count, topo.num_faces) == (interior, interior + boundary)
         assert topo.num_faces == interior + boundary
         assert np.all(topo.minus[topo.interior] >= 0)
         assert np.all(topo.minus[topo.boundary] == -1)
@@ -629,4 +629,4 @@ class TestInvariants:
         mesh = shipped_mesh()
         topo = build_face_topology(mesh)
         assert mesh.measures.sum() == pytest.approx(4.0, rel=1e-12)
-        assert 3 * mesh.num_cells == 2 * topo.interior_count + topo.boundary_count
+        assert 3 * mesh.num_cells == topo.interior_count + topo.num_faces

@@ -2,10 +2,13 @@ import dataclasses
 import inspect
 import warnings
 from importlib import resources
+from unittest import mock
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.sparse.linalg import splu
 
 from mixeddg import build_dofmap, build_face_topology, \
@@ -95,10 +98,20 @@ class TestSolveSaddle:
                                          stab, case2d.f))[0]
         assert np.array_equal(a.values, b.values)
 
-    def test_report_counts_factor(self, small_system):
-        *_, system = small_system
+    def test_report_counts_factor(self):
+        # tri n=4 takes sparse LU
+        system = assemble_case("tri-1-1")
         _, report = solve_saddle(system)
         assert report.factor_nnz >= system.M.nnz
+        assert report.factor_s > 0.0
+        assert report.solve_s > 0.0
+
+    def test_report_counts_dense_factor(self, small_system):
+        # two triangles take the dense factor: L and L2's lower triangles and W
+        *_, system = small_system
+        _, report = solve_saddle(system)
+        ns, nu = system.dofmap.n_stress_dofs, system.dofmap.n_disp_dofs
+        assert report.factor_nnz == ns * (ns + 1) // 2 + ns * nu + nu * (nu + 1) // 2
         assert report.factor_s > 0.0
         assert report.solve_s > 0.0
 
@@ -119,15 +132,23 @@ class TestSolveSaddle:
         _, report = solve_saddle(system)
         assert report.factor_nnz == fill
 
-    def test_singular_system_reported(self, small_system):
+    def test_singular_system_reported(self, small_system, monkeypatch):
         *_, system = small_system
         # k = l = 1 with the displacement penalty removed: rigid motions make
-        # the operator singular, which must be reported rather than papered over
+        # the operator singular, which must be reported rather than papered
+        # over, by the dense factor the two triangles take and by sparse LU
         disp, C = system.dofmap.disp_dofs, system.Cc.tocoo()
         penalty = sp.csc_matrix((C.data, (disp[C.row], disp[C.col])), shape=system.M.shape)
         singular = dataclasses.replace(system, M=system.M - penalty)
+        dense, lu = spy_dense(monkeypatch), spy_factor(monkeypatch)
         with pytest.raises((SingularSystemError, ResidualToleranceError)):
             solve_saddle(singular)
+        assert dense and not lu
+        monkeypatch.setattr(solve_module, "DENSE_MAX_RATIO", 0)
+        dense.clear()
+        with pytest.raises((SingularSystemError, ResidualToleranceError)):
+            solve_saddle(singular)
+        assert lu and not dense
 
 
 class TestBlockOrder:
@@ -197,6 +218,30 @@ def spy_factor(monkeypatch):
     return dtypes
 
 
+def spy_splu(monkeypatch):
+    """The bound arguments of every splu call, in call order."""
+    calls, real = [], solve_module.splu
+
+    def splu(*args, **kwargs):
+        calls.append(inspect.signature(real).bind(*args, **kwargs).arguments)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(solve_module, "splu", splu)
+    return calls
+
+
+def spy_dense(monkeypatch):
+    """The dtypes the dense block Cholesky factors in, in call order."""
+    dtypes, real = [], solve_module._dense_factor
+
+    def dense_factor(M, dofmap, dtype):
+        dtypes.append(dtype)
+        return real(M, dofmap, dtype)
+
+    monkeypatch.setattr(solve_module, "_dense_factor", dense_factor)
+    return dtypes
+
+
 def double_lu(system):
     """Solution and fill of the float64 LU of the stress-first order."""
     lu_solve, nnz = _factor(system.M, system.dofmap)
@@ -263,10 +308,14 @@ class TestMixedPrecision:
         assert dtypes == [np.float32, np.float64]
         assert np.array_equal(coeffs.values, double_lu(system)[0])
 
-    @pytest.mark.parametrize("kind,n,k", [("tri", 16, 1), ("tet", 3, 1), ("tri", 2, 10)])
+    @pytest.mark.parametrize("kind,n,k", [("tri", 16, 1), ("tet", 3, 1), ("tri", 2, 10),
+                                          ("tri", 4, 6)])
     def test_refinement_steps(self, kind, n, k, monkeypatch):
-        # 3 steps at each: the residual reaches its roundoff floor at the
-        # third, and a fourth correction would be under x's last bit
+        # 3 steps at each on sparse LU: the residual reaches its roundoff
+        # floor at the third, and a fourth correction would be under x's
+        # last bit.  tri n=2 goes dense by the size rule, and is held on
+        # sparse LU here; the dense factor's steps are pinned apart
+        monkeypatch.setattr(solve_module, "DENSE_MAX_RATIO", 0)
         steps, real = [], solve_module._refine
 
         def refine(M, b, lu_solve):
@@ -283,6 +332,86 @@ class TestMixedPrecision:
         _, report = solve_saddle(system)
         assert len(steps) == 3
         assert report.relative_residual <= 1e-13
+
+    @pytest.mark.parametrize("k,count", [(3, 3), (10, 4)])
+    def test_dense_refinement_steps(self, k, count, monkeypatch):
+        # the float32 block Cholesky is a few times less accurate than the
+        # float32 sparse LU, so from k=4 on tri n=2 a fourth step still
+        # halves the residual (k=10: 8.3e-5, 1.4e-9, 6.2e-14, 8.7e-15)
+        steps, real = [], solve_module._refine
+
+        def refine(M, b, lu_solve):
+            def counted(r):
+                steps.append(r)
+                return lu_solve(r)
+            return real(M, b, counted)
+
+        monkeypatch.setattr(solve_module, "_refine", refine)
+        dense = spy_dense(monkeypatch)
+        mesh = build_uniform_tri(2, BOX2)
+        case = case_2d_poly()
+        system = assemble_system(mesh, build_face_topology(mesh), build_dofmap(mesh, k, k),
+                                 case.material, StabilizationParams(), case.f)
+        _, report = solve_saddle(system)
+        assert dense == [np.float32] and len(steps) == count
+        assert report.relative_residual <= 1e-13
+
+
+DENSE_MESHES = {
+    "tri1": lambda: build_uniform_tri(1, BOX2), "tri2": lambda: build_uniform_tri(2, BOX2),
+    "quad2": lambda: build_uniform_quad(2, BOX2), "tet1": lambda: build_uniform_tet(1, BOX3),
+}
+
+
+class TestDenseFactor:
+    @settings(max_examples=24, derandomize=True, database=None, deadline=None)
+    @given(mesh=st.sampled_from(sorted(DENSE_MESHES)), k=st.integers(1, 6),
+           flux=st.sampled_from(sorted(FLUX_ALIASES)))
+    def test_matches_sparse_lu(self, mesh, k, flux):
+        # the block Cholesky and sparse LU, each refined, agree on every
+        # preset, C22 = 0 included
+        mesh = DENSE_MESHES[mesh]()
+        case = case_2d_poly() if mesh.dim == 2 else case_3d_sine()
+        system = assemble_system(mesh, build_face_topology(mesh), build_dofmap(mesh, k, k),
+                                 case.material, StabilizationParams(**FLUX_ALIASES[flux]), case.f)
+        solutions = []
+        for ratio in (np.inf, 0):  # every system dense, then none
+            with mock.patch.object(solve_module, "DENSE_MAX_RATIO", ratio):
+                solutions.append(solve_saddle(system)[0].values)
+        dense, sparse = solutions
+        assert np.linalg.norm(dense - sparse) <= 1e-10 * np.linalg.norm(sparse)
+
+    @pytest.mark.parametrize("kind,n,k,stab,dense", [
+        *[("tri", 2, k, "default", True) for k in range(11)],
+        *[("tri", 2, 1, flux, True) for flux in sorted(FLUX_ALIASES)],
+        *[("tri", 4, k, "default", False) for k in (2, 3, 4)],
+        ("tri", 4, 2, "c11=hinv,c22=0", False), ("tri", 8, 1, "default", False),
+        ("tet", 2, 1, "default", False), ("tet", 2, 1, "c11=hinv,c22=0", False),
+    ])
+    def test_crossover(self, kind, n, k, stab, dense, monkeypatch):
+        # n^2 <= 6 nnz(M): tri n=2 is a quarter dense at every k.  tri n=4 at
+        # k >= 2 (n^2 / nnz = 16), tri n=8 (60) and tet n=2 (33), among them
+        # the benchmark's smallest h-sweep levels and coarsest multilevel
+        # grids, stay sparse
+        mesh = build_uniform_tri(n, BOX2) if kind == "tri" else build_uniform_tet(n, BOX3)
+        case = case_2d_poly() if mesh.dim == 2 else case_3d_sine()
+        system = assemble_system(mesh, build_face_topology(mesh), build_dofmap(mesh, k, k),
+                                 case.material, StabilizationParams(**FLUX_ALIASES.get(stab, {})),
+                                 case.f)
+        lu, cholesky = spy_factor(monkeypatch), spy_dense(monkeypatch)
+        solve_module._factor(system.M, system.dofmap, np.float32)
+        assert (cholesky, lu) == (([np.float32], []) if dense else ([], [np.float32]))
+
+    @pytest.mark.parametrize("scale", [1e38, 1e-30], ids=["overflow", "subnormal"])
+    def test_out_of_single_range_takes_double(self, small_system, scale, monkeypatch):
+        *_, system = small_system
+        scaled = dataclasses.replace(system, M=system.M * scale, b=system.b * scale)
+        dtypes = spy_dense(monkeypatch)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            coeffs, _ = solve_saddle(scaled)
+        assert dtypes == [np.float32, np.float64]
+        assert true_residual(scaled, coeffs.values) <= 1e-13
 
 
 class TestPolynomialReproduction:
@@ -425,16 +554,11 @@ class TestTwoLevel:
     def test_splu_gets_no_relax_or_panel_size(self, monkeypatch):
         # scipy's splu hands relax and panel_size to SuperLU unchecked:
         # panel_size=0 hangs and -1 segfaults, so neither the direct nor the
-        # multilevel path sets them
-        calls, real = [], solve_module.splu
-
-        def splu(*args, **kwargs):
-            calls.append(inspect.signature(real).bind(*args, **kwargs).arguments)
-            return real(*args, **kwargs)
-
-        monkeypatch.setattr(solve_module, "splu", splu)
-        monkeypatch.setattr(solve_module, "KRYLOV_MIN_DOFS", 0)
-        mesh, system = tet_system(2)
+        # multilevel path sets them.  tri n=8 recurses once, to n=4 (480
+        # dofs), whose sparse LU is the coarsest
+        calls = spy_splu(monkeypatch)
+        monkeypatch.setattr(solve_module, "KRYLOV_MIN_DOFS", 1000)
+        mesh, system = tri_system(8)
         solve_saddle(system)
         direct = len(calls)
         assert solve_saddle(system, mesh)[1].levels == 2
@@ -442,6 +566,14 @@ class TestTwoLevel:
         for arguments in calls:
             assert not {"relax", "panel_size"} & set(arguments)
             assert not {"Relax", "PanelSize"} & set(arguments.get("options") or {})
+
+    def test_dense_coarsest_calls_no_splu(self, monkeypatch):
+        # tet n=2 recurses to n=1, whose 216 dofs go to the dense factor
+        calls, dense = spy_splu(monkeypatch), spy_dense(monkeypatch)
+        monkeypatch.setattr(solve_module, "KRYLOV_MIN_DOFS", 0)
+        mesh, system = tet_system(2)
+        assert solve_saddle(system, mesh)[1].levels == 2
+        assert calls == [] and dense == [np.float32]
 
     @pytest.mark.parametrize("stab,fewest,most", [
         (StabilizationParams(), 38, 45), (C22_ONE, 55, 63)], ids=["default", "c11=hinv,c22=1"])
@@ -542,6 +674,26 @@ class TestTwoLevel:
         assert report.levels == 2  # no fallback to LU
         assert true_residual(system, coeffs.values) <= 1e-12
 
+    def test_float64_floor_ends_iteration(self, monkeypatch):
+        # a KRYLOV_TOL under float64's floor at tri n=32: the first cycle
+        # ends where its estimate rises, and a restart that no longer halves
+        # the true residual ends the iteration, with x kept and no fallback
+        monkeypatch.setattr(solve_module, "KRYLOV_TOL", 1e-16)
+        runs, real = [], solve_module._arnoldi_cycle
+
+        def arnoldi_cycle(M, r, precondition, steps, tol):
+            dx, applications = real(M, r, precondition, steps, tol)
+            runs.append(applications)
+            return dx, applications
+
+        monkeypatch.setattr(solve_module, "_arnoldi_cycle", arnoldi_cycle)
+        mesh, system = tri_system(32)
+        coeffs, report = solve_saddle(system, mesh)
+        assert report.levels == 2
+        assert len(runs) >= 2 and report.iterations == sum(runs)
+        assert report.iterations < solve_module.KRYLOV_MAX_ITERATIONS
+        assert true_residual(system, coeffs.values) <= 1e-12
+
     def test_iteration_cap_falls_back_to_direct(self, monkeypatch):
         # the cap counts cycle applications summed over the restarts
         monkeypatch.setattr(solve_module, "KRYLOV_MIN_DOFS", 0)
@@ -589,13 +741,24 @@ class TestTwoLevel:
         assert np.array_equal(coeffs.values, double_lu(scaled)[0])
 
     def test_cycle_is_single_precision(self, monkeypatch):
-        monkeypatch.setattr(solve_module, "KRYLOV_MIN_DOFS", 0)
+        # tri n=8 recurses once, to the sparse LU of n=4 (480 dofs)
+        monkeypatch.setattr(solve_module, "KRYLOV_MIN_DOFS", 1000)
         mesh, system = tri_system(8)
         dtypes = spy_factor(monkeypatch)
         cycle, _, grids = solve_module._multilevel(system.M, system.dofmap, mesh)
         r = np.ones(system.dofmap.total_dofs, np.float32)
         assert cycle(r).dtype == np.float32
-        assert dtypes == [np.float32] and grids == 4  # the n=1 level's LU
+        assert dtypes == [np.float32] and grids == 2  # the n=4 level's LU
+
+    def test_cycle_is_single_precision_dense(self, monkeypatch):
+        # with no size floor tri n=8 recurses to n=1, whose factor is dense
+        monkeypatch.setattr(solve_module, "KRYLOV_MIN_DOFS", 0)
+        mesh, system = tri_system(8)
+        lu, dense = spy_factor(monkeypatch), spy_dense(monkeypatch)
+        cycle, _, grids = solve_module._multilevel(system.M, system.dofmap, mesh)
+        r = np.ones(system.dofmap.total_dofs, np.float32)
+        assert cycle(r).dtype == np.float32
+        assert lu == [] and dense == [np.float32] and grids == 4
 
 
 class TestCellBlocks:

@@ -8,13 +8,13 @@ from mixeddg import (
     build_dofmap,
     build_uniform_tet,
     build_uniform_tri,
-    project_displacement,
-    project_stress,
 )
 from mixeddg.forms import StabilizationParams, penalty_values
 from mixeddg.polybasis import cell_quadrature, orthonormal_basis
 from mixeddg.spaces import DofMap, FieldCoeffs, tensor_from_components
 from oracles import (
+    project_displacement,
+    project_stress,
     cell_points,
     cell_ref_coords,
     disp_offset,
