@@ -147,7 +147,7 @@ def _dense_factor(M, dofmap, dtype):
     width = max(1, SCAN_ENTRIES // n)
     fields = (((0, s), ((A, slice(0, s)),)), ((s, size), ((B, slice(0, s)), (C, slice(s, size)))))
     for cell in range(cells):
-        for (lo, hi), blocks in fields:
+        for (lo, hi), blocks in fields:  # stress columns fill A, displacement ones B and C
             for start in range(lo, hi, width):
                 w, col = min(width, hi - start), cell * size + start
                 # rows as (local row, cell), as are those of each block's columns p:p+w
