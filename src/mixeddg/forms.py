@@ -13,7 +13,7 @@ assembled into the saddle matrix M, which is [[Aa, Bb], [-Bb^T, Cc]] on
 has one dense block per pair of a cell with itself or with a face neighbour.
 The face terms, the load and verify's error norms integrate in the batches of
 face_batches and cell_batches, of at most BATCH_POINTS quadrature points each;
-the terms add into their pairs' blocks in one order for any batch size, so M
+the terms add into their pairs' blocks in face order for any batch size, so M
 is bit-identical for all.  The blocks are stored by column cell, its pairs
 ordered by row cell and padded with zero blocks to a common count, so that a
 transposed view is M's CSC order; one boolean gather of it drops the exact
@@ -255,56 +255,49 @@ def assemble_system(mesh, topo, dofmap: DofMap, mat: MaterialParams,
     blocks[slot[:nc], stress, disp] = -blocks_b
 
     # face terms, in face_batches.  A neighbour pair's block holds one term; a
-    # cell's own block adds its terms as the plus cell, then as the minus cell
-    # of interior faces, then on boundary faces, each in face order, one round
-    # of distinct cells at a time.  Its minus faces precede its plus faces, so
-    # that order takes two passes over the batches, whatever their size
-    for second in (False, True):
-        for faces, x, wq, c11, c22, sides in face_batches(mesh, topo, dofmap, stab,
-                                                          matrix_exactness):
-            pairs = [(i, j) for i in range(len(sides)) for j in range(len(sides))
-                     if (i + j == 2 or len(sides) == 1) == second]
-            if not pairs:
-                continue
-            n = topo.normals[faces]
-            En = np.einsum("aij,Fj->Fai", E, n)
-            Q = 0.5 * (np.eye(d)[None, :, :] + n[:, :, None] * n[:, None, :])
-            if c22 is not None:
-                R = np.einsum("Fai,Fbi->Fab", En, En)
-
-            own = sides[pairs[0][0]][0]  # the cells whose own blocks this pass adds to
+    # cell's own block adds its terms in face order, one round of distinct cells
+    # at a time.  Faces come in first-encounter order, so a cell's minus faces
+    # precede its plus faces: each batch adds its minus side first
+    for faces, x, wq, c11, c22, sides in face_batches(mesh, topo, dofmap, stab,
+                                                      matrix_exactness):
+        n = topo.normals[faces]
+        En = np.einsum("aij,Fj->Fai", E, n)
+        Q = 0.5 * (np.eye(d)[None, :, :] + n[:, :, None] * n[:, None, :])
+        if c22 is not None:
+            R = np.einsum("Fai,Fbi->Fab", En, En)
+        rounds = []
+        for own, *_ in sides:
             by_cell = np.argsort(own, kind="stable")
             rank = np.arange(len(own)) - np.searchsorted(own[by_cell], own[by_cell])
-            rounds = [by_cell[rank == r] for r in range(rank.max() + 1)]
+            rounds.append([by_cell[rank == r] for r in range(rank.max() + 1)])
 
-            def add(i, j, rows, cols, part):
-                if i != j:
-                    blocks[slot[nc + i * topo.interior_count:][faces], rows, cols] = part
-                else:
-                    for faces_r in rounds:
-                        blocks[slot[own[faces_r]], rows, cols] += part[faces_r]
+        def add(i, j, rows, cols, part):
+            if i != j:
+                blocks[slot[nc + i * topo.interior_count:][faces], rows, cols] = part
+            else:
+                for faces_r in rounds[i]:
+                    blocks[slot[sides[i][0][faces_r]], rows, cols] += part[faces_r]
 
-            for i, j in pairs:
-                _, sign_i, Vk_i, Vl_i = sides[i]
-                _, sign_j, Vk_j, Vl_j = sides[j]
-                Mk = np.einsum("iFq,Fq,jFq->Fij", Vk_i, wq, Vk_j)
-                add(i, j, disp, disp, np.einsum(
-                    "F,Fcd,Fjk->Fdkcj", c11 * (sign_i * sign_j), Q, Mk
-                ).reshape(-1, d_size, d_size))
+        for i, j in [(1, 1), (0, 1), (1, 0), (0, 0)] if len(sides) == 2 else [(0, 0)]:
+            (_, sign_i, Vk_i, Vl_i), (_, sign_j, Vk_j, Vl_j) = sides[i], sides[j]
+            Mk = np.einsum("iFq,Fq,jFq->Fij", Vk_i, wq, Vk_j)
+            add(i, j, disp, disp, np.einsum(
+                "F,Fcd,Fjk->Fdkcj", c11 * (sign_i * sign_j), Q, Mk
+            ).reshape(-1, d_size, d_size))
 
-                if c22 is not None:
-                    Ml = np.einsum("iFq,Fq,jFq->Fij", Vl_i, wq, Vl_j)
-                    add(i, j, stress, stress, np.einsum(
-                        "F,Fab,Fik->Fbkai", c22 * (sign_i * sign_j), R, Ml
-                    ).reshape(-1, s_size, s_size))
+            if c22 is not None:
+                Ml = np.einsum("iFq,Fq,jFq->Fij", Vl_i, wq, Vl_j)
+                add(i, j, stress, stress, np.einsum(
+                    "F,Fab,Fik->Fbkai", c22 * (sign_i * sign_j), R, Ml
+                ).reshape(-1, s_size, s_size))
 
-                # b with stress tests on side i and displacements on side j,
-                # transposed; minus b^T is the lower left of block (j, i)
-                Mlk = np.einsum("iFq,Fq,jFq->Fij", Vl_i, wq, Vk_j)
-                blk_bt = (sign_j / len(sides)) * np.einsum(
-                    "Fac,Fij->Fcjai", En, Mlk).reshape(-1, d_size, s_size)
-                add(i, j, disp, stress, blk_bt)
-                add(j, i, stress, disp, -blk_bt.transpose(0, 2, 1))
+            # b with stress tests on side i and displacements on side j,
+            # transposed; minus b^T is the lower left of block (j, i)
+            Mlk = np.einsum("iFq,Fq,jFq->Fij", Vl_i, wq, Vk_j)
+            blk_bt = (sign_j / len(sides)) * np.einsum(
+                "Fac,Fij->Fcjai", En, Mlk).reshape(-1, d_size, s_size)
+            add(i, j, disp, stress, blk_bt)
+            add(j, i, stress, disp, -blk_bt.transpose(0, 2, 1))
 
     # read as (column cell, local column, rank, local row), the blocks are M's
     # CSC arrays with the exact zeros, the padding and, when C22 = 0, the

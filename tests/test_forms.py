@@ -312,10 +312,10 @@ class TestAssembly:
     @pytest.mark.parametrize("mesh_fn,k,eta,nnz", [
         (lambda: build_uniform_tri(8, BOX2), 1, 1.0, 61_088),
         (lambda: build_uniform_tri(8, BOX2), 1, 0.0, 44_384),
-        (lambda: build_uniform_tri(16, BOX2), 1, 1.0, 248_896),
-        (lambda: build_uniform_tri(16, BOX2), 1, 0.0, 180_928),
+        (lambda: build_uniform_tri(16, BOX2), 1, 1.0, 249_120),
+        (lambda: build_uniform_tri(16, BOX2), 1, 0.0, 181_152),
         (lambda: build_uniform_tet(2, BOX3), 1, 1.0, 89_168),
-        (lambda: build_uniform_tri(2, BOX2), 10, 1.0, 1_672_415),
+        (lambda: build_uniform_tri(2, BOX2), 10, 1.0, 1_672_416),
     ], ids=["tri8", "tri8-c22zero", "tri16", "tri16-c22zero", "tet2", "tri2-k10"])
     def test_pattern_is_cell_pair_blocks(self, mesh_fn, k, eta, nnz):
         # M stores the nonzero entries of its cell-pair blocks and no zeros
@@ -330,11 +330,11 @@ class TestAssembly:
         assert np.all(ref[rows, cols] == 1.0)
 
     @pytest.mark.parametrize("kind,n,k,eta,digest", [
-        ("tri", 4, 2, 1.0, "a3a9a6b7a9796900124bed10d69a07da21e9dfa5a12440ecb5f4e3d553bf4339"),
-        ("tri", 4, 2, 0.0, "cb7712c436389fb500442fad8f1340cadb0f8f438887b7592b499d82b3bffe92"),
-        ("tet", 2, 1, 1.0, "81595791de3c9898f863527e60fc604ff0ffdf16688ece3627b74328c13204b8"),
-        ("tet", 2, 1, 0.0, "26108d6553c7db0a02730b34c6824d0509fea1a1aa09dddabae7648eacc3b50a"),
-        ("quad", 2, 3, 1.0, "9b79d11bed6f6865710c286b24c2a8890bd83ba764b33f22f89d95699dd3ee9d"),
+        ("tri", 4, 2, 1.0, "1989e0abd01caca079c2b139df9e2fad2ceed596de1797ebf21c52667fcbab04"),
+        ("tri", 4, 2, 0.0, "54e5229ecc8e1be8690e1b18f90d37d26e69c1981daedc4ad82c8b97f8c01eab"),
+        ("tet", 2, 1, 1.0, "db0e340ee4a9620eb1b46fa0bba811731aaacbf65a6571e763e7d01227d291a9"),
+        ("tet", 2, 1, 0.0, "2ae583f8ffbe06d73b6b929616c35c33dcd459b50cf7f9b439c8e7da554556bb"),
+        ("quad", 2, 3, 1.0, "c08f394b2bb29a9fdbc5f91adb2193ced7ca150507d81b18620f921f5584416f"),
         ("quad", 2, 3, 0.0, "05fca0606c1a0649fbdf44ba7a02c9606f3d6cf44d09cc8cb7b7ade381d346ef"),
     ], ids=["tri4-k2", "tri4-k2-c22zero", "tet2", "tet2-c22zero", "quad2-k3",
             "quad2-k3-c22zero"])

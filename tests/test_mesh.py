@@ -558,6 +558,9 @@ class TestFaceTopology:
         assert topo.num_faces == interior + boundary
         assert np.all(topo.minus[topo.interior] >= 0)
         assert np.all(topo.minus[topo.boundary] == -1)
+        # first-encounter order, which the assembly's face-order sums rely on
+        assert np.all(topo.plus[topo.interior] < topo.minus[topo.interior])
+        assert np.all(np.diff(topo.plus[topo.interior]) >= 0)
         plus, minus, verts = brute_force_faces(mesh)
         assert np.array_equal(topo.plus, plus)
         assert np.array_equal(topo.minus, minus)

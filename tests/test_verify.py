@@ -259,7 +259,8 @@ class TestBatches:
                              ids=["tet3-k1", "tri8-k2"])
     def test_batches_agree(self, kind, n, k, rng, monkeypatch):
         # batches of a third of the cells or of the smaller face group: M and b
-        # keep their bits, and the error norms agree to roundoff
+        # keep their bits, and the error norms agree to roundoff; the assembly
+        # walks the face batches once
         case, stab = case_3d_sine() if kind == "tet" else case_2d_poly(), StabilizationParams()
         mesh = {"tet": build_uniform_tet, "tri": build_uniform_tri}[kind](n, case.box)
         topo = build_face_topology(mesh)
@@ -271,10 +272,15 @@ class TestBatches:
                   + [simplex_quadrature(mesh.dim - 1, e).size
                      * (min(topo.interior_count, topo.num_faces - topo.interior_count) // 3)
                      for e in face_exactness])
+        calls, face_batches = [], forms_module.face_batches
+        monkeypatch.setattr(forms_module, "face_batches",
+                            lambda *args: calls.append(args) or face_batches(*args))
         runs = []
         for points in (1 << 40, few):
             monkeypatch.setattr(forms_module, "BATCH_POINTS", points)
+            calls.clear()
             system = assemble_system(mesh, topo, dm, case.material, stab, case.f)
+            assert len(calls) == 1
             runs.append(([system.M.data, system.M.indices, system.M.indptr, system.b],
                          [error_l2(mesh, dm, coeffs, case),
                           error_energy(mesh, topo, dm, coeffs, coeffs, case, stab)]))
