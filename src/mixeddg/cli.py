@@ -88,8 +88,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="permit exponents outside the analyzed ranges")
     p.add_argument("--format", dest="fmt", default="csv", choices=("csv", "md"))
     p.add_argument("--out", default=None, help="output path (default: stdout)")
-    p.add_argument("--max-level-3d", type=int, default=8,
-                   help="cap on n per axis for tetrahedral sweeps")
     return p
 
 
@@ -130,11 +128,6 @@ def config_from_args(args) -> RunConfig:
         raise ConfigError("elas3d_sine runs on tet-uniform meshes")
     if args.problem == "elas2d_poly" and mesh == "tet-uniform":
         raise ConfigError("elas2d_poly needs a 2d mesh")
-    if mesh == "tet-uniform":
-        cap = args.max_level_3d
-        if any(n > cap for n in levels):
-            raise ConfigError(
-                f"3d level n > {cap}; raise --max-level-3d to allow it")
     if args.out is not None and not Path(args.out).parent.is_dir():
         raise ConfigError(f"--out {args.out!r}: no such directory")
 

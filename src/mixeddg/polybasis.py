@@ -9,6 +9,7 @@ cell maps keep local mass matrices diagonal.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from functools import lru_cache
@@ -46,36 +47,47 @@ class QuadRule:
         return self.weights.shape[0]
 
 
-def _gauss_legendre_01(n):
-    t, w = np.polynomial.legendre.leggauss(n)
-    return (t + 1.0) / 2.0, w / 2.0
-
-
-def _gauss_jacobi_01(n, alpha):
-    # nodes/weights for int_0^1 (1-u)^alpha f(u) du
-    t, w = roots_jacobi(n, alpha, 0.0)
+def _gauss_01(n, alpha):
+    # n-point rule for int_0^1 (1-u)^alpha f(u) du, exact to degree 2n - 1
+    if alpha == 0:
+        t, w = np.polynomial.legendre.leggauss(n)
+    else:
+        t, w = roots_jacobi(n, alpha, 0.0)
     return (t + 1.0) / 2.0, w / 2.0 ** (alpha + 1.0)
 
 
-def _npoints(exactness: int) -> int:
-    # n-point Gauss is exact to degree 2n - 1
-    return exactness // 2 + 1
+def _gauss_rule(dim: int, exactness: int, collapsed: bool) -> QuadRule:
+    """Tensor product of Gauss rules on [0,1]^dim, exact to `exactness` per axis.
+
+    Collapsed, axis i takes the Gauss-Jacobi weight (1-u)^(dim-1-i), and point
+    coordinate i is scaled by (1 - u_j) for every axis j < i: the Duffy map of
+    the cube onto the unit simplex, whose Jacobian the weights absorb.
+    """
+    if dim not in (1, 2, 3):
+        raise ValueError(f"unsupported dimension {dim}")
+    if exactness < 0:
+        raise ValueError("exactness must be >= 0")
+    n = exactness // 2 + 1
+    axes = [_gauss_01(n, dim - 1 - i if collapsed else 0) for i in range(dim)]
+    grids = [g.ravel() for g in np.meshgrid(*(x for x, _ in axes), indexing="ij")]
+    pts = []
+    for i, g in enumerate(grids):
+        for shrink in grids[:i] if collapsed else ():
+            g = g * (1.0 - shrink)
+        pts.append(g)
+    wts = np.ones(len(grids[0]))
+    for a in np.meshgrid(*(w for _, w in axes), indexing="ij"):
+        wts *= a.ravel()
+    rule = QuadRule(np.stack(pts, axis=-1), wts)
+    for a in (rule.points, rule.weights):
+        a.setflags(write=False)
+    return rule
 
 
 @lru_cache(maxsize=None)
 def tensor_gauss(dim: int, exactness: int) -> QuadRule:
     """Tensor-product Gauss rule on [0,1]^dim, exact to `exactness` per axis."""
-    if dim not in (1, 2, 3):
-        raise ValueError(f"unsupported dimension {dim}")
-    if exactness < 0:
-        raise ValueError("exactness must be >= 0")
-    x, w = _gauss_legendre_01(_npoints(exactness))
-    axes = np.meshgrid(*([x] * dim), indexing="ij")
-    pts = np.stack([a.ravel() for a in axes], axis=-1)
-    wts = np.ones(pts.shape[0])
-    for a in np.meshgrid(*([w] * dim), indexing="ij"):
-        wts *= a.ravel()
-    return _freeze_rule(pts, wts)
+    return _gauss_rule(dim, exactness, collapsed=False)
 
 
 @lru_cache(maxsize=None)
@@ -86,31 +98,7 @@ def simplex_quadrature(dim: int, exactness: int) -> QuadRule:
     weights absorbing the map Jacobian, so any exactness is available and all
     weights stay positive.
     """
-    if exactness < 0:
-        raise ValueError("exactness must be >= 0")
-    n = _npoints(exactness)
-    if dim == 1:
-        x, w = _gauss_legendre_01(n)
-        return _freeze_rule(x[:, None], w)
-    if dim == 2:
-        a, wa = _gauss_jacobi_01(n, 1.0)
-        b, wb = _gauss_legendre_01(n)
-        A, B = np.meshgrid(a, b, indexing="ij")
-        x = A.ravel()
-        y = (B * (1.0 - A)).ravel()
-        wts = np.outer(wa, wb).ravel()
-        return _freeze_rule(np.stack([x, y], axis=-1), wts)
-    if dim == 3:
-        a, wa = _gauss_jacobi_01(n, 2.0)
-        b, wb = _gauss_jacobi_01(n, 1.0)
-        c, wc = _gauss_legendre_01(n)
-        A, B, C = np.meshgrid(a, b, c, indexing="ij")
-        x = A.ravel()
-        y = (B * (1.0 - A)).ravel()
-        z = (C * (1.0 - A) * (1.0 - B)).ravel()
-        wts = (wa[:, None, None] * wb[None, :, None] * wc[None, None, :]).ravel()
-        return _freeze_rule(np.stack([x, y, z], axis=-1), wts)
-    raise ValueError(f"unsupported dimension {dim}")
+    return _gauss_rule(dim, exactness, collapsed=True)
 
 
 def cell_quadrature(cell_kind: str, exactness: int) -> QuadRule:
@@ -124,14 +112,6 @@ def cell_quadrature(cell_kind: str, exactness: int) -> QuadRule:
     raise ValueError(f"unknown cell kind {cell_kind!r}")
 
 
-def _freeze_rule(pts, wts):
-    pts = np.ascontiguousarray(pts, dtype=float)
-    wts = np.ascontiguousarray(wts, dtype=float)
-    pts.setflags(write=False)
-    wts.setflags(write=False)
-    return QuadRule(pts, wts)
-
-
 def space_dimension(dim: int, p: int) -> int:
     """dim P_p = C(p + d, d)."""
     return math.comb(p + dim, dim)
@@ -139,18 +119,8 @@ def space_dimension(dim: int, p: int) -> int:
 
 def total_degree_exponents(dim: int, p: int) -> np.ndarray:
     """Monomial exponents of P_p in graded order, constant first."""
-    exps = []
-    if dim == 2:
-        for total in range(p + 1):
-            for i in range(total, -1, -1):
-                exps.append((i, total - i))
-    elif dim == 3:
-        for total in range(p + 1):
-            for i in range(total, -1, -1):
-                for j in range(total - i, -1, -1):
-                    exps.append((i, j, total - i - j))
-    else:
-        raise ValueError(f"unsupported dimension {dim}")
+    exps = sorted((e for e in itertools.product(range(p + 1), repeat=dim) if sum(e) <= p),
+                  key=lambda e: (sum(e), *(-c for c in e)))
     return np.array(exps, dtype=int)
 
 

@@ -13,7 +13,9 @@ KRYLOV_TOL and still halves, and falls back to the direct solve after
 KRYLOV_MAX_ITERATIONS cycle applications, summed over restarts, or when M
 leaves float32's normal range.  The direct factor is float32, refined in
 float64 to KRYLOV_TOL, or float64 where that fails; the cycle's coarsest
-factor is float32.
+factor is float32.  Each direct factor's bytes are first set against
+MemAvailable, exactly for the dense factor and from the block graph's own
+factor for sparse LU; one that cannot fit raises FactorMemoryError at once.
 """
 
 from __future__ import annotations
@@ -56,7 +58,7 @@ class SingularSystemError(SolverError):
 
 
 class FactorMemoryError(SolverError):
-    """A factorization ran out of memory."""
+    """A factorization ran out of memory, or would not fit in MemAvailable."""
 
 
 class ResidualToleranceError(SolverError):
@@ -119,17 +121,32 @@ def _block_graph(M, dofmap):
 
 
 def _stress_first_order(M, dofmap):
-    """Dof order of M: minimum degree on its (cell, field) block graph.
+    """Dof order of M, and the predicted stored entries of its factor.
 
-    The order does not depend on which entries inside a block are stored.
-    SuperLU's perm_c for the graph is each node's rank; within a cell the
+    The order is minimum degree on M's (cell, field) block graph, and does
+    not depend on which entries inside a block are stored.  SuperLU's perm_c
+    for the graph is each node's rank (perm_r is the same); within a cell the
     stress node takes the smaller of the cell's two ranks, since eliminating
     a displacement block before its own cell's stress block loses accuracy.
+    Each entry of the graph's L and U stands for a block of M's factor, of
+    row node by column node size; diagonal blocks, stored in both, count once.
     """
     node, graph = _block_graph(M, dofmap)
-    rank = splu(graph, permc_spec="MMD_AT_PLUS_A", options={"SymmetricMode": True}).perm_c
-    rank = np.sort(rank.reshape(-1, 2), axis=1).ravel()
-    return np.argsort(rank[node], kind="stable")
+    lu = splu(graph, permc_spec="MMD_AT_PLUS_A", options={"SymmetricMode": True})
+    # node size at each position of the graph's factor
+    size = np.array([dofmap.stress_cell_size, dofmap.disp_cell_size])[np.argsort(lu.perm_c) % 2]
+    entries = sum(int(size[F.indices] @ np.repeat(size, np.diff(F.indptr)))
+                  for F in (lu.L, lu.U)) - int(size @ size)
+    rank = np.sort(lu.perm_c.reshape(-1, 2), axis=1).ravel()
+    return np.argsort(rank[node], kind="stable"), entries
+
+
+def _available_memory():
+    """MemAvailable in bytes, or None where /proc/meminfo cannot be read."""
+    with contextlib.suppress(OSError, ValueError, StopIteration), open("/proc/meminfo") as info:
+        line = next(line for line in info if line.startswith("MemAvailable:"))
+        return 1024 * int(line.split()[1])
+    return None
 
 
 def _dense_factor(M, dofmap, dtype):
@@ -180,14 +197,28 @@ def _factor(M, dofmap, dtype=np.float64):
     """Factor of M in dtype: (solve, factor entries); solve keeps b's dtype.
 
     _dense_factor when n^2 <= DENSE_MAX_RATIO * nnz(M), else sparse LU in the
-    stress-first block order.  Raises FloatingPointError when M leaves dtype's
-    normal range.
+    stress-first block order.  Raises FactorMemoryError, before M is copied,
+    when the factor would not fit in MemAvailable, and FloatingPointError
+    when M leaves dtype's normal range.
     """
+    itemsize = np.dtype(dtype).itemsize
+    dense = M.shape[0] ** 2 <= DENSE_MAX_RATIO * M.nnz
+    if dense:  # _dense_factor's A, B and C
+        ns, nu = dofmap.n_stress_dofs, dofmap.n_disp_dofs
+        need = (ns * ns + ns * nu + nu * nu) * itemsize
+    else:
+        perm, entries = _stress_first_order(M, dofmap)
+        need = (entries + M.nnz) * (itemsize + M.indices.itemsize)
+    available = _available_memory()
+    # raised outside the handlers below: solve_saddle retries their
+    # SingularSystemError in float64, which needs more memory still
+    if available is not None and need > available:
+        raise FactorMemoryError(f"out of memory: the factor needs {need:,} bytes, "
+                                f"{available:,} available")
     try:
         with np.errstate(over="raise", under="raise"):
-            if M.shape[0] ** 2 <= DENSE_MAX_RATIO * M.nnz:
+            if dense:
                 return _dense_factor(M, dofmap, dtype)
-            perm = _stress_first_order(M, dofmap)
             inv = np.empty(len(perm), np.int32)
             inv[perm] = np.arange(len(perm), dtype=np.int32)
             Mp = sp.csc_matrix((M.data.astype(dtype), inv[M.indices], M.indptr),
@@ -402,13 +433,16 @@ def solve_saddle(system, mesh=None):
             precondition, nnz, levels = _multilevel(M, dofmap, mesh)
             t1 = time.perf_counter()
             x, iterations = _fgmres(M, b, precondition)
+    # each failed rung's arrays are freed before the next factor reads MemAvailable
     if x is None:
+        precondition = None
         iterations, levels = 0, 1
         with contextlib.suppress(FloatingPointError, SingularSystemError):
             lu_solve, nnz = _factor(M, dofmap, np.float32)
             t1 = time.perf_counter()
             x = _refine(M, b, lu_solve)
     if x is None:
+        lu_solve = None
         lu_solve, nnz = _factor(M, dofmap)
         t1 = time.perf_counter()
         x = lu_solve(b)

@@ -71,16 +71,11 @@ class TestConfigValidation:
                         "--levels", "2,4", "--k", "1")
         assert code == 0 and out.exists()
 
-    def test_3d_cap(self, tmp_path, capsys):
-        code, _ = run(tmp_path, "--problem", "elas3d_sine", "--mesh",
-                      "tet-uniform", "--levels", "2,16")
-        assert code == 2
-        assert "max-level-3d" in capsys.readouterr().err
-
-    def test_3d_cap_raised_in_config(self):
+    def test_3d_levels_uncapped(self):
+        # 3D levels are limited only by the memory preflight of each factor;
+        # tet n=16 runs (about 40 s), so only its configuration is checked
         args = cli.build_parser().parse_args(
-            ["--problem", "elas3d_sine", "--mesh", "tet-uniform",
-             "--levels", "2,16", "--max-level-3d", "16"])
+            ["--problem", "elas3d_sine", "--mesh", "tet-uniform", "--levels", "2,16"])
         config = cli.config_from_args(args)
         assert config.levels == [2, 16]
 
@@ -263,38 +258,48 @@ class TestSolverFailureExit:
         ("splu", MemoryError()),
         ("assembly", MemoryError("Unable to allocate 55.8 MiB")),
         ("dense", MemoryError("Unable to allocate 9.6 MiB")),
-    ], ids=["system-error", "memory-error", "assembly-memory-error", "dense-memory-error"])
+        ("preflight", None),
+        ("dense-preflight", None),
+    ], ids=["system-error", "memory-error", "assembly-memory-error", "dense-memory-error",
+            "sparse-preflight", "dense-preflight"])
     def test_out_of_memory_names_level(self, tmp_path, monkeypatch, capsys, where, error):
         # SuperLU reports running out of memory as invalid arguments; the
-        # float32 factorization's failure is not retried in float64.  tri n=8
-        # at k=0 takes sparse LU, and n=2 the dense factor
-        factorizations, real = [], solve_module.splu
+        # float32 factorization's failure is not retried in float64, and a
+        # factor the preflight refuses is not started.  tri n=8 at k=0 takes
+        # sparse LU, and n=2 the dense factor
+        factorizations, real_splu, real_dense = [], solve_module.splu, solve_module._dense_factor
 
         def splu(A, permc_spec=None, **kwargs):
-            if permc_spec != "NATURAL":  # the block graph's ordering
-                return real(A, permc_spec=permc_spec, **kwargs)
-            factorizations.append(A.dtype)
-            raise error
+            if permc_spec == "NATURAL":  # not the block graph's ordering
+                factorizations.append(A.dtype)
+                if where == "splu":
+                    raise error
+            return real_splu(A, permc_spec=permc_spec, **kwargs)
 
         def dense_factor(M, dofmap, dtype):
             factorizations.append(dtype)
-            raise error
+            if where == "dense":
+                raise error
+            return real_dense(M, dofmap, dtype)
 
         def assemble(*args):
             raise error
 
-        if where == "splu":
-            monkeypatch.setattr(solve_module, "splu", splu)
-        elif where == "dense":
-            monkeypatch.setattr(solve_module, "_dense_factor", dense_factor)
-        else:
+        monkeypatch.setattr(solve_module, "splu", splu)
+        monkeypatch.setattr(solve_module, "_dense_factor", dense_factor)
+        if where == "assembly":
             monkeypatch.setattr(cli, "assemble_system", assemble)
-        level = "2" if where == "dense" else "8"
+        checks = []
+        if where.endswith("preflight"):
+            monkeypatch.setattr(solve_module, "_available_memory", lambda: checks.append(0) or 0)
+        level = "2" if where.startswith("dense") else "8"
         code, _ = run(tmp_path, "--levels", f"{level},16", "--k", "0")
         assert code == 3
         err = capsys.readouterr().err
         assert f"level {level}:" in err and "out of memory" in err and err.count("\n") == 1
-        assert factorizations == ([] if where == "assembly" else [np.float32])
+        assert factorizations == ([np.float32] if where in ("splu", "dense") else [])
+        assert len(checks) == (1 if where.endswith("preflight") else 0)
+        assert ("0 available" in err) == where.endswith("preflight")
 
     @pytest.mark.parametrize("argv,level", [
         (("--levels", "2,4"), "4"), (("--k", "1,2", "--levels", "4"), "1"),
