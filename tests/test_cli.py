@@ -299,7 +299,7 @@ class TestSolverFailureExit:
         assert f"level {level}:" in err and "out of memory" in err and err.count("\n") == 1
         assert factorizations == ([np.float32] if where in ("splu", "dense") else [])
         assert len(checks) == (1 if where.endswith("preflight") else 0)
-        assert ("0 available" in err) == where.endswith("preflight")
+        assert ("bytes, 0 available" in err) == where.endswith("preflight")
 
     @pytest.mark.parametrize("argv,level", [
         (("--levels", "2,4"), "4"), (("--k", "1,2", "--levels", "4"), "1"),
