@@ -124,16 +124,6 @@ def total_degree_exponents(dim: int, p: int) -> np.ndarray:
     return np.array(exps, dtype=int)
 
 
-def _power_table(shifted, max_exp):
-    # pows[d, e, q] = shifted[q, d] ** e
-    nq, dim = shifted.shape
-    pows = np.ones((dim, max_exp + 1, nq))
-    for d in range(dim):
-        for e in range(1, max_exp + 1):
-            pows[d, e] = pows[d, e - 1] * shifted[:, d]
-    return pows
-
-
 @dataclass(frozen=True)
 class BasisSet:
     """L2-orthonormal polynomial basis of total degree `degree` on a reference cell.
@@ -152,33 +142,28 @@ class BasisSet:
     def dim(self) -> int:
         return CELL_DIM[self.cell_kind]
 
+    def _monomials(self, points, *exponent_sets):
+        """prod_d (x_d - centroid_d) ** e[:, d] at points, (size, nq) for each e."""
+        shifted = np.asarray(points, dtype=float) - np.asarray(REF_CENTROID[self.cell_kind])
+        pows = np.ones((int(self.exponents.max(initial=0)) + 1,) + shifted.T.shape)
+        for e in range(1, len(pows)):  # pows[e, d, q] = shifted[q, d] ** e
+            pows[e] = pows[e - 1] * shifted.T
+        monos = [np.ones((self.size, len(shifted))) for _ in exponent_sets]
+        for mono, exponents in zip(monos, exponent_sets):
+            for d in range(self.dim):
+                mono *= pows[exponents[:, d], d]
+        return monos
+
     def eval(self, points: np.ndarray) -> np.ndarray:
         """Basis values at reference points; shape (size, nq)."""
-        points = np.asarray(points, dtype=float)
-        shifted = points - np.asarray(REF_CENTROID[self.cell_kind])
-        max_exp = int(self.exponents.max(initial=0))
-        pows = _power_table(shifted, max_exp)
-        mono = np.ones((self.size, points.shape[0]))
-        for d in range(self.dim):
-            mono *= pows[d, self.exponents[:, d]]
-        return self.coeffs @ mono
+        return self.coeffs @ self._monomials(points, self.exponents)[0]
 
     def eval_grad(self, points: np.ndarray) -> np.ndarray:
         """Reference-coordinate gradients at points; shape (size, nq, dim)."""
-        points = np.asarray(points, dtype=float)
-        shifted = points - np.asarray(REF_CENTROID[self.cell_kind])
-        nq = points.shape[0]
-        max_exp = int(self.exponents.max(initial=0))
-        pows = _power_table(shifted, max_exp)
-        grad_mono = np.zeros((self.size, nq, self.dim))
-        for r in range(self.dim):
-            term = np.ones((self.size, nq))
-            for d in range(self.dim):
-                e = self.exponents[:, d].copy()
-                if d == r:
-                    e = np.maximum(e - 1, 0)
-                term *= pows[d, e]
-            grad_mono[:, :, r] = self.exponents[:, r, None] * term
+        # exponent sets with coordinate r's exponent lowered, for r = 0 .. dim - 1
+        lowered = np.maximum(self.exponents - np.eye(self.dim, dtype=int)[:, None], 0)
+        monos = self._monomials(points, *lowered)
+        grad_mono = np.stack([e[:, None] * m for e, m in zip(self.exponents.T, monos)], axis=-1)
         return np.einsum("ij,jqr->iqr", self.coeffs, grad_mono)
 
 

@@ -1,21 +1,22 @@
 """Solution of the assembled saddle-point system.
 
-The direct solve factors M densely when n^2 <= DENSE_MAX_RATIO * nnz(M), by a
-block Cholesky of the quasi-definite S M, and by sparse LU otherwise.  Levels
-with a coarse level, C22 != 0 and at least KRYLOV_MIN_DOFS dofs, and in 2D the
-penalties C11 ~ 1/h and C22 ~ h, are solved instead by flexible GMRES, right-
-preconditioned by a float32 multilevel cycle over the nested meshes.  (With
-C22 = 0, and in 2D with any other penalty scaling, the cycle was measured not
-to beat the direct solve.)  The cycle is linear only to float32 roundoff,
-which plain GMRES does not allow; flexible GMRES keeps each preconditioned
-vector instead.  It restarts from its iterate while the true residual misses
-KRYLOV_TOL and still halves, and falls back to the direct solve after
-KRYLOV_MAX_ITERATIONS cycle applications, summed over restarts, or when M
-leaves float32's normal range.  The direct factor is float32, refined in
-float64 to KRYLOV_TOL, or float64 where that fails; the cycle's coarsest
-factor is float32.  Each direct factor's bytes are first set against
-MemAvailable, exactly for the dense factor and from the block graph's own
-factor for sparse LU; one that cannot fit raises FactorMemoryError at once.
+Each solve is float64 iterative refinement on a low-precision inner solver,
+_refine (Carson & Higham, SIAM J. Sci. Comput. 40, 2018).  Levels with a
+coarse level, C22 != 0 and at least KRYLOV_MIN_DOFS dofs, and in 2D the
+penalties C11 ~ 1/h and C22 ~ h, refine to KRYLOV_TOL on cycles of flexible
+GMRES, right-preconditioned by a float32 multilevel cycle over the nested
+meshes, and x stands at RESIDUAL_TOL.  (With C22 = 0, and in 2D with any
+other penalty scaling, the cycle was measured not to beat the direct solve.)
+The cycle is linear only to float32 roundoff, which plain GMRES does not
+allow; flexible GMRES keeps each preconditioned vector instead.  Elsewhere,
+after KRYLOV_MAX_ITERATIONS cycle applications, or when M leaves float32's
+normal range, the inner solver is a float32 factor of M, refined to
+float64's floor, and x stands at KRYLOV_TOL; where it misses, a float64
+factor solves M x = b.  The direct factor is a dense block Cholesky of the
+quasi-definite S M when n^2 <= DENSE_MAX_RATIO * nnz(M), else sparse LU.
+Each direct factor's bytes are first set against MemAvailable, exactly for
+the dense factor and from the block graph's own factor for sparse LU; one
+that cannot fit raises FactorMemoryError at once.
 """
 
 from __future__ import annotations
@@ -76,15 +77,14 @@ class ResidualToleranceError(SolverError):
 class SolveReport:
     """Seconds in the set-up and in the solve plus residual check.
 
-    On the direct path factor_s covers the factorization, with the block
-    ordering and the permuted copy of M for sparse LU, solve_s the refinement,
-    factor_nnz is the float32 factor's (the float64 one's after a fallback),
-    iterations is 0 and levels 1.  On the GMRES path factor_s is the
-    preconditioner's set-up, solve_s the iterations, factor_nnz the coarsest
-    level's float32 factor's, iterations the cycle's applications on the fine
-    grid, summed over GMRES's restarts, and levels the number of grids in the
-    cycle, the level's own included.  A fallback from GMRES reports the direct
-    path, its time in factor_s.
+    factor_s covers the set-up of the inner solver that gave x: the
+    multilevel cycle, or the direct factor with the block ordering and the
+    permuted copy of M for sparse LU; after a fallback from the cycle it
+    includes the cycle's time.  solve_s covers _refine, or the float64 solve.
+    factor_nnz is the direct factor's, float32 or after a miss float64, or
+    the cycle's coarsest float32 factor's.  iterations counts _refine's
+    cycle applications on the fine grid, and levels the grids in the cycle,
+    the level's own included; on the direct path they are 0 and 1.
 
     factor_nnz counts stored entries: SuperLU.nnz (L.nnz + U.nnz would copy
     the factors to count), or when dense L and L2's lower triangles and W.
@@ -243,29 +243,6 @@ def _factor(M, dofmap, dtype=np.float64):
     return solve, int(lu.nnz)
 
 
-def _refine(M, b, lu_solve):
-    """x by float64 refinement on a float32 factor, or None if it misses KRYLOV_TOL.
-
-    Refinement stops when the true residual no longer halves, or when the
-    next correction, extrapolated from the last two by their ratio, would
-    fall under float64's resolution of x.
-    """
-    x, r = np.zeros_like(b), b
-    norm_b = norm_r = np.linalg.norm(b)
-    norm_d = 0.0
-    for _ in range(KRYLOV_MAX_ITERATIONS if norm_b > 0 else 0):
-        d = norm_r * lu_solve(r / norm_r)  # at unit norm the cast stays in range
-        x += d
-        r = b - M @ x
-        last, norm_r = norm_r, np.linalg.norm(r)
-        last_d, norm_d = norm_d, np.linalg.norm(d)
-        if not 0 < norm_r <= 0.5 * last:  # the true residual no longer halves
-            break
-        if norm_d ** 2 <= np.finfo(float).eps * np.linalg.norm(x) * last_d:
-            break
-    return x if norm_r <= KRYLOV_TOL * norm_b else None
-
-
 def _cell_blocks(M, dofmap):
     """Each cell's own dense diagonal block of M, (cells, cell size, cell size).
 
@@ -388,30 +365,34 @@ def _arnoldi_cycle(M, r, precondition, steps, tol):
     return dx, j + 1
 
 
-def _fgmres(M, b, precondition):
-    """Flexible GMRES from x = 0, right-preconditioned: (x, applications).
+def _refine(M, b, correct, tol, accept):
+    """Float64 iterative refinement from x = 0: (x, applications).
 
-    An _arnoldi_cycle's estimate can pass KRYLOV_TOL while the true residual
-    b - M x does not; a new cycle then starts from x with the steps left.  A
-    cycle that fails to halve the true residual (float64's roundoff floor can
-    lie above KRYLOV_TOL on large meshes) ends the iteration, as in _refine.
-    KRYLOV_MAX_ITERATIONS caps the applications of precondition over all
-    cycles; x is None when they run out, or at the end if x fails RESIDUAL_TOL.
+    Each step adds d, n = correct(r, applications left), a correction to
+    M x = b from n applications of a low-precision solver, and recomputes
+    r = b - M x.  The loop ends when ||r|| <= tol ||b||, when ||r|| no
+    longer halves, or when the next correction, extrapolated from the last
+    two by their ratio, would fall under float64's resolution of x.  x is
+    None when KRYLOV_MAX_ITERATIONS applications run out first, or at the
+    end if ||r|| > accept ||b||.
     """
-    norm_b = norm_r = np.linalg.norm(b)
-    tol = KRYLOV_TOL * norm_b
     x, r, applications = np.zeros_like(b), b, 0
-    while norm_r > tol:
+    norm_b = norm_r = np.linalg.norm(b)
+    norm_d = 0.0
+    while norm_r > tol * norm_b:
         if applications == KRYLOV_MAX_ITERATIONS:
             return None, applications
-        dx, steps = _arnoldi_cycle(M, r, precondition, KRYLOV_MAX_ITERATIONS - applications, tol)
-        x += dx
-        applications += steps
+        d, n = correct(r, KRYLOV_MAX_ITERATIONS - applications)
+        x += d
+        applications += n
         r = b - M @ x
         last, norm_r = norm_r, np.linalg.norm(r)
-        if norm_r > 0.5 * last:  # the true residual no longer halves
-            return (x if norm_r <= RESIDUAL_TOL * norm_b else None), applications
-    return x, applications
+        last_d, norm_d = norm_d, np.linalg.norm(d)
+        if not 0 < norm_r <= 0.5 * last:  # the true residual no longer halves
+            break
+        if norm_d ** 2 <= np.finfo(float).eps * np.linalg.norm(x) * last_d:
+            break
+    return (x if norm_r <= accept * norm_b else None), applications
 
 
 def solve_saddle(system, mesh=None):
@@ -424,6 +405,7 @@ def solve_saddle(system, mesh=None):
     raise on either path; the system is never silently regularized.
     """
     M, b, dofmap, stab = system.M, system.b, system.dofmap, system.stab
+    norm_b = np.linalg.norm(b)
     t0 = time.perf_counter()
     x = None
     h_scaled = stab.alpha1 == -1.0 and stab.beta1 == 1.0  # C11 ~ 1/h, C22 ~ h
@@ -432,7 +414,8 @@ def solve_saddle(system, mesh=None):
         with contextlib.suppress(FloatingPointError, SingularSystemError):
             precondition, nnz, levels = _multilevel(M, dofmap, mesh)
             t1 = time.perf_counter()
-            x, iterations = _fgmres(M, b, precondition)
+            x, iterations = _refine(M, b, lambda r, left: _arnoldi_cycle(
+                M, r, precondition, left, KRYLOV_TOL * norm_b), KRYLOV_TOL, RESIDUAL_TOL)
     # each failed rung's arrays are freed before the next factor reads MemAvailable
     if x is None:
         precondition = None
@@ -440,7 +423,9 @@ def solve_saddle(system, mesh=None):
         with contextlib.suppress(FloatingPointError, SingularSystemError):
             lu_solve, nnz = _factor(M, dofmap, np.float32)
             t1 = time.perf_counter()
-            x = _refine(M, b, lu_solve)
+            # at unit norm the cast to float32 stays in range
+            x, _ = _refine(M, b, lambda r, left: (
+                np.linalg.norm(r) * lu_solve(r / np.linalg.norm(r)), 1), 0.0, KRYLOV_TOL)
     if x is None:
         lu_solve = None
         lu_solve, nnz = _factor(M, dofmap)
@@ -448,7 +433,6 @@ def solve_saddle(system, mesh=None):
         x = lu_solve(b)
     if not np.all(np.isfinite(x)):
         raise SingularSystemError("factorization produced non-finite solution")
-    norm_b = np.linalg.norm(b)
     resid = np.linalg.norm(M @ x - b) / (norm_b if norm_b > 0 else 1.0)
     report = SolveReport(relative_residual=float(resid), factor_s=t1 - t0,
                          solve_s=time.perf_counter() - t1, factor_nnz=nnz,

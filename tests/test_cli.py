@@ -149,6 +149,18 @@ class TestHSweep:
         # red refinement halves h exactly, so orders are defined
         assert lines[2].split(",")[4] != ""
 
+    @pytest.mark.parametrize("levels,expected", [("2", 2), ("0,1", 2), ("1", 0)])
+    def test_quad_file_mesh_refinement(self, tmp_path, capsys, levels, expected):
+        # red refinement splits triangles only: a refined quad level is a
+        # config error, not a traceback
+        quad = tmp_path / "quad.msh"
+        quad.write_text("dim 2 kind quad\nvertices 6\n-1 -1\n0 -1\n1 -1\n-1 1\n0 1\n1 1\n"
+                        "cells 2\n0 1 4 3\n1 2 5 4\n")
+        code, _ = run(tmp_path, "--mesh", f"file:{quad}", "--levels", levels, "--k", "1")
+        assert code == expected
+        if expected:
+            assert "quad mesh runs level 0 only" in capsys.readouterr().err
+
     def test_file_mesh_wrong_domain(self, tmp_path):
         bad = tmp_path / "bad.msh"
         bad.write_text("dim 2 kind tri\nvertices 4\n0 0\n1 0\n1 1\n0 1\n"

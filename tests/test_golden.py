@@ -27,6 +27,10 @@ TABLES = {
     "tri_c22zero": ["--flux", "c11=hinv,c22=0", "--levels", "4,8,16"],
     "tet_c22one": ["--problem", "elas3d_sine", "--mesh", "tet-uniform",
                    "--levels", "2,4", "--k", "1", "--flux", "c11=hinv,c22=1"],
+    # p-sweeps stop at k=6: rows k >= 7 reproduce the degree-7 solution and
+    # hold only roundoff, which depends on the BLAS thread count
+    "p_tri": ["--levels", "2", "--k", "1,2,3,4,5,6"],
+    "p_tri_pinv": ["--levels", "2", "--k", "1,2,3,4,5,6", "--flux", "c11=p,c22=pinv"],
 }
 
 

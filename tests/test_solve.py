@@ -323,11 +323,11 @@ class TestMixedPrecision:
         monkeypatch.setattr(solve_module, "DENSE_MAX_RATIO", 0)
         steps, real = [], solve_module._refine
 
-        def refine(M, b, lu_solve):
-            def counted(r):
+        def refine(M, b, correct, tol, accept):
+            def counted(r, left):
                 steps.append(r)
-                return lu_solve(r)
-            return real(M, b, counted)
+                return correct(r, left)
+            return real(M, b, counted, tol, accept)
 
         monkeypatch.setattr(solve_module, "_refine", refine)
         mesh = (build_uniform_tri(n, BOX2) if kind == "tri" else build_uniform_tet(n, BOX3))
@@ -345,11 +345,11 @@ class TestMixedPrecision:
         # halves the residual (k=10: 8.3e-5, 1.4e-9, 6.2e-14, 8.7e-15)
         steps, real = [], solve_module._refine
 
-        def refine(M, b, lu_solve):
-            def counted(r):
+        def refine(M, b, correct, tol, accept):
+            def counted(r, left):
                 steps.append(r)
-                return lu_solve(r)
-            return real(M, b, counted)
+                return correct(r, left)
+            return real(M, b, counted, tol, accept)
 
         monkeypatch.setattr(solve_module, "_refine", refine)
         dense = spy_dense(monkeypatch)
@@ -360,6 +360,44 @@ class TestMixedPrecision:
         _, report = solve_saddle(system)
         assert dense == [np.float32] and len(steps) == count
         assert report.relative_residual <= 1e-13
+
+
+class TestRefine:
+    """_refine's contract, on a small system and a deliberately weak inner solver."""
+
+    @pytest.fixture
+    def system(self):
+        A = np.random.default_rng(0).standard_normal((12, 12))
+        return A @ A.T + 12 * np.eye(12), np.arange(1.0, 13.0)
+
+    @staticmethod
+    def damped(M, damping, lefts=None):
+        # the exact solve scaled by damping: each step leaves 1 - damping of r
+        def correct(r, left):
+            if lefts is not None:
+                lefts.append(left)
+            return damping * np.linalg.solve(M, r), 1
+        return correct
+
+    def test_cap_returns_none(self, system, monkeypatch):
+        monkeypatch.setattr(solve_module, "KRYLOV_MAX_ITERATIONS", 3)
+        M, b = system
+        lefts = []
+        x, applications = solve_module._refine(M, b, self.damped(M, 0.9, lefts), 1e-12, 1e-9)
+        assert (x, applications) == (None, 3) and lefts == [3, 2, 1]
+
+    @pytest.mark.parametrize("accept,stands", [(1e-9, False), (0.8, True)])
+    def test_stagnation(self, system, accept, stands):
+        # 0.7 of r is left after one step: it does not halve, so the loop ends
+        M, b = system
+        x, applications = solve_module._refine(M, b, self.damped(M, 0.3), 1e-12, accept)
+        assert applications == 1 and (x is not None) == stands
+
+    def test_reaching_tol_returns_x(self, system):
+        M, b = system
+        x, applications = solve_module._refine(M, b, self.damped(M, 0.99), 1e-5, 1e-5)
+        assert applications == 3  # ||r|| / ||b|| is 1e-2, 1e-4, 1e-6
+        assert np.linalg.norm(b - M @ x) <= 1e-5 * np.linalg.norm(b)
 
 
 DENSE_MESHES = {
@@ -704,7 +742,7 @@ class TestTwoLevel:
         monkeypatch.setattr(solve_module, "KRYLOV_MIN_DOFS", 0)
         monkeypatch.setattr(solve_module, "KRYLOV_MAX_ITERATIONS", 6)
         steps_given, applied = [], []
-        real_cycle, real_fgmres = solve_module._arnoldi_cycle, solve_module._fgmres
+        real_cycle, real_refine = solve_module._arnoldi_cycle, solve_module._refine
 
         def arnoldi_cycle(M, r, precondition, steps, tol):
             steps_given.append(steps)
@@ -717,17 +755,18 @@ class TestTwoLevel:
 
         runs = []
 
-        def fgmres(*args):
-            runs.append(real_fgmres(*args))
+        def refine(*args):
+            runs.append(real_refine(*args))
             return runs[-1]
 
         monkeypatch.setattr(solve_module, "_arnoldi_cycle", arnoldi_cycle)
-        monkeypatch.setattr(solve_module, "_fgmres", fgmres)
+        monkeypatch.setattr(solve_module, "_refine", refine)
         mesh, system = tet_system(2)
         coeffs, report = solve_saddle(system, mesh)
+        (cycle_x, cycle_applications), (direct_x, _) = runs
         direct, direct_report = solve_saddle(system)
         assert steps_given == [6, 2] and len(applied) == 6
-        assert [(x, applications) for x, applications in runs] == [(None, 6)]
+        assert (cycle_x, cycle_applications) == (None, 6) and direct_x is not None
         assert report.iterations == 0
         assert report.factor_nnz == direct_report.factor_nnz
         assert np.array_equal(coeffs.values, direct.values)
@@ -737,8 +776,7 @@ class TestTwoLevel:
         # the float32 factor are freed before the next factor of M reads
         # MemAvailable
         monkeypatch.setattr(solve_module, "KRYLOV_MIN_DOFS", 0)
-        monkeypatch.setattr(solve_module, "_fgmres", lambda M, b, precondition: (None, 0))
-        monkeypatch.setattr(solve_module, "_refine", lambda M, b, lu_solve: None)
+        monkeypatch.setattr(solve_module, "_refine", lambda M, b, correct, tol, accept: (None, 0))
         mesh, system = tet_system(2)
         held, alive = [], []
         real_multilevel, real_factor = solve_module._multilevel, solve_module._factor
