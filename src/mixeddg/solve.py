@@ -3,25 +3,29 @@
 Each solve is float64 iterative refinement on a low-precision inner solver,
 _refine (Carson & Higham, SIAM J. Sci. Comput. 40, 2018).  Levels with a
 coarse level, C22 != 0 and at least KRYLOV_MIN_DOFS dofs, and in 2D the
-penalties C11 ~ 1/h and C22 ~ h, refine to KRYLOV_TOL on cycles of flexible
-GMRES, right-preconditioned by a float32 multilevel cycle over the nested
-meshes, and x stands at RESIDUAL_TOL.  (With C22 = 0, and in 2D with any
-other penalty scaling, the cycle was measured not to beat the direct solve.)
-The cycle is linear only to float32 roundoff, which plain GMRES does not
-allow; flexible GMRES keeps each preconditioned vector instead.  Elsewhere,
-after KRYLOV_MAX_ITERATIONS cycle applications, or when M leaves float32's
-normal range, the inner solver is a float32 factor of M, refined to
-float64's floor, and x stands at KRYLOV_TOL; where it misses, a float64
-factor solves M x = b.  The direct factor is a dense block Cholesky of the
-quasi-definite S M when n^2 <= DENSE_MAX_RATIO * nnz(M), else sparse LU.
-Each direct factor's bytes are first set against MemAvailable, exactly for
-the dense factor and from the block graph's own factor for sparse LU; one
-that cannot fit raises FactorMemoryError at once.
+penalties C11 ~ 1/h and C22 ~ h, refine to KRYLOV_TOL on restarted flexible
+GMRES, FGMRES(m) for m = KRYLOV_RESTART (Saad, SIAM J. Sci. Comput. 14,
+1993): each step one cycle from the true residual, right-preconditioned by
+a float32 multilevel cycle over the nested meshes; x stands at RESIDUAL_TOL.
+(With C22 = 0, and in 2D with any other penalty scaling, the cycle was
+measured not to beat the direct solve.)  The cycle is linear only to float32
+roundoff, which plain GMRES does not allow; flexible GMRES keeps each
+preconditioned vector instead.  Elsewhere, after KRYLOV_MAX_ITERATIONS cycle
+applications over all restarts, or when M leaves float32's normal range,
+the inner solver is a float32 factor of M, refined to float64's floor, and
+x stands at KRYLOV_TOL; where it misses, a float64 factor solves M x = b.
+The direct factor is a dense block Cholesky of the quasi-definite S M when
+n^2 <= DENSE_MAX_RATIO * nnz(M), else sparse LU.  Two checks set bytes
+against _available_memory before anything is built, and raise
+FactorMemoryError at once where they do not fit: the GMRES path's fine
+level, a known sum as m is fixed, and each direct factor, exactly when dense
+and from the block graph's own factor for sparse LU.
 """
 
 from __future__ import annotations
 
 import contextlib
+import resource
 import time
 from dataclasses import dataclass
 
@@ -40,6 +44,8 @@ RESIDUAL_TOL = 1e-9
 KRYLOV_TOL = 1e-12
 # cycle applications after which GMRES gives up and the direct solve takes over
 KRYLOV_MAX_ITERATIONS = 100
+# Arnoldi steps after which flexible GMRES restarts from the true residual
+KRYLOV_RESTART = 10
 # dofs from which GMRES beats the direct solve
 KRYLOV_MIN_DOFS = 10_000
 # n^2 / nnz(M) up to which the direct solve factors M as a dense matrix
@@ -59,7 +65,7 @@ class SingularSystemError(SolverError):
 
 
 class FactorMemoryError(SolverError):
-    """A factorization ran out of memory, or would not fit in MemAvailable."""
+    """A factorization ran out of memory, or a factor or cycle would not fit."""
 
 
 class ResidualToleranceError(SolverError):
@@ -82,9 +88,9 @@ class SolveReport:
     permuted copy of M for sparse LU; after a fallback from the cycle it
     includes the cycle's time.  solve_s covers _refine, or the float64 solve.
     factor_nnz is the direct factor's, float32 or after a miss float64, or
-    the cycle's coarsest float32 factor's.  iterations counts _refine's
-    cycle applications on the fine grid, and levels the grids in the cycle,
-    the level's own included; on the direct path they are 0 and 1.
+    the cycle's coarsest float32 factor's.  iterations counts the fine
+    grid's cycle applications, summed over restarts, and levels the grids in
+    the cycle, the level's own included; on the direct path they are 0 and 1.
 
     factor_nnz counts stored entries: SuperLU.nnz (L.nnz + U.nnz would copy
     the factors to count), or when dense L and L2's lower triangles and W.
@@ -142,11 +148,24 @@ def _stress_first_order(M, dofmap):
 
 
 def _available_memory():
-    """MemAvailable in bytes, or None where /proc/meminfo cannot be read."""
+    """The smaller of MemAvailable and, under a finite soft RLIMIT_AS (ulimit
+    -v), the limit less the address space mapped: bytes, or None if unread."""
+    free = []
     with contextlib.suppress(OSError, ValueError, StopIteration), open("/proc/meminfo") as info:
         line = next(line for line in info if line.startswith("MemAvailable:"))
-        return 1024 * int(line.split()[1])
-    return None
+        free.append(1024 * int(line.split()[1]))
+    limit = resource.getrlimit(resource.RLIMIT_AS)[0]
+    if limit != resource.RLIM_INFINITY:
+        with contextlib.suppress(OSError, ValueError), open("/proc/self/statm") as statm:
+            free.append(limit - int(statm.read().split()[0]) * resource.getpagesize())
+    return min(free, default=None)
+
+
+def _reserve(what, need):
+    """Raise FactorMemoryError when need bytes exceed _available_memory()."""
+    free = _available_memory()
+    if free is not None and need > free:
+        raise FactorMemoryError(f"out of memory: {what} needs {need:,} bytes, {free:,} available")
 
 
 def _dense_factor(M, dofmap, dtype):
@@ -198,8 +217,8 @@ def _factor(M, dofmap, dtype=np.float64):
 
     _dense_factor when n^2 <= DENSE_MAX_RATIO * nnz(M), else sparse LU in the
     stress-first block order.  Raises FactorMemoryError, before M is copied,
-    when the factor would not fit in MemAvailable, and FloatingPointError
-    when M leaves dtype's normal range.
+    when the factor would not fit in _available_memory(), and
+    FloatingPointError when M leaves dtype's normal range.
     """
     itemsize = np.dtype(dtype).itemsize
     dense = M.shape[0] ** 2 <= DENSE_MAX_RATIO * M.nnz
@@ -209,12 +228,9 @@ def _factor(M, dofmap, dtype=np.float64):
     else:
         perm, entries = _stress_first_order(M, dofmap)
         need = (entries + M.nnz) * (itemsize + M.indices.itemsize)
-    available = _available_memory()
     # raised outside the handlers below: solve_saddle retries their
     # SingularSystemError in float64, which needs more memory still
-    if available is not None and need > available:
-        raise FactorMemoryError(f"out of memory: the factor needs {need:,} bytes, "
-                                f"{available:,} available")
+    _reserve("the factor", need)
     try:
         with np.errstate(over="raise", under="raise"):
             if dense:
@@ -330,16 +346,16 @@ def _multilevel(M, dofmap, mesh):
 
 
 def _arnoldi_cycle(M, r, precondition, steps, tol):
-    """One cycle of flexible GMRES on M dx = r: (dx, applications).
+    """One cycle of FGMRES(steps) on M dx = r: (dx, applications).
 
-    The float64 Arnoldi basis V is built by classical Gram-Schmidt, done
-    twice, on the products M z_j of the preconditioned vectors
-    z_j = precondition(v_j).  They are kept in float32, as precondition may
-    change from step to step.  The cycle ends when the least-squares
-    estimate of ||r - M dx|| passes tol or rises (only at its roundoff
-    floor), or after steps applications; dx = Z y is summed in float64.
+    The float64 Arnoldi basis V, steps + 1 rows, is built by classical
+    Gram-Schmidt, done twice, on the products M z_j of the preconditioned
+    vectors z_j = precondition(v_j); Z keeps them, steps float32 rows, as
+    precondition may change from step to step.  The cycle ends when the
+    least-squares estimate of ||r - M dx|| passes tol or rises (only at its
+    roundoff floor), or after steps applications; dx = Z y is in float64.
     """
-    V = np.empty((steps + 1, len(r)))  # rows take memory only when written
+    V = np.empty((steps + 1, len(r)))
     Z = np.empty((steps, len(r)), np.float32)
     H = np.zeros((steps + 1, steps))
     g = np.zeros(steps + 1)
@@ -411,12 +427,16 @@ def solve_saddle(system, mesh=None):
     h_scaled = stab.alpha1 == -1.0 and stab.beta1 == 1.0  # C11 ~ 1/h, C22 ~ h
     if (mesh is not None and not stab.c22_zero and (mesh.dim == 3 or h_scaled)
             and _recurses(dofmap, mesh)):
+        # V, Z, float32 M; cell blocks, float64 inverted, float32 kept; P dense, CSR
+        _reserve("the multilevel cycle", M.nnz * 4 + M.shape[0] * (
+            (KRYLOV_RESTART + 1) * 8 + KRYLOV_RESTART * 4 + (20 + 20) * dofmap.cell_size))
         with contextlib.suppress(FloatingPointError, SingularSystemError):
             precondition, nnz, levels = _multilevel(M, dofmap, mesh)
             t1 = time.perf_counter()
             x, iterations = _refine(M, b, lambda r, left: _arnoldi_cycle(
-                M, r, precondition, left, KRYLOV_TOL * norm_b), KRYLOV_TOL, RESIDUAL_TOL)
-    # each failed rung's arrays are freed before the next factor reads MemAvailable
+                M, r, precondition, min(left, KRYLOV_RESTART), KRYLOV_TOL * norm_b),
+                KRYLOV_TOL, RESIDUAL_TOL)
+    # each failed rung's arrays are freed before the next factor checks its memory
     if x is None:
         precondition = None
         iterations, levels = 0, 1

@@ -378,3 +378,16 @@ def cell_blocks(M, dofmap: DofMap) -> np.ndarray:
     D = np.zeros((dofmap.num_cells, size, size))
     D[col // size, row % size, col % size] = M.data[own]
     return D
+
+
+def cycle_bytes(M, dofmap: DofMap, restart: int) -> int:
+    """Bytes of the multilevel GMRES path's fine level, summed from its arrays.
+
+    (m + 1) float64 and m float32 basis vectors for m = restart; M's data in
+    float32; and per entry of the cells' diagonal blocks (n * cell size of
+    them), 8 + 8 + 4 bytes for the float64 blocks, their inverses and the
+    kept float32 inverses, and 8 + 12 for the prolongation's dense float64
+    blocks and their CSR copy.
+    """
+    n = M.shape[0]
+    return ((restart + 1) * 8 + restart * 4) * n + 4 * M.nnz + (20 + 20) * n * dofmap.cell_size

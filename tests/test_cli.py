@@ -1,4 +1,5 @@
 import os
+import resource
 import subprocess
 import sys
 from importlib import resources
@@ -9,9 +10,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from mixeddg import build_dofmap, build_face_topology, build_uniform_tri, case_2d_poly
 from mixeddg import cli
 from mixeddg import solve as solve_module
+from mixeddg.forms import StabilizationParams, assemble_system
 from mixeddg.solve import ResidualToleranceError, SolveReport
+from oracles import cycle_bytes
 
 
 def run(tmp_path, *argv):
@@ -312,6 +316,52 @@ class TestSolverFailureExit:
         assert factorizations == ([np.float32] if where in ("splu", "dense") else [])
         assert len(checks) == (1 if where.endswith("preflight") else 0)
         assert ("bytes, 0 available" in err) == where.endswith("preflight")
+
+    def test_cycle_memory_check_names_level(self, tmp_path, monkeypatch, capsys):
+        # one byte short of the GMRES path's bytes, tri n=8 is refused before
+        # its cycle is built; n=2 takes the direct factor
+        monkeypatch.setattr(solve_module, "KRYLOV_MIN_DOFS", 1000)
+        case = case_2d_poly()
+        mesh = build_uniform_tri(8, case.box)
+        dofmap = build_dofmap(mesh, 1, 1)
+        M = assemble_system(mesh, build_face_topology(mesh), dofmap, case.material,
+                            StabilizationParams(), case.f).M
+        need = cycle_bytes(M, dofmap, solve_module.KRYLOV_RESTART)
+
+        def no_cycle(*_):
+            raise AssertionError("the multilevel set-up ran")
+
+        monkeypatch.setattr(solve_module, "_available_memory", lambda: need - 1)
+        monkeypatch.setattr(solve_module, "_multilevel", no_cycle)
+        code, _ = run(tmp_path, "--levels", "2,8")
+        assert code == 3
+        assert capsys.readouterr().err == (
+            f"solver failure: level 8: out of memory: the multilevel cycle needs {need:,} "
+            f"bytes, {need - 1:,} available\n")
+
+    @pytest.mark.skipif(not Path("/proc/self/statm").exists(), reason="needs /proc/self/statm")
+    def test_address_space_limit_refuses_at_once(self):
+        # under ulimit -v the memory checks see the address space left, not
+        # only MemAvailable: tri n=128 assembles within 570 MB over the
+        # import, and its cycle, 423 MB on top of the 266 MB held after
+        # assembly, is refused before it is built, where it would otherwise
+        # run into a MemoryError.  The limit is set in the child only
+        src = str(Path(cli.__file__).resolve().parents[1])
+        env = dict(os.environ, OPENBLAS_NUM_THREADS="1", PYTHONPATH=os.pathsep.join(
+            [src] + ([os.environ["PYTHONPATH"]] if os.environ.get("PYTHONPATH") else [])))
+        imported = subprocess.run(
+            [sys.executable, "-c", "import mixeddg.cli; print(open('/proc/self/statm').read())"],
+            env=env, capture_output=True, text=True, timeout=60, check=True)
+        limit = int(imported.stdout.split()[0]) * resource.getpagesize() + 570 * 2 ** 20
+        hard = resource.getrlimit(resource.RLIMIT_AS)[1]
+        proc = subprocess.run(
+            [sys.executable, "-m", "mixeddg", "--levels", "1,128"], env=env,
+            preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (limit, hard)),
+            capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 3
+        assert proc.stderr.startswith("solver failure: level 128: out of memory: "
+                                      "the multilevel cycle needs 422,583,296 bytes, ")
+        assert proc.stderr.endswith(" available\n") and proc.stderr.count("\n") == 1
 
     @pytest.mark.parametrize("argv,level", [
         (("--levels", "2,4"), "4"), (("--k", "1,2", "--levels", "4"), "1"),

@@ -1,5 +1,6 @@
 import dataclasses
 import inspect
+import tracemalloc
 import warnings
 import weakref
 from importlib import resources
@@ -20,9 +21,10 @@ from mixeddg.cli import FLUX_ALIASES
 from mixeddg.polybasis import cell_quadrature
 from mixeddg.spaces import FieldCoeffs, prolongation
 from mixeddg.forms import MaterialParams, StabilizationParams, assemble_system
-from mixeddg.solve import ResidualToleranceError, SingularSystemError, \
+from mixeddg.solve import FactorMemoryError, ResidualToleranceError, SingularSystemError, \
     _block_graph, _factor, _stress_first_order
-from oracles import cell_blocks, cell_points, cell_ref_coords, evaluate_field, exact_residual
+from oracles import cell_blocks, cell_points, cell_ref_coords, cycle_bytes, evaluate_field, \
+    exact_residual
 
 BOX2 = ((-1.0, 1.0), (-1.0, 1.0))
 BOX3 = ((0.0, 1.0), (0.0, 1.0), (0.0, 1.0))
@@ -619,10 +621,11 @@ class TestTwoLevel:
         assert calls == [] and dense == [np.float32]
 
     @pytest.mark.parametrize("stab,fewest,most", [
-        (StabilizationParams(), 38, 45), (C22_ONE, 55, 63)], ids=["default", "c11=hinv,c22=1"])
+        (StabilizationParams(), 38, 45), (C22_ONE, 62, 70)], ids=["default", "c11=hinv,c22=1"])
     def test_iterations_pinned(self, stab, fewest, most):
-        # tet n=4, k=1 converges in 41 and 59 iterations; a slower Krylov
-        # method or preconditioner leaves the band
+        # tet n=4, k=1 converges in 43 and 66 iterations, restarted every
+        # KRYLOV_RESTART steps; a slower Krylov method or preconditioner
+        # leaves the band
         mesh, system = tet_system(4, stab)
         _, report = solve_saddle(system, mesh)
         assert fewest <= report.iterations <= most
@@ -696,8 +699,8 @@ class TestTwoLevel:
 
     def test_restart_from_x_reaches_tolerance(self, monkeypatch):
         # a cycle ends when its estimate passes, which the true residual may
-        # not; a first cycle stopped at 1e-6 stands in for that, and the
-        # restart from x takes the steps left
+        # not; a first cycle stopped at 1e-6 stands in for that, and each
+        # restart from x takes KRYLOV_RESTART of the steps left, or all of them
         monkeypatch.setattr(solve_module, "KRYLOV_MIN_DOFS", 0)
         runs, real = [], solve_module._arnoldi_cycle
 
@@ -710,10 +713,12 @@ class TestTwoLevel:
         monkeypatch.setattr(solve_module, "_arnoldi_cycle", arnoldi_cycle)
         mesh, system = tet_system(2)
         coeffs, report = solve_saddle(system, mesh)
-        cap = solve_module.KRYLOV_MAX_ITERATIONS
-        assert len(runs) == 2
-        assert runs[0][0] == cap and runs[1][0] == cap - runs[0][1]
-        assert report.iterations == runs[0][1] + runs[1][1] <= cap
+        left = cap = solve_module.KRYLOV_MAX_ITERATIONS
+        assert len(runs) >= 2
+        for steps, applications in runs:
+            assert steps == min(left, solve_module.KRYLOV_RESTART)
+            left -= applications
+        assert report.iterations == cap - left <= cap
         assert report.levels == 2  # no fallback to LU
         assert true_residual(system, coeffs.values) <= 1e-12
 
@@ -736,6 +741,57 @@ class TestTwoLevel:
         assert len(runs) >= 2 and report.iterations == sum(runs)
         assert report.iterations < solve_module.KRYLOV_MAX_ITERATIONS
         assert true_residual(system, coeffs.values) <= 1e-12
+
+    def test_cycles_bounded_by_restart(self, monkeypatch):
+        # every cycle at tri n=32 gets at most KRYLOV_RESTART steps, and the
+        # reported iterations are their applications summed over restarts
+        runs, real = [], solve_module._arnoldi_cycle
+
+        def arnoldi_cycle(M, r, precondition, steps, tol):
+            dx, applications = real(M, r, precondition, steps, tol)
+            runs.append((steps, applications))
+            return dx, applications
+
+        monkeypatch.setattr(solve_module, "_arnoldi_cycle", arnoldi_cycle)
+        mesh, system = tri_system(32)
+        _, report = solve_saddle(system, mesh)
+        assert len(runs) >= 2 and report.levels == 2
+        assert max(steps for steps, _ in runs) <= solve_module.KRYLOV_RESTART
+        assert report.iterations == sum(applications for _, applications in runs)
+
+    def test_krylov_memory_bounded(self):
+        # the traced peak of the solve at tri n=32 stays within the restarted
+        # basis V and Z plus the cycle's own arrays, the sum that the memory
+        # check sets against; an unrestarted basis alone took about 35 MB
+        mesh, system = tri_system(32)
+        tracemalloc.start()
+        try:
+            _, report = solve_saddle(system, mesh)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert report.levels == 2
+        assert peak <= cycle_bytes(system.M, system.dofmap, solve_module.KRYLOV_RESTART)
+
+    @pytest.mark.parametrize("spare", [-1, 0], ids=["one-byte-short", "exact"])
+    def test_cycle_memory_check(self, spare, monkeypatch):
+        # the GMRES path's bytes are set against the memory left before any
+        # of the cycle is built: one byte short refuses the level, exactly
+        # enough runs it.  tri n=8 recurses once, to the LU of n=4
+        monkeypatch.setattr(solve_module, "KRYLOV_MIN_DOFS", 1000)
+        mesh, system = tri_system(8)
+        need = cycle_bytes(system.M, system.dofmap, solve_module.KRYLOV_RESTART)
+        monkeypatch.setattr(solve_module, "_available_memory", lambda: need + spare)
+        if spare == 0:
+            assert solve_saddle(system, mesh)[1].levels == 2
+            return
+
+        def no_cycle(*_):
+            raise AssertionError("the multilevel set-up ran")
+
+        monkeypatch.setattr(solve_module, "_multilevel", no_cycle)
+        with pytest.raises(FactorMemoryError, match=f"the multilevel cycle needs {need:,} bytes"):
+            solve_saddle(system, mesh)
 
     def test_iteration_cap_falls_back_to_direct(self, monkeypatch):
         # the cap counts cycle applications summed over the restarts
