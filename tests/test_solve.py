@@ -762,7 +762,7 @@ class TestTwoLevel:
     def test_krylov_memory_bounded(self):
         # the traced peak of the solve at tri n=32 stays within the restarted
         # basis V and Z plus the cycle's own arrays, the sum that the memory
-        # check sets against; an unrestarted basis alone took about 35 MB
+        # check sets against; unrestarted, V and Z alone reach about 35 MB
         mesh, system = tri_system(32)
         tracemalloc.start()
         try:
