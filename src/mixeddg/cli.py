@@ -101,12 +101,14 @@ def config_from_args(args) -> RunConfig:
 
     ks = _parse_ints(args.k, "--k")
     ls = None if args.l is None else _parse_ints(args.l, "--l")
-    if any(k < 0 for k in ks):
+    if min(ks + (ls or [])) < 0:
         raise ConfigError("degrees must be >= 0")
     if len(ks) > 1:
         if ls is not None and ls != ks:
             raise ConfigError("p-sweeps run with l = k; omit --l")
         degrees = [(k, k) for k in ks]
+    elif ls is not None and len(ls) > 1:
+        raise ConfigError("a comma list of --l needs a p-sweep: give --k a list")
     else:
         degrees = [(ks[0], ks[0] if ls is None else ls[0])]
     k, l = degrees[0]

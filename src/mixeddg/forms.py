@@ -31,6 +31,7 @@ import scipy.sparse as sp
 
 from .mesh import all_cell_points, face_quadrature, side_ref_coords
 from .polybasis import cell_quadrature, orthonormal_basis, simplex_quadrature
+from .solve import _reserve
 from .spaces import DofMap, data_exactness, stress_unit_tensors
 
 # quadrature points per batch of cells or faces in cell_batches and
@@ -211,7 +212,8 @@ def assemble_system(mesh, topo, dofmap: DofMap, mat: MaterialParams,
     """Assemble a, b, c into the CSC matrix M and the load into b.
 
     Discrete-discrete integrals use quadrature exact to 2*max(k,l)+2; the
-    load integral uses the manufactured-data exactness.
+    load integral uses the manufactured-data exactness.  FactorMemoryError is
+    raised before the padded blocks, or M's data, would not fit.
     """
     d = mesh.dim
     matrix_exactness = 2 * max(dofmap.k, dofmap.l) + 2
@@ -236,6 +238,7 @@ def assemble_system(mesh, topo, dofmap: DofMap, mat: MaterialParams,
     pair_rank = np.arange(len(keys)) - np.searchsorted(pair_col, pair_col)
     ranks = pair_rank.max() + 1
     slot = (pair_col * ranks + pair_rank)[slot]
+    _reserve("the assembly", nc * ranks * size * size * 9)  # the blocks and their mask
     blocks = np.zeros((nc * ranks, size, size))
     stress, disp = slice(None, s_size), slice(s_size, None)
 
@@ -304,6 +307,8 @@ def assemble_system(mesh, topo, dofmap: DofMap, mat: MaterialParams,
     # neighbour stress-stress blocks among them: keep the nonzeros
     by_col = blocks.reshape(nc, ranks, size, size).transpose(0, 2, 1, 3)
     nonzero = by_col != 0.0
+    counts = nonzero.sum(axis=(2, 3))
+    _reserve("the assembly", 8 * int(counts.sum()))  # M's data; its indices follow del blocks
     data = by_col[nonzero]
     del blocks, by_col
     row_cell = np.zeros((nc, 1, ranks, 1), np.int32)
@@ -312,7 +317,7 @@ def assemble_system(mesh, topo, dofmap: DofMap, mat: MaterialParams,
                               nonzero.shape)[nonzero]
     n = dofmap.total_dofs
     indptr = np.zeros(n + 1, np.int32)
-    indptr[1:] = np.cumsum(nonzero.sum(axis=(2, 3)))
+    indptr[1:] = np.cumsum(counts)
     M = sp.csc_matrix((data, indices, indptr), shape=(n, n))
 
     # load vector, in cell_batches at data exactness, after the blocks are freed

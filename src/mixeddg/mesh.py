@@ -1,17 +1,18 @@
 """Meshes and face topology.
 
-Structured triangle/quad/tet families are generated directly at each level;
-unstructured triangle meshes are read from text files and refined by edge
-midpoints.  All cells are affine images of their reference cell (simplices,
-or parallelogram quads), with positive orientation normalized at build time.
-Face topology is one set of frozen arrays, paired by a single sort over the
-cells' face keys.
+Triangle and tetrahedron meshes are one family, the Kuhn (Freudenthal) split
+of a box's cube grid into dim! simplices per cube, nested from n to n/2; quad
+meshes are the grid's squares.  Unstructured triangle meshes are read from
+text files and refined by edge midpoints.  All cells are affine images of
+their reference cell, positively oriented at build time.  Face topology is one
+set of frozen arrays, paired by a single sort over the cells' face keys.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
-from functools import cached_property, partial
+from functools import cache, cached_property, partial
 from typing import Callable
 
 import numpy as np
@@ -155,18 +156,64 @@ def _validate(mesh: Mesh) -> None:
         )
 
 
-def _grid_squares(n: int, box):
-    """Vertices of the (n+1)-by-(n+1) grid on box, and the corners
-    (ll, lr, ur, ul) of its n^2 squares (i, j) in row-major order."""
+def _box_grid(n: int, box):
+    """The (n+1)^dim vertex grid on box and the lower corner, as a grid
+    multi-index, of each of its n^dim cubes; both in row-major order."""
     if n < 1:
         raise MeshError("n must be >= 1")
     box = _box_array(box)
-    xs = np.linspace(box[0, 0], box[0, 1], n + 1)
-    ys = np.linspace(box[1, 0], box[1, 1], n + 1)
-    X, Y = np.meshgrid(xs, ys, indexing="ij")
-    verts = np.stack([X.ravel(), Y.ravel()], axis=-1)
-    ll = (np.arange(n)[:, None] * (n + 1) + np.arange(n)).ravel()
-    return box, verts, ll[:, None] + np.array([0, n + 1, n + 2, 1])
+    axes = [np.linspace(lo, hi, n + 1) for lo, hi in box]
+    verts = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, len(box))
+    corner = np.stack(np.meshgrid(*[np.arange(n)] * len(box), indexing="ij"), axis=-1)
+    return box, verts, corner.reshape(-1, len(box))
+
+
+@cache
+def _kuhn(dim: int):
+    """Kuhn's split of the unit cube into dim! simplices: the axis
+    permutations in lexicographic order, and each one's path from the origin
+    through unit steps along its axes in turn.  The odd permutations' paths
+    are negatively oriented, so their last two vertices swap."""
+    perms = np.array(list(itertools.permutations(range(dim))))
+    paths = np.concatenate([np.zeros((len(perms), 1, dim), np.int64),
+                            np.cumsum(np.eye(dim, dtype=np.int64)[perms], axis=1)], axis=1)
+    odd = np.linalg.det(np.eye(dim)[perms]) < 0
+    paths[odd, -2:] = paths[odd, :-3:-1]
+    perms.setflags(write=False)
+    paths.setflags(write=False)
+    return perms, paths
+
+
+def _kuhn_mesh(n: int, box, kind: str) -> Mesh:
+    """The Kuhn split of the n^dim cubes of box, dim! simplices per cube, in
+    _kuhn order; the cubes in row-major order.  With n even the mesh has a
+    coarse level: the n/2 mesh."""
+    dim = VERTS_PER_CELL[kind] - 1
+    box, verts, corner = _box_grid(n, box)
+    path = corner[:, None, None, :] + _kuhn(dim)[1]  # (cube, simplex, vertex, axis)
+    cells = np.ravel_multi_index(np.moveaxis(path, -1, 0), (n + 1,) * dim)
+    coarsen = partial(_kuhn_coarse_level, n, box, kind) if n % 2 == 0 else None
+    return _make_mesh(dim, kind, verts, cells.reshape(-1, dim + 1), box, coarsen)
+
+
+def _kuhn_coarse_level(n: int, box, kind: str):
+    """_kuhn_mesh(n // 2) and the parent of each cell of _kuhn_mesh(n).
+
+    Cube c lies in coarse cube c // 2, axis by axis.  Within it, the parent
+    is the Kuhn simplex whose permutation sorts the fine centroid's local
+    coordinates in decreasing order; 2 (dim + 1) times those coordinates are
+    distinct integers, so the sort is exact.
+    """
+    dim = len(box)
+    perms, paths = _kuhn(dim)
+    corner = np.stack(np.unravel_index(np.arange(n ** dim), (n,) * dim), axis=-1)
+    local = (dim + 1) * (corner[:, None] % 2) + paths.sum(axis=1)  # (cube, simplex, axis)
+    code = dim ** np.arange(dim - 1, -1, -1)  # lexicographic rank of a permutation
+    parent_kuhn = np.searchsorted(perms @ code, np.argsort(-local, axis=-1) @ code)
+    parent_cube = np.ravel_multi_index(tuple((corner // 2).T), (n // 2,) * dim)
+    parent = (len(perms) * parent_cube[:, None] + parent_kuhn).ravel()
+    parent.setflags(write=False)
+    return _kuhn_mesh(n // 2, box, kind), parent
 
 
 def build_uniform_tri(n: int, box=((-1.0, 1.0), (-1.0, 1.0))) -> Mesh:
@@ -177,82 +224,25 @@ def build_uniform_tri(n: int, box=((-1.0, 1.0), (-1.0, 1.0))) -> Mesh:
     2 (i n + j) + 1, in that order.  With n even the mesh has a coarse level:
     the n/2 mesh.
     """
-    box, verts, corners = _grid_squares(n, box)
-    cells = corners[:, [[0, 1, 2], [0, 2, 3]]].reshape(-1, 3)
-    coarsen = partial(_tri_coarse_level, n, box) if n % 2 == 0 else None
-    return _make_mesh(2, "triangle", verts, cells, box, coarsen)
-
-
-def _tri_coarse_level(n: int, box):
-    """build_uniform_tri(n // 2) and the parent of each cell of build_uniform_tri(n).
-
-    Square (i, j) lies in coarse square (i // 2, j // 2).  When i and j have
-    the same parity the square lies on the coarse diagonal, and its half t
-    lies in the coarse half t; otherwise both halves lie in coarse half
-    1 - i % 2, the lower one for i odd.
-    """
-    square, t = np.divmod(np.arange(2 * n * n), 2)
-    i, j = np.divmod(square, n)
-    half = np.where(i % 2 == j % 2, t, 1 - i % 2)
-    parent = 2 * ((i // 2) * (n // 2) + j // 2) + half
-    parent.setflags(write=False)
-    return build_uniform_tri(n // 2, box), parent
+    return _kuhn_mesh(n, box, "triangle")
 
 
 def build_uniform_quad(n: int, box=((-1.0, 1.0), (-1.0, 1.0))) -> Mesh:
-    """n-by-n axis-aligned rectangles."""
-    box, verts, corners = _grid_squares(n, box)
-    return _make_mesh(2, "quad", verts, corners, box)
-
-
-# Kuhn split: one tet per permutation of the coordinate insertion order,
-# conforming across neighboring cubes.  A tet's path runs from the cube corner
-# through the unit steps of its permutation; the odd permutations' paths are
-# negatively oriented, so their last two vertices swap.
-_KUHN_PERMS = np.array([(0, 1, 2), (0, 2, 1), (1, 0, 2), (1, 2, 0), (2, 0, 1), (2, 1, 0)])
-_KUHN_ODD = np.array([False, True, True, False, False, True])
-_KUHN_PATHS = np.concatenate([np.zeros((6, 1, 3), np.int64),
-                              np.cumsum(np.eye(3, dtype=np.int64)[_KUHN_PERMS], axis=1)], axis=1)
+    """n-by-n axis-aligned rectangles, corners (ll, lr, ur, ul)."""
+    box, verts, corner = _box_grid(n, box)
+    square = corner[:, None, :] + np.array([[0, 0], [1, 0], [1, 1], [0, 1]])
+    cells = np.ravel_multi_index(np.moveaxis(square, -1, 0), (n + 1, n + 1))
+    return _make_mesh(2, "quad", verts, cells, box)
 
 
 def build_uniform_tet(n: int, box=((0.0, 1.0), (0.0, 1.0), (0.0, 1.0))) -> Mesh:
     """n^3 cubes, each split into 6 tetrahedra along the main diagonal.
 
-    Cells run over the cubes (i, j, k) in row-major order, six per cube in
-    _KUHN_PERMS order.  With n even the mesh has a coarse level: the n/2 mesh.
+    Cells run over the cubes (i, j, k) in row-major order, six per cube, one
+    per axis permutation in lexicographic order.  With n even the mesh has a
+    coarse level: the n/2 mesh.
     """
-    if n < 1:
-        raise MeshError("n must be >= 1")
-    box = _box_array(box)
-    axes = [np.linspace(box[d, 0], box[d, 1], n + 1) for d in range(3)]
-    X, Y, Z = np.meshgrid(*axes, indexing="ij")
-    verts = np.stack([X.ravel(), Y.ravel(), Z.ravel()], axis=-1)
-
-    corner = np.stack(np.meshgrid(*[np.arange(n)] * 3, indexing="ij"), axis=-1)
-    path = corner.reshape(-1, 1, 1, 3) + _KUHN_PATHS  # (cube, perm, vertex, axis)
-    cells = (path[..., 0] * (n + 1) + path[..., 1]) * (n + 1) + path[..., 2]
-    cells[:, _KUHN_ODD] = cells[:, _KUHN_ODD][..., [0, 1, 3, 2]]
-    coarsen = partial(_tet_coarse_level, n, box) if n % 2 == 0 else None
-    return _make_mesh(3, "tetrahedron", verts, cells.reshape(-1, 4), box, coarsen)
-
-
-def _tet_coarse_level(n: int, box):
-    """build_uniform_tet(n // 2) and the parent of each cell of build_uniform_tet(n).
-
-    Cube (i, j, k) lies in coarse cube (i // 2, j // 2, k // 2).  Within it,
-    the parent is the Kuhn tet whose permutation sorts the fine centroid's
-    local coordinates in decreasing order; 8 times those coordinates are
-    distinct integers, so the sort is exact.
-    """
-    cube, kuhn = np.divmod(np.arange(6 * n ** 3), 6)
-    ijk = np.stack(np.unravel_index(cube, (n,) * 3), axis=-1)
-    local8 = 4 * (ijk % 2) + _KUHN_PATHS.sum(axis=1)[kuhn]
-    perm = np.argsort(-local8, axis=1)
-    parent_kuhn = 2 * perm[:, 0] + (perm[:, 1] > perm[:, 2])  # index in _KUHN_PERMS
-    parent_cube = np.ravel_multi_index(tuple((ijk // 2).T), (n // 2,) * 3)
-    parent = 6 * parent_cube + parent_kuhn
-    parent.setflags(write=False)
-    return build_uniform_tet(n // 2, box), parent
+    return _kuhn_mesh(n, box, "tetrahedron")
 
 
 def refine_red(mesh: Mesh) -> Mesh:

@@ -65,7 +65,8 @@ class SingularSystemError(SolverError):
 
 
 class FactorMemoryError(SolverError):
-    """A factorization ran out of memory, or a factor or cycle would not fit."""
+    """A factorization ran out of memory, or an assembly, factor or cycle
+    would not fit."""
 
 
 class ResidualToleranceError(SolverError):

@@ -75,7 +75,7 @@ def case_2d_poly() -> ManufacturedCase:
         dP2 = (1 - 3 * x2**2) * (1 - x1**2) ** 2
         dR1 = (1 - 3 * x1**2) * (1 - x2**2) ** 2
         dR2 = -4 * x1 * x2 * (1 - x1**2) * (1 - x2**2)
-        g = np.empty(x.shape[:-1] + (2, 2))
+        g = np.empty(x.shape[:-1] + (2, 2), np.result_type(x, float))
         g[..., 0, 0] = -A * dP1 - B * dR1
         g[..., 0, 1] = -A * dP2 - B * dR2
         g[..., 1, 0] = A * dR1 - B * dP1
@@ -116,7 +116,7 @@ def case_3d_sine(lam: float = 0.3, mu: float = 0.35) -> ManufacturedCase:
     def grad_u(x):
         s = np.sin(pi * x)
         c = np.cos(pi * x)
-        dg = np.empty(x.shape)
+        dg = np.empty(x.shape, np.result_type(x, float))
         dg[..., 0] = pi * c[..., 0] * s[..., 1] * s[..., 2]
         dg[..., 1] = pi * s[..., 0] * c[..., 1] * s[..., 2]
         dg[..., 2] = pi * s[..., 0] * s[..., 1] * c[..., 2]

@@ -52,7 +52,9 @@ class TestConfigValidation:
         ["--k", "abc"],
         ["--l", "x"],
         ["--out", "/nonexistent/dir/t.csv"],
-    ], ids=["k", "l", "out-dir"])
+        ["--l", "-1"],
+        ["--k", "1", "--l", "1,2"],
+    ], ids=["k", "l", "out-dir", "l-negative", "l-list"])
     def test_malformed_input(self, argv, capsys):
         code = cli.main(["--levels", "1", "--k", "0"] + argv)
         err = capsys.readouterr().err
@@ -338,6 +340,16 @@ class TestSolverFailureExit:
         assert capsys.readouterr().err == (
             f"solver failure: level 8: out of memory: the multilevel cycle needs {need:,} "
             f"bytes, {need - 1:,} available\n")
+
+    def test_assembly_memory_check_names_level(self, tmp_path, monkeypatch, capsys):
+        # tri n=4, k=1 needs 259,200 bytes of padded blocks and their mask: one
+        # byte short, level 2 runs and level 4 is refused in its assembly
+        monkeypatch.setattr(solve_module, "_available_memory", lambda: 259_199)
+        code, _ = run(tmp_path, "--levels", "2,4")
+        assert code == 3
+        assert capsys.readouterr().err == (
+            "solver failure: level 4: out of memory: the assembly needs 259,200 bytes, "
+            "259,199 available\n")
 
     @pytest.mark.skipif(not Path("/proc/self/statm").exists(), reason="needs /proc/self/statm")
     def test_address_space_limit_refuses_at_once(self):

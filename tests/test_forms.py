@@ -16,6 +16,7 @@ from mixeddg import (
     case_2d_poly,
     case_3d_sine,
 )
+from mixeddg import solve as solve_module
 from mixeddg.forms import (
     MaterialParams,
     StabilizationParams,
@@ -24,6 +25,7 @@ from mixeddg.forms import (
     penalty_values,
     stiffness_apply,
 )
+from mixeddg.solve import FactorMemoryError
 from mixeddg.spaces import STRESS_COMPONENTS, FieldCoeffs, stress_unit_tensors
 from oracles import (
     cell_ref_coords,
@@ -369,6 +371,29 @@ class TestAssembly:
                                                 topo.minus[topo.interior]]))
         blocks = mesh.num_cells * pairs.max() * dm.cell_size ** 2 * 8
         assert peak <= 1.2 * (blocks + M.data.nbytes + M.indices.nbytes + M.indptr.nbytes)
+
+    @pytest.mark.parametrize("stage", ["blocks", "data"])
+    def test_memory_check(self, stage, monkeypatch):
+        # tri n=4, k=1: 32 cells, at most 4 pairs per column cell and 15 dofs a
+        # cell, so the padded float64 blocks and their mask need 32 * 4 * 15^2 *
+        # 9 = 259,200 bytes, and M's data 8 bytes per entry (its int32 indices
+        # are gathered once the blocks are freed).  One byte short, each is
+        # refused before the array it counts is built
+        mesh = build_uniform_tri(4, BOX2)
+        topo, dm, mat, system = _assemble(mesh, 1, 1)
+        blocks, data = 259_200, 8 * system.M.nnz
+        need, free = (blocks, [blocks - 1]) if stage == "blocks" else (data, [blocks, data - 1])
+        monkeypatch.setattr(solve_module, "_available_memory", iter(free).__next__)
+        tracemalloc.start()
+        try:
+            with pytest.raises(FactorMemoryError,
+                               match=f"the assembly needs {need:,} bytes, {need - 1:,} available"):
+                assemble_system(mesh, topo, dm, mat, StabilizationParams(), _zero_load)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        if stage == "blocks":  # refused before the float64 blocks, 8/9 of the count
+            assert peak < blocks * 8 // 9
 
     def test_reassembly_bit_identical(self):
         mesh = build_uniform_tri(4, BOX2)

@@ -24,6 +24,7 @@ from mixeddg.mesh import (
 BOX2 = ((-1.0, 1.0), (-1.0, 1.0))
 SKEWED_BOX2 = ((-1.0, 2.0), (0.5, 0.7))
 BOX3 = ((0.0, 1.0), (0.0, 1.0), (0.0, 1.0))
+SKEWED_BOX3 = ((-1.0, 2.0), (0.5, 0.7), (-3.0, -1.0))
 
 SHIPPED_MESH = (resources.files("mixeddg") / "data/unstructured_square.msh").read_text()
 # numbers at the edges of float and int64, words of the format, and junk
@@ -221,6 +222,19 @@ class TestUniformTet:
         assert build_uniform_quad(4, BOX2).coarse_level is None
         assert refine_red(build_uniform_tri(2, BOX2)).coarse_level is None
         assert read_mesh(TWO_TRI_FILE).coarse_level is None
+
+
+@pytest.mark.parametrize("build,n,box", [(build_uniform_tri, 16, SKEWED_BOX2),
+                                         (build_uniform_tet, 8, SKEWED_BOX3)],
+                         ids=["tri16", "tet8"])
+def test_coarse_levels_nest_down_to_one(build, n, box):
+    # the multilevel cycle recurses through these levels: each one's cells lie
+    # in the next coarser one's, down to n=1, which has no coarse level
+    mesh = build(n, box)
+    while n > 1:
+        assert_cells_lie_in_parents(mesh, build(n // 2, box))
+        mesh, n = mesh.coarse_level[0], n // 2
+    assert mesh.num_cells == math.factorial(mesh.dim) and mesh.coarse_level is None
 
 
 KUHN_PERMS = ((0, 1, 2), (0, 2, 1), (1, 0, 2), (1, 2, 0), (2, 0, 1), (2, 1, 0))

@@ -51,6 +51,20 @@ def fd_div_sigma(sigma_fn, x, h=1e-5):
     return out
 
 
+def cs_div_sigma(case, x, h=1e-30):
+    """Complex-step divergence of the exact stress, row-wise: exact to
+    rounding, as no difference cancels (Squire & Trapp, SIAM Rev. 40, 1998).
+    The stress is formed here, since stiffness_apply casts to float."""
+    mat, d = case.material, case.dim
+    out = np.zeros(x.shape)
+    for j in range(d):
+        g = case.grad_u(x + 1j * h * np.eye(d)[j])
+        eps = 0.5 * (g + np.swapaxes(g, -1, -2))
+        tr = np.trace(eps, axis1=-2, axis2=-1)[..., None, None]
+        out += (2 * mat.mu * eps + mat.lam * tr * np.eye(d))[..., :, j].imag / h
+    return out
+
+
 def boundary_samples(box, count, rng):
     d = len(box)
     pts = np.array([rng.uniform(lo, hi, size=count) for (lo, hi) in box]).T
@@ -123,6 +137,26 @@ class TestCase3D:
             e[j] = h
             fd = (case.u(x + e) - case.u(x - e)) / (2 * h)
             assert np.abs(g[:, :, j] - fd).max() < 1e-6
+
+
+LOAD_CASES = {"2d": case_2d_poly()} | {
+    f"3d-lam{lam:g}-mu{mu:g}": case_3d_sine(lam, mu)
+    for lam, mu in [(0.3, 0.35), (1.0, 0.35), (100.0, 0.35), (0.3, 1.0)]}
+
+
+class TestComplexStepLoad:
+    @pytest.mark.parametrize("name", sorted(LOAD_CASES))
+    @settings(max_examples=40, derandomize=True, database=None, deadline=None)
+    @given(data=st.data())
+    def test_load_matches_complex_step(self, name, data):
+        # f = -div sigma to 1e-13 of max |f| over a grid of the box, at points
+        # anywhere in the closed box
+        case = LOAD_CASES[name]
+        x = np.array(data.draw(st.lists(st.tuples(*(st.floats(lo, hi) for lo, hi in case.box)),
+                                        min_size=1, max_size=50)))
+        grid = np.stack(np.meshgrid(*(np.linspace(lo, hi, 21) for lo, hi in case.box)), axis=-1)
+        scale = np.abs(case.f(grid.reshape(-1, case.dim))).max()
+        assert np.abs(cs_div_sigma(case, x) + case.f(x)).max() <= 1e-13 * scale
 
 
 class TestErrorL2:
