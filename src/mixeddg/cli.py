@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cache, partial
 from pathlib import Path
 
@@ -51,13 +51,13 @@ class ConfigError(ValueError):
 
 @dataclass
 class RunConfig:
-    problem: str = "elas2d_poly"
-    mesh: str = "tri-uniform"
-    levels: list = field(default_factory=lambda: [2, 4, 8, 16])
-    degrees: list = field(default_factory=lambda: [(1, 1)])  # (k, l); several: a p-sweep
-    stab: StabilizationParams = None
-    fmt: str = "csv"
-    out: str = None
+    problem: str
+    mesh: str
+    levels: list
+    degrees: list  # (k, l); several: a p-sweep
+    stab: StabilizationParams
+    fmt: str
+    out: str
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -149,20 +149,24 @@ def _parse_ints(spec: str, flag: str) -> list:
 
 def _parse_levels(spec: str, mesh: str, p_sweep: bool = False) -> list:
     parts = _parse_ints(spec, "--levels")
+    file_mesh = mesh.startswith("file:")
     if len(parts) == 1 and not p_sweep:
-        # a bare integer is a level count: n = 2, 4, ..., 2^count
+        # a bare integer is a level count: n = 2, 4, ..., 2^count; past 62
+        # the finest level (2^count cells per axis, or 4^count times a file
+        # mesh's cells) overflows any 64-bit index
         count = parts[0]
-        if count < 1:
-            raise ConfigError("--levels must be >= 1")
-        if mesh.startswith("file:"):
-            return list(range(count))
-        return [2 ** (i + 1) for i in range(count)]
+        if not 1 <= count <= 62:
+            raise ConfigError(f"--levels count {count} is not in 1..62")
+        parts = list(range(count)) if file_mesh else [2 ** (i + 1) for i in range(count)]
     if any(n < 0 for n in parts):
         raise ConfigError("explicit levels must be nonnegative")
     if p_sweep and len(parts) != 1:
         raise ConfigError("p-sweeps need exactly one mesh level")
-    if not mesh.startswith("file:") and min(parts) < 1:
+    if not file_mesh and min(parts) < 1:
         raise ConfigError("structured levels need n >= 1")
+    dim = 3 if mesh == "tet-uniform" else 2
+    if not file_mesh and (max(parts) + 1) ** dim * dim * 8 > np.iinfo(np.intp).max:
+        raise ConfigError(f"level {max(parts)}: its vertex grid outgrows any array")
     return parts
 
 
@@ -224,9 +228,9 @@ def run_sweep(config: RunConfig) -> str:
     """One solve and one table row per level: a mesh of an h-sweep, or a
     degree pair of a p-sweep on its one mesh.
 
-    h-sweep rows carry observed orders when every level halves h. p-sweep
-    rows hold p^(k+1) * err_l2 and p^s * err_energy with s = k + 1/2 for
-    C22 = O(1) and s = k for decaying or absent C22, p = min(k,l) + 1, then
+    Each row after the first carries observed_orders of the raw errors in h/p,
+    p = min(k,l) + 1. p-sweep rows print p^(k+1) * err_l2 and p^s * err_energy
+    with s = k + 1/2 for C22 = O(1) and s = k for decaying or absent C22, then
     the raw errors.
     """
     case = _case_for(config)
@@ -246,22 +250,16 @@ def run_sweep(config: RunConfig) -> str:
             raise SolverError(f"level {level_id}: out of memory") from exc
         except SolverError as exc:
             raise SolverError(f"level {level_id}: {exc}") from exc
-        row = {"level": level_id, "x": h, "dofs": dofs, "err_l2": e_l2,
-               "order_l2": None, "err_energy": e_en, "order_energy": None}
-        if p_sweep:
-            p = min(k, l) + 1
-            s = k + 0.5 if c22_order_one else k
-            row.update(x=k, err_l2=p ** (k + 1) * e_l2, err_energy=p ** s * e_en,
-                       raw=(e_l2, e_en))
-        rows.append(row)
-    if not p_sweep:
-        for norm in ("l2", "energy"):
-            try:
-                orders = observed_orders([(r["x"], r[f"err_{norm}"]) for r in rows])
-            except ValueError:  # some level does not halve h
-                continue
-            for row, order in zip(rows[1:], orders):
-                row[f"order_{norm}"] = order
+        p = min(k, l) + 1
+        s = k + 0.5 if c22_order_one else k
+        l2_scale, energy_scale = (p ** (k + 1), p ** s) if p_sweep else (1, 1)
+        rows.append({"level": level_id, "x": k if p_sweep else h, "dofs": dofs, "h/p": h / p,
+                     "err_l2": l2_scale * e_l2, "err_energy": energy_scale * e_en,
+                     "raw": (e_l2, e_en)})
+    for i, norm in enumerate(("l2", "energy")):
+        orders = observed_orders([(r["h/p"], r["raw"][i]) for r in rows])
+        for row, order in zip(rows, [None] + orders):
+            row[f"order_{norm}"] = order
     return _render(rows, "k" if p_sweep else "h", config.fmt)
 
 
@@ -271,6 +269,8 @@ def _fmt_order(v):
 
 def _render(rows, x_name: str, fmt: str) -> str:
     header = ["level", x_name, "dofs", "err_l2", "order", "err_energy", "order"]
+    if x_name == "k":  # a p-sweep: the raw errors follow the p-scaled ones
+        header += ["raw_err_l2", "raw_err_energy"]
     table = [
         [
             r["level"],
@@ -280,11 +280,9 @@ def _render(rows, x_name: str, fmt: str) -> str:
             _fmt_order(r["order_l2"]),
             f"{r['err_energy']:.6e}",
             _fmt_order(r["order_energy"]),
-        ] + [f"{e:.6e}" for e in r.get("raw", ())]
+        ] + ([f"{e:.6e}" for e in r["raw"]] if x_name == "k" else [])
         for r in rows
     ]
-    if rows and "raw" in rows[0]:
-        header += ["raw_err_l2", "raw_err_energy"]
     if fmt == "csv":
         lines = [",".join(header)] + [",".join(row) for row in table]
         return "\n".join(lines) + "\n"

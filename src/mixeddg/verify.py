@@ -1,4 +1,4 @@
-"""Manufactured solutions, error norms, and observed convergence orders.
+"""Manufactured solutions, error norms, and orders in h/p from raw errors.
 
 The energy error is the seminorm induced by the diagonal of the method:
 sqrt(a(es, es) + c(eu, eu)) with es = sigma - sigma_h, eu = u - u_h, with
@@ -204,14 +204,12 @@ def error_energy(mesh, topo, dofmap: DofMap, sigma_h: FieldCoeffs,
 
 
 def observed_orders(errors) -> list:
-    """log2(e_i / e_{i+1}) for levels whose h halves; rejects other sequences."""
-    hs = [h for h, _ in errors]
-    es = [e for _, e in errors]
+    """log(e_i / e_(i+1)) / log(x_i / x_(i+1)) of consecutive (x, e) pairs, signed;
+    None where x repeats or a value is not positive and finite.  The CLI passes
+    x = h/p and the raw errors: the h-order at fixed p, the p-order on one mesh."""
     orders = []
-    for i in range(len(errors) - 1):
-        if not math.isclose(hs[i + 1] / hs[i], 0.5, rel_tol=1e-9):
-            raise ValueError(
-                f"levels {i} -> {i + 1} do not halve h: {hs[i]} -> {hs[i + 1]}"
-            )
-        orders.append(math.log2(es[i] / es[i + 1]))
+    for (x0, e0), (x1, e1) in zip(errors, errors[1:]):
+        finite = all(0.0 < v < math.inf for v in (x0, e0, x1, e1))
+        dx = math.log(x0) - math.log(x1) if finite else 0.0
+        orders.append((math.log(e0) - math.log(e1)) / dx if dx else None)
     return orders

@@ -1,7 +1,9 @@
+import math
 import os
 import resource
 import subprocess
 import sys
+import tracemalloc
 from importlib import resources
 from pathlib import Path
 
@@ -54,12 +56,26 @@ class TestConfigValidation:
         ["--out", "/nonexistent/dir/t.csv"],
         ["--l", "-1"],
         ["--k", "1", "--l", "1,2"],
-    ], ids=["k", "l", "out-dir", "l-negative", "l-list"])
+        ["--mesh", "tet-uniform"],
+        ["--levels", "0"],
+        ["--levels=-1,2"],
+        ["--levels", "0,2"],
+        # past 2^62 cells per axis, or a vertex grid past any array size
+        ["--levels", "2097152"],
+        ["--problem", "elas3d_sine", "--mesh", "tet-uniform", "--levels", "2097152,2097152"],
+    ], ids=["k", "l", "out-dir", "l-negative", "l-list", "mesh-dim", "levels-0",
+            "levels-negative", "levels-0-list", "levels-count-huge", "levels-grid-huge"])
     def test_malformed_input(self, argv, capsys):
-        code = cli.main(["--levels", "1", "--k", "0"] + argv)
+        tracemalloc.start()
+        try:
+            code = cli.main(["--levels", "1", "--k", "0"] + argv)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
         err = capsys.readouterr().err
         assert code == 2
         assert err.startswith("config error") and err.count("\n") == 1
+        assert peak < 1 << 20  # refused before anything is built
 
     def test_unwritable_out(self, tmp_path, capsys):
         # a directory passes the up-front check but cannot be written as a file
@@ -112,12 +128,18 @@ class TestHSweep:
         last = lines[-1].split(",")
         assert float(last[4]) > 1.0  # l2 order heading toward 2
 
-    def test_non_halving_levels_leave_orders_blank(self, tmp_path):
+    def test_non_halving_levels_get_orders(self, tmp_path):
+        # n = 8 -> 12 does not halve h; its order is still log(e ratio) / log(h ratio)
         code, out = run(tmp_path, "--levels", "4,8,12", "--k", "1")
         assert code == 0
         rows = [ln.split(",") for ln in out.read_text().strip().splitlines()[1:]]
         assert [r[0] for r in rows] == ["4", "8", "12"]
-        assert all(r[4] == "" and r[6] == "" for r in rows)
+        assert rows[0][4] == "" and rows[0][6] == ""
+        for prev, row in zip(rows, rows[1:]):
+            for col in (3, 5):
+                order = (math.log(float(prev[col]) / float(row[col]))
+                         / math.log(float(prev[1]) / float(row[1])))
+                assert float(row[col + 1]) == pytest.approx(order, abs=1e-2)
 
     def test_one_level_run(self, tmp_path):
         code, out = run(tmp_path, "--levels", "1", "--k", "0")
@@ -174,6 +196,16 @@ class TestHSweep:
         code, _ = run(tmp_path, "--mesh", f"file:{bad}", "--levels", "1")
         assert code == 2
 
+    def test_file_mesh_wrong_dimension(self, tmp_path, capsys):
+        tet = tmp_path / "tet.msh"
+        # the Kuhn split of the unit cube: a valid mesh, but 3D
+        cube = "\n".join(f"{i >> 2} {i >> 1 & 1} {i & 1}" for i in range(8))
+        tet.write_text(f"dim 3 kind tet\nvertices 8\n{cube}\ncells 6\n"
+                       "0 4 6 7\n0 4 7 5\n0 2 7 6\n0 2 3 7\n0 1 5 7\n0 1 7 3\n")
+        code, _ = run(tmp_path, "--mesh", f"file:{tet}", "--levels", "1")
+        assert code == 2
+        assert "mesh dimension does not match the problem" in capsys.readouterr().err
+
     @pytest.mark.parametrize("old,new", [
         ("vertices 4", "vertices abc"),
         ("vertices 4", "vertices -1"),
@@ -200,9 +232,13 @@ class TestPSweep:
         lines = out.read_text().strip().splitlines()
         assert lines[0] == ("level,k,dofs,err_l2,order,err_energy,order,"
                             "raw_err_l2,raw_err_energy")
-        assert [ln.split(",")[0] for ln in lines[1:]] == ["0", "1"]
-        # order columns stay empty in p-sweeps
-        assert all(ln.split(",")[4] == "" for ln in lines[1:])
+        rows = [ln.split(",") for ln in lines[1:]]
+        assert [r[0] for r in rows] == ["0", "1"]
+        # p-orders come from the raw errors, with p = k + 1 going 1 -> 2
+        assert rows[0][4] == "" and rows[0][6] == ""
+        for col, raw in ((4, 7), (6, 8)):
+            order = math.log(float(rows[0][raw]) / float(rows[1][raw])) / math.log(2 / 1)
+            assert float(rows[1][col]) == pytest.approx(order, abs=1e-2)
 
     def test_raw_columns_unscaled(self, tmp_path):
         # default stabilization: L2 scaled by p^(k+1), energy by p^(k+1/2)

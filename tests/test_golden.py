@@ -39,3 +39,22 @@ def test_table_unchanged(name, tmp_path):
     out = tmp_path / f"{name}.csv"
     assert cli.main(TABLES[name] + ["--out", str(out)]) == 0
     assert out.read_bytes() == (GOLDEN / f"{name}.csv").read_bytes()
+
+
+# h-sweeps at degree k; None marks a p-sweep
+DEGREE = {"tri_k1": 1, "tet_k1": 1, "file_k1": 1, "quad_k2": 2, "p_tri": None,
+          "p_tri_pinv": None}
+
+
+@pytest.mark.parametrize("name", list(DEGREE))
+def test_rates_hold(name):
+    """Every row after the first has an order in both norms.  On an h-sweep
+    the finest pair reaches L2 order k + 1 and energy order k, to 0.1; on a
+    p-sweep of the analytic solution the orders grow with k."""
+    rows = [line.split(",") for line in (GOLDEN / f"{name}.csv").read_text().splitlines()[2:]]
+    orders = [(float(row[4]), float(row[6])) for row in rows]
+    k = DEGREE[name]
+    if k is None:
+        assert orders[-1][0] > orders[0][0] and orders[-1][1] > orders[0][1]
+    else:
+        assert orders[-1][0] >= k + 0.9 and orders[-1][1] >= k - 0.1

@@ -435,6 +435,14 @@ class TestObservedOrders:
         orders = observed_orders([(1.0, 1.0), (0.5, 2.0)])
         assert orders[0] == pytest.approx(-1.0)
 
-    def test_non_halving_rejected(self):
-        with pytest.raises(ValueError, match="halve"):
-            observed_orders([(1.0, 4.0), (0.4, 1.0)])
+    def test_any_x_ratio(self):
+        # log of the error ratio over log of the x ratio, for any ratio of x;
+        # undefined orders are None, never an exception
+        orders = observed_orders([(1.0, 4.0), (0.4, 1.0)])
+        assert orders == pytest.approx([math.log(4.0) / math.log(2.5)])
+        assert observed_orders([(0.5, 4.0), (0.5, 1.0)]) == [None]
+        assert observed_orders([(1.0, 4.0), (0.5, 0.0), (0.25, 1.0)]) == [None, None]
+        # x falls, then rises: the order stays positive while the error
+        # follows x, and the rows need not be sorted
+        assert observed_orders([(1.0, 4.0), (0.5, 1.0), (1.0, 4.0)]) == pytest.approx(
+            [2.0, 2.0])
