@@ -31,7 +31,7 @@ import scipy.sparse as sp
 
 from .mesh import all_cell_points, face_quadrature, side_ref_coords
 from .polybasis import cell_quadrature, orthonormal_basis, simplex_quadrature
-from .solve import _reserve
+from .solve import SCAN_ENTRIES, _reserve
 from .spaces import DofMap, data_exactness, stress_unit_tensors
 
 # quadrature points per batch of cells or faces in cell_batches and
@@ -238,7 +238,7 @@ def assemble_system(mesh, topo, dofmap: DofMap, mat: MaterialParams,
     pair_rank = np.arange(len(keys)) - np.searchsorted(pair_col, pair_col)
     ranks = pair_rank.max() + 1
     slot = (pair_col * ranks + pair_rank)[slot]
-    _reserve("the assembly", nc * ranks * size * size * 9)  # the blocks and their mask
+    _reserve("the assembly", nc * ranks * size * size * 8)  # the padded blocks
     blocks = np.zeros((nc * ranks, size, size))
     stress, disp = slice(None, s_size), slice(s_size, None)
 
@@ -304,23 +304,36 @@ def assemble_system(mesh, topo, dofmap: DofMap, mat: MaterialParams,
 
     # read as (column cell, local column, rank, local row), the blocks are M's
     # CSC arrays with the exact zeros, the padding and, when C22 = 0, the
-    # neighbour stress-stress blocks among them: keep the nonzeros
+    # neighbour stress-stress blocks among them.  Count each column's nonzeros
+    # over chunks of whole column cells, then move each chunk's nonzeros to the
+    # front of the same buffer: the running offset never passes the chunk's
+    # start.  A chunk holds at most SCAN_ENTRIES padded entries and a sixteenth
+    # of the cells, so that its scratch stays small beside the blocks
     by_col = blocks.reshape(nc, ranks, size, size).transpose(0, 2, 1, 3)
-    nonzero = by_col != 0.0
-    counts = nonzero.sum(axis=(2, 3))
-    _reserve("the assembly", 8 * int(counts.sum()))  # M's data; its indices follow del blocks
-    data = by_col[nonzero]
-    del blocks, by_col
-    row_cell = np.zeros((nc, 1, ranks, 1), np.int32)
-    row_cell[pair_col, 0, pair_rank, 0] = pair_row
-    indices = np.broadcast_to(row_cell * size + np.arange(size, dtype=np.int32),
-                              nonzero.shape)[nonzero]
+    step = max(1, min(SCAN_ENTRIES // (ranks * size * size), nc // 16))
+    chunks = [slice(c, min(c + step, nc)) for c in range(0, nc, step)]
     n = dofmap.total_dofs
     indptr = np.zeros(n + 1, np.int32)
-    indptr[1:] = np.cumsum(counts)
-    M = sp.csc_matrix((data, indices, indptr), shape=(n, n))
+    np.cumsum(np.concatenate([(by_col[c] != 0.0).sum(axis=(2, 3)).ravel() for c in chunks]),
+              out=indptr[1:])
+    nnz = int(indptr[-1])
+    _reserve("the assembly", 4 * nnz)  # M's int32 indices; its data stays in the blocks
+    indices = np.empty(nnz, np.int32)
+    row_cell = np.zeros((nc, 1, ranks, 1), np.int32)
+    row_cell[pair_col, 0, pair_rank, 0] = pair_row
+    local_row = np.arange(size, dtype=np.int32)
+    flat = blocks.reshape(-1)
+    for c in chunks:
+        keep = by_col[c] != 0.0
+        start, stop = indptr[c.start * size], indptr[c.stop * size]
+        flat[start:stop] = by_col[c][keep]
+        indices[start:stop] = np.broadcast_to(row_cell[c] * size + local_row, keep.shape)[keep]
+    # no view of the blocks is left, so realloc may shrink them to M's data
+    del by_col, flat
+    blocks.resize(nnz, refcheck=False)
+    M = sp.csc_matrix((blocks, indices, indptr), shape=(n, n))
 
-    # load vector, in cell_batches at data exactness, after the blocks are freed
+    # load vector, in cell_batches at data exactness, after the blocks are compacted
     rule_f = cell_quadrature(mesh.cell_kind, data_exactness(dofmap))
     Vk_f = basis_k.eval(rule_f.points)
     b = np.zeros(n)

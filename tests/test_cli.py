@@ -378,14 +378,14 @@ class TestSolverFailureExit:
             f"bytes, {need - 1:,} available\n")
 
     def test_assembly_memory_check_names_level(self, tmp_path, monkeypatch, capsys):
-        # tri n=4, k=1 needs 259,200 bytes of padded blocks and their mask: one
-        # byte short, level 2 runs and level 4 is refused in its assembly
-        monkeypatch.setattr(solve_module, "_available_memory", lambda: 259_199)
+        # tri n=4, k=1 needs 230,400 bytes of padded float64 blocks: one byte
+        # short, level 2 runs and level 4 is refused in its assembly
+        monkeypatch.setattr(solve_module, "_available_memory", lambda: 230_399)
         code, _ = run(tmp_path, "--levels", "2,4")
         assert code == 3
         assert capsys.readouterr().err == (
-            "solver failure: level 4: out of memory: the assembly needs 259,200 bytes, "
-            "259,199 available\n")
+            "solver failure: level 4: out of memory: the assembly needs 230,400 bytes, "
+            "230,399 available\n")
 
     @pytest.mark.skipif(not Path("/proc/self/statm").exists(), reason="needs /proc/self/statm")
     def test_address_space_limit_refuses_at_once(self):

@@ -372,17 +372,35 @@ class TestAssembly:
         blocks = mesh.num_cells * pairs.max() * dm.cell_size ** 2 * 8
         assert peak <= 1.2 * (blocks + M.data.nbytes + M.indices.nbytes + M.indptr.nbytes)
 
-    @pytest.mark.parametrize("stage", ["blocks", "data"])
+    def test_data_compacted_in_blocks(self):
+        # M's data is the front of the padded blocks, compacted in place: at
+        # tri n=2, k=10 the traced peak inside assemble_system stays under the
+        # blocks plus a boolean mask of them plus a separate copy of M's data
+        mesh = build_uniform_tri(2, BOX2)
+        topo, dm, mat, _ = _assemble(mesh, 10, 10)  # fills the basis and quadrature caches
+        tracemalloc.start()
+        try:
+            M = assemble_system(mesh, topo, dm, mat, StabilizationParams(), _zero_load).M
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        pairs = 1 + np.bincount(np.concatenate([topo.plus[topo.interior],
+                                                topo.minus[topo.interior]]))
+        padded = mesh.num_cells * pairs.max() * dm.cell_size ** 2
+        assert peak < 9 * padded + M.data.nbytes
+
+    @pytest.mark.parametrize("stage", ["blocks", "indices"])
     def test_memory_check(self, stage, monkeypatch):
         # tri n=4, k=1: 32 cells, at most 4 pairs per column cell and 15 dofs a
-        # cell, so the padded float64 blocks and their mask need 32 * 4 * 15^2 *
-        # 9 = 259,200 bytes, and M's data 8 bytes per entry (its int32 indices
-        # are gathered once the blocks are freed).  One byte short, each is
-        # refused before the array it counts is built
+        # cell, so the padded float64 blocks need 32 * 4 * 15^2 * 8 = 230,400
+        # bytes, and M's int32 indices 4 bytes per entry (its data is compacted
+        # inside the blocks).  One byte short, each is refused before the array
+        # it counts is built
         mesh = build_uniform_tri(4, BOX2)
         topo, dm, mat, system = _assemble(mesh, 1, 1)
-        blocks, data = 259_200, 8 * system.M.nnz
-        need, free = (blocks, [blocks - 1]) if stage == "blocks" else (data, [blocks, data - 1])
+        blocks, indices = 230_400, 4 * system.M.nnz
+        need, free = ((blocks, [blocks - 1]) if stage == "blocks"
+                      else (indices, [blocks, indices - 1]))
         monkeypatch.setattr(solve_module, "_available_memory", iter(free).__next__)
         tracemalloc.start()
         try:
@@ -392,8 +410,8 @@ class TestAssembly:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        if stage == "blocks":  # refused before the float64 blocks, 8/9 of the count
-            assert peak < blocks * 8 // 9
+        if stage == "blocks":  # refused before the float64 blocks
+            assert peak < blocks
 
     def test_reassembly_bit_identical(self):
         mesh = build_uniform_tri(4, BOX2)
