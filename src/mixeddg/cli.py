@@ -200,9 +200,12 @@ def _meshes_for(config: RunConfig, case):
     if not np.allclose(mesh.domain_box, box, atol=1e-9):
         raise ConfigError(
             f"mesh covers {mesh.domain_box.tolist()}, problem domain is {box.tolist()}")
-    if mesh.cell_kind != "triangle" and max(config.levels) > 0:
+    finest = max(config.levels)
+    if mesh.cell_kind != "triangle" and finest > 0:
         raise ConfigError(f"red refinement splits triangles: a {mesh.cell_kind} mesh "
                           "runs level 0 only")
+    if 4 ** finest * mesh.num_cells * 3 * 8 > np.iinfo(np.intp).max:
+        raise ConfigError(f"level r{finest}: its cell array outgrows any array")
     return [(f"r{r}", partial(_refined, mesh, r)) for r in sorted(config.levels)]
 
 

@@ -16,7 +16,6 @@ from functools import lru_cache
 
 import numpy as np
 from scipy.linalg import solve_triangular
-from scipy.special import roots_jacobi
 
 CELL_KINDS = ("triangle", "quad", "tetrahedron")
 
@@ -49,11 +48,38 @@ class QuadRule:
 
 def _gauss_01(n, alpha):
     # n-point rule for int_0^1 (1-u)^alpha f(u) du, exact to degree 2n - 1
-    if alpha == 0:
-        t, w = np.polynomial.legendre.leggauss(n)
-    else:
-        t, w = roots_jacobi(n, alpha, 0.0)
+    t, w = np.polynomial.legendre.leggauss(n) if alpha == 0 else _gauss_jacobi(n, alpha)
     return (t + 1.0) / 2.0, w / 2.0 ** (alpha + 1.0)
+
+
+def _gauss_jacobi(n, alpha):
+    """n-point Gauss rule for int_-1^1 (1-t)^alpha f(t) dt, alpha > 0.
+
+    The nodes are the eigenvalues of the Jacobi matrix (Golub & Welsch, Math.
+    Comp. 23, 1969), each moved by one Newton step on q_n.  The weights are
+    1 / sum_(j<n) q_j^2 there, where q_j are the orthonormal polynomials of
+    the weight, evaluated by their three-term recurrence.
+    """
+    j = np.arange(n + 1.0)
+    s = 2.0 * j + alpha
+    diag = -alpha ** 2 / (s * (s + 2.0))  # the recurrence's a_j and b_j, j = 0 .. n
+    off = np.zeros(n + 1)
+    off[1:] = 2.0 * j[1:] * (j[1:] + alpha) / (s[1:] * np.sqrt(s[1:] ** 2 - 1.0))
+
+    def recurrence(t):
+        """q_n(t), q_n'(t) and sum_(j<n) q_j(t)^2."""
+        q_prev, q = np.zeros_like(t), np.full_like(t, math.sqrt((alpha + 1.0) / 2.0 ** (alpha + 1.0)))
+        dq_prev, dq, total = np.zeros_like(t), np.zeros_like(t), np.zeros_like(t)
+        for a, b, b_next in zip(diag, off, off[1:]):
+            total += q * q
+            q_prev, q = q, ((t - a) * q - b * q_prev) / b_next
+            dq_prev, dq = dq, (q_prev + (t - a) * dq - b * dq_prev) / b_next
+        return q, dq, total
+
+    t = np.linalg.eigvalsh(np.diag(diag[:n]) + np.diag(off[1:n], -1))
+    q, dq, _ = recurrence(t)
+    t = t - q / dq
+    return t, 1.0 / recurrence(t)[2]
 
 
 def _gauss_rule(dim: int, exactness: int, collapsed: bool) -> QuadRule:

@@ -19,6 +19,8 @@ from mixeddg.forms import StabilizationParams, assemble_system
 from mixeddg.solve import ResidualToleranceError, SolveReport
 from oracles import cycle_bytes
 
+SHIPPED_MESH = resources.files("mixeddg") / "data/unstructured_square.msh"
+
 
 def run(tmp_path, *argv):
     out = tmp_path / "table.csv"
@@ -63,8 +65,11 @@ class TestConfigValidation:
         # past 2^62 cells per axis, or a vertex grid past any array size
         ["--levels", "2097152"],
         ["--problem", "elas3d_sine", "--mesh", "tet-uniform", "--levels", "2097152,2097152"],
+        # 4^40 times a file mesh's cells, refused before any refinement
+        ["--mesh", f"file:{SHIPPED_MESH}", "--levels", "0,40"],
     ], ids=["k", "l", "out-dir", "l-negative", "l-list", "mesh-dim", "levels-0",
-            "levels-negative", "levels-0-list", "levels-count-huge", "levels-grid-huge"])
+            "levels-negative", "levels-0-list", "levels-count-huge", "levels-grid-huge",
+            "levels-file-huge"])
     def test_malformed_input(self, argv, capsys):
         tracemalloc.start()
         try:
@@ -167,8 +172,7 @@ class TestHSweep:
         assert code == 0
 
     def test_file_mesh_with_refinements(self, tmp_path):
-        sample = resources.files("mixeddg") / "data/unstructured_square.msh"
-        code, out = run(tmp_path, "--mesh", f"file:{sample}", "--levels", "2",
+        code, out = run(tmp_path, "--mesh", f"file:{SHIPPED_MESH}", "--levels", "2",
                         "--k", "1", "--flux", "c11=hinv,c22=h")
         assert code == 0
         lines = out.read_text().strip().splitlines()
@@ -391,7 +395,7 @@ class TestSolverFailureExit:
     def test_address_space_limit_refuses_at_once(self):
         # under ulimit -v the memory checks see the address space left, not
         # only MemAvailable: tri n=128 assembles within 570 MB over the
-        # import, and its cycle, 423 MB on top of the 266 MB held after
+        # import, and its cycle, 422 MB on top of the 266 MB held after
         # assembly, is refused before it is built, where it would otherwise
         # run into a MemoryError.  The limit is set in the child only
         src = str(Path(cli.__file__).resolve().parents[1])
@@ -408,7 +412,7 @@ class TestSolverFailureExit:
             capture_output=True, text=True, timeout=120)
         assert proc.returncode == 3
         assert proc.stderr.startswith("solver failure: level 128: out of memory: "
-                                      "the multilevel cycle needs 422,583,296 bytes, ")
+                                      "the multilevel cycle needs 422,069,504 bytes, ")
         assert proc.stderr.endswith(" available\n") and proc.stderr.count("\n") == 1
 
     @pytest.mark.parametrize("argv,level", [
@@ -453,6 +457,18 @@ class TestStdout:
 
 
 class TestEntryPoint:
+    def test_scipy_special_not_imported(self):
+        # the library's one use of scipy.special was its Gauss-Jacobi rules;
+        # the import cost 3.75 MB of RSS and about 50 ms in every process
+        src = str(Path(cli.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [src] + ([os.environ["PYTHONPATH"]] if os.environ.get("PYTHONPATH") else [])))
+        proc = subprocess.run(
+            [sys.executable, "-c", "import sys, mixeddg.cli; "
+             "print('scipy.special' in sys.modules, 'scipy.sparse.linalg' in sys.modules)"],
+            env=env, capture_output=True, text=True, timeout=60, check=True)
+        assert proc.stdout == "False True\n"
+
     @pytest.mark.parametrize("argv,code", [
         (["--problem", "heat"], 2),
         (["--levels", "1", "--k", "0"], 0),

@@ -312,12 +312,12 @@ class TestAssembly:
         assert np.array_equal(lower_left.toarray(), -system.Bb.T.toarray())
 
     @pytest.mark.parametrize("mesh_fn,k,eta,nnz", [
-        (lambda: build_uniform_tri(8, BOX2), 1, 1.0, 61_088),
-        (lambda: build_uniform_tri(8, BOX2), 1, 0.0, 44_384),
-        (lambda: build_uniform_tri(16, BOX2), 1, 1.0, 249_120),
-        (lambda: build_uniform_tri(16, BOX2), 1, 0.0, 181_152),
-        (lambda: build_uniform_tet(2, BOX3), 1, 1.0, 89_168),
-        (lambda: build_uniform_tri(2, BOX2), 10, 1.0, 1_672_416),
+        (lambda: build_uniform_tri(8, BOX2), 1, 1.0, 60_192),
+        (lambda: build_uniform_tri(8, BOX2), 1, 0.0, 44_224),
+        (lambda: build_uniform_tri(16, BOX2), 1, 1.0, 246_496),
+        (lambda: build_uniform_tri(16, BOX2), 1, 0.0, 180_512),
+        (lambda: build_uniform_tet(2, BOX3), 1, 1.0, 88_330),
+        (lambda: build_uniform_tri(2, BOX2), 10, 1.0, 1_672_468),
     ], ids=["tri8", "tri8-c22zero", "tri16", "tri16-c22zero", "tet2", "tri2-k10"])
     def test_pattern_is_cell_pair_blocks(self, mesh_fn, k, eta, nnz):
         # M stores the nonzero entries of its cell-pair blocks and no zeros
@@ -332,10 +332,10 @@ class TestAssembly:
         assert np.all(ref[rows, cols] == 1.0)
 
     @pytest.mark.parametrize("kind,n,k,eta,digest", [
-        ("tri", 4, 2, 1.0, "1989e0abd01caca079c2b139df9e2fad2ceed596de1797ebf21c52667fcbab04"),
-        ("tri", 4, 2, 0.0, "54e5229ecc8e1be8690e1b18f90d37d26e69c1981daedc4ad82c8b97f8c01eab"),
-        ("tet", 2, 1, 1.0, "db0e340ee4a9620eb1b46fa0bba811731aaacbf65a6571e763e7d01227d291a9"),
-        ("tet", 2, 1, 0.0, "2ae583f8ffbe06d73b6b929616c35c33dcd459b50cf7f9b439c8e7da554556bb"),
+        ("tri", 4, 2, 1.0, "3bcc4f01671132dc5e53dc002e1397d83039a7054795f7e9582015654c44e3b7"),
+        ("tri", 4, 2, 0.0, "304518bc4a96e0d24f8ff2fc4dd3cc816f7923385d08511a08d85eccd196cf2d"),
+        ("tet", 2, 1, 1.0, "dd7e2ade7311cbe7f49f7c728798c83b72142c78f2a0f99cc5c9bea6a3da7b9c"),
+        ("tet", 2, 1, 0.0, "e14ab9e553e2e968511e5e96b47454491fc1c0888fa8ed3c6bc458f4634757c7"),
         ("quad", 2, 3, 1.0, "c08f394b2bb29a9fdbc5f91adb2193ced7ca150507d81b18620f921f5584416f"),
         ("quad", 2, 3, 0.0, "05fca0606c1a0649fbdf44ba7a02c9606f3d6cf44d09cc8cb7b7ade381d346ef"),
     ], ids=["tri4-k2", "tri4-k2-c22zero", "tet2", "tet2-c22zero", "quad2-k3",

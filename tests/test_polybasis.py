@@ -6,6 +6,7 @@ import pytest
 from mixeddg.polybasis import (
     CELL_DIM,
     REF_MEASURE,
+    _gauss_jacobi,
     cell_quadrature,
     orthonormal_basis,
     simplex_quadrature,
@@ -13,7 +14,13 @@ from mixeddg.polybasis import (
     tensor_gauss,
     total_degree_exponents,
 )
-from oracles import cell_points, cell_ref_coords, eval_basis_on_cell, evaluate_field
+from oracles import (
+    cell_points,
+    cell_ref_coords,
+    eval_basis_on_cell,
+    evaluate_field,
+    gauss_jacobi_long,
+)
 
 
 def simplex_monomial_integral(exps):
@@ -68,6 +75,46 @@ class TestSimplexQuadrature:
             simplex_quadrature(4, 2)
         with pytest.raises(ValueError):
             simplex_quadrature(2, -1)
+
+
+class TestGaussJacobi:
+    """The n-point rules for int_-1^1 (1-t)^alpha f(t) dt behind the collapsed
+    simplex rules, n <= 25, alpha = 1 (triangles) and 2 (tetrahedra)."""
+
+    @pytest.mark.parametrize("alpha", [1, 2])
+    def test_matches_scipy(self, alpha):
+        # scipy.special.roots_jacobi as an oracle.  Its own weights are off
+        # the long-double ones by up to 5.5e-13 (alpha = 1, n = 25), so they
+        # bound the weights only to 1e-12
+        roots_jacobi = pytest.importorskip("scipy.special").roots_jacobi
+        for n in range(1, 26):
+            t, w = _gauss_jacobi(n, alpha)
+            ref_t, ref_w = roots_jacobi(n, alpha, 0.0)
+            assert np.abs(t - ref_t).max() <= 4e-16
+            assert np.abs(w / ref_w - 1.0).max() <= 1e-12
+
+    @pytest.mark.parametrize("alpha", [1, 2])
+    def test_matches_long_double(self, alpha):
+        # weights to 2e-14 of the long-double rule (1.5e-14 measured; plain
+        # Golub-Welsch eigenvector weights are off by up to 1.6e-13)
+        if np.finfo(np.longdouble).eps > 1e-18:
+            pytest.skip("long double is no wider than double here")
+        for n in range(1, 26):
+            t, w = _gauss_jacobi(n, alpha)
+            ref_t, ref_w = gauss_jacobi_long(n, alpha, t)
+            assert np.abs(t - ref_t).max() <= 4e-16
+            assert np.abs(w / ref_w - 1.0).max() <= 2e-14
+
+    @pytest.mark.parametrize("alpha", [1, 2])
+    def test_exact_to_degree(self, alpha):
+        # int_-1^1 (1-t)^alpha ((1+t)/2)^m dt = 2^(alpha+1) alpha! m! / (alpha+m+1)!
+        # for m <= 2n - 1 (roots_jacobi's rules miss this by up to 1.7e-14)
+        for n in range(1, 26):
+            t, w = _gauss_jacobi(n, alpha)
+            for m in range(2 * n):
+                exact = (2 ** (alpha + 1) * math.factorial(alpha) * math.factorial(m)
+                         / math.factorial(alpha + m + 1))
+                assert w @ ((1 + t) / 2) ** m == pytest.approx(exact, rel=1e-14)
 
 
 class TestTensorGauss:

@@ -119,16 +119,16 @@ class TestSolveSaddle:
         assert report.solve_s > 0.0
 
     @pytest.mark.parametrize("mesh_fn,eta,fill", [
-        (lambda: build_uniform_tri(16, BOX2), 1.0, 1_375_526),
-        (lambda: build_uniform_tri(16, BOX2), 0.0, 962_398),
-        (lambda: build_uniform_tet(2, BOX3), 1.0, 441_550),
-        (lambda: build_uniform_tet(2, BOX3), 0.0, 206_258),
+        (lambda: build_uniform_tri(16, BOX2), 1.0, 1_376_162),
+        (lambda: build_uniform_tri(16, BOX2), 0.0, 964_810),
+        (lambda: build_uniform_tet(2, BOX3), 1.0, 441_496),
+        (lambda: build_uniform_tet(2, BOX3), 0.0, 206_068),
     ], ids=["tri16", "tri16-c22zero", "tet2", "tet2-c22zero"])
     def test_factor_fill_pinned(self, mesh_fn, eta, fill):
         # the fill follows the block order and the stored pattern: storing
         # zeros or a worse order of the block graph raises it.  The block
         # graph's prediction, which sizes the memory preflight, stays over
-        # the fill (tri16 1.13, tri16-c22zero 1.11, tet2 1.24, tet2-c22zero
+        # the fill (tri16 1.13, tri16-c22zero 1.10, tet2 1.24, tet2-c22zero
         # 1.36 times)
         mesh = mesh_fn()
         dm = build_dofmap(mesh, 1, 1)
