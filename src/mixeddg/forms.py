@@ -16,9 +16,10 @@ face_batches and cell_batches, of at most BATCH_POINTS quadrature points each;
 the terms add into their pairs' blocks in face order for any batch size, so M
 is bit-identical for all.  The blocks are stored by column cell, its pairs
 ordered by row cell and padded with zero blocks to a common count, so that a
-transposed view is M's CSC order; one boolean gather of it drops the exact
-zeros and gives M's data and row indices.  Homogeneous Dirichlet data enters
-only through the retained boundary-face terms.
+transposed view is M's CSC order.  Chunk by chunk, the nonzeros of that view
+move to the front of the same buffer, which then shrinks to M's data; only
+M's int32 row indices are allocated beside the blocks.  Homogeneous Dirichlet
+data enters only through the retained boundary-face terms.
 """
 
 from __future__ import annotations
@@ -212,8 +213,11 @@ def assemble_system(mesh, topo, dofmap: DofMap, mat: MaterialParams,
     """Assemble a, b, c into the CSC matrix M and the load into b.
 
     Discrete-discrete integrals use quadrature exact to 2*max(k,l)+2; the
-    load integral uses the manufactured-data exactness.  FactorMemoryError is
-    raised before the padded blocks, or M's data, would not fit.
+    load integral uses the manufactured-data exactness.  M's data is the
+    compacted front of the padded float64 blocks, so assembly peaks at the
+    blocks, M's int32 indices and one chunk's scratch.  FactorMemoryError is
+    raised before the padded blocks (8 bytes an entry), or M's indices (4
+    bytes a nonzero), would not fit.
     """
     d = mesh.dim
     matrix_exactness = 2 * max(dofmap.k, dofmap.l) + 2

@@ -68,8 +68,8 @@ def _gauss_jacobi(n, alpha):
 
     def recurrence(t):
         """q_n(t), q_n'(t) and sum_(j<n) q_j(t)^2."""
-        q_prev, q = np.zeros_like(t), np.full_like(t, math.sqrt((alpha + 1.0) / 2.0 ** (alpha + 1.0)))
-        dq_prev, dq, total = np.zeros_like(t), np.zeros_like(t), np.zeros_like(t)
+        q_prev, dq_prev, dq, total = (np.zeros_like(t) for _ in range(4))
+        q = np.full_like(t, math.sqrt((alpha + 1.0) / 2.0 ** (alpha + 1.0)))  # q_0 = mu_0^(-1/2)
         for a, b, b_next in zip(diag, off, off[1:]):
             total += q * q
             q_prev, q = q, ((t - a) * q - b * q_prev) / b_next

@@ -52,7 +52,8 @@ KRYLOV_MIN_DOFS = 10_000
 DENSE_MAX_RATIO = 6
 # damping of the cell-block Jacobi smoother
 SMOOTHER_DAMPING = 0.7
-# entries of M read at a time for the smoother's cell blocks and the dense factor
+# entries of M read at a time for the smoother's cell blocks and the dense factor,
+# and padded entries that the assembly compacts at a time
 SCAN_ENTRIES = 1 << 18
 
 
