@@ -409,11 +409,10 @@ def gauss_jacobi_long(n: int, alpha: int, nodes: np.ndarray):
         dp_prev, dp = np.zeros_like(t), np.full_like(t, (a + 2) / 2)
         for k in range(2, n + 1):
             c = 2 * k + a
-            lead, mid, tail = 2 * k * (k + a) * (c - 2), (c - 1) * (c * (c - 2) * t + a * a), \
-                2 * (k - 1 + a) * (k - 1) * c
+            lead = 2 * k * (k + a) * (c - 2)
+            mid = (c - 1) * (c * (c - 2) * t + a * a)
+            tail = 2 * (k - 1 + a) * (k - 1) * c
             dp_prev, dp = dp, (mid * dp + (c - 1) * c * (c - 2) * p - tail * dp_prev) / lead
             p_prev, p = p, (mid * p - tail * p_prev) / lead
-        if n == 0:
-            break
         t = t - p / dp
     return t, 2 ** (a + 1) / ((1 - t * t) * dp * dp)

@@ -22,6 +22,13 @@ from oracles import cycle_bytes
 SHIPPED_MESH = resources.files("mixeddg") / "data/unstructured_square.msh"
 
 
+def child_env(**extra):
+    """The environment of a child interpreter that imports this mixeddg."""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    return dict(os.environ, **extra, PYTHONPATH=os.pathsep.join(
+        [src] + ([os.environ["PYTHONPATH"]] if os.environ.get("PYTHONPATH") else [])))
+
+
 def run(tmp_path, *argv):
     out = tmp_path / "table.csv"
     code = cli.main(list(argv) + ["--out", str(out)])
@@ -398,9 +405,7 @@ class TestSolverFailureExit:
         # import, and its cycle, 422 MB on top of the 266 MB held after
         # assembly, is refused before it is built, where it would otherwise
         # run into a MemoryError.  The limit is set in the child only
-        src = str(Path(cli.__file__).resolve().parents[1])
-        env = dict(os.environ, OPENBLAS_NUM_THREADS="1", PYTHONPATH=os.pathsep.join(
-            [src] + ([os.environ["PYTHONPATH"]] if os.environ.get("PYTHONPATH") else [])))
+        env = child_env(OPENBLAS_NUM_THREADS="1")
         imported = subprocess.run(
             [sys.executable, "-c", "import mixeddg.cli; print(open('/proc/self/statm').read())"],
             env=env, capture_output=True, text=True, timeout=60, check=True)
@@ -460,13 +465,10 @@ class TestEntryPoint:
     def test_scipy_special_not_imported(self):
         # the library's one use of scipy.special was its Gauss-Jacobi rules;
         # the import cost 3.75 MB of RSS and about 50 ms in every process
-        src = str(Path(cli.__file__).resolve().parents[1])
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-            [src] + ([os.environ["PYTHONPATH"]] if os.environ.get("PYTHONPATH") else [])))
         proc = subprocess.run(
             [sys.executable, "-c", "import sys, mixeddg.cli; "
              "print('scipy.special' in sys.modules, 'scipy.sparse.linalg' in sys.modules)"],
-            env=env, capture_output=True, text=True, timeout=60, check=True)
+            env=child_env(), capture_output=True, text=True, timeout=60, check=True)
         assert proc.stdout == "False True\n"
 
     @pytest.mark.parametrize("argv,code", [
@@ -474,10 +476,7 @@ class TestEntryPoint:
         (["--levels", "1", "--k", "0"], 0),
     ], ids=["config-error", "one-level"])
     def test_python_m_mixeddg(self, argv, code):
-        src = str(Path(cli.__file__).resolve().parents[1])
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-            [src] + ([os.environ["PYTHONPATH"]] if os.environ.get("PYTHONPATH") else [])))
-        proc = subprocess.run([sys.executable, "-m", "mixeddg"] + argv, env=env,
+        proc = subprocess.run([sys.executable, "-m", "mixeddg"] + argv, env=child_env(),
                               capture_output=True, text=True, timeout=120)
         assert proc.returncode == code
         if code == 2:
