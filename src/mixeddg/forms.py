@@ -9,16 +9,18 @@ trace block b(.,.), and a displacement jump penalty c(.,.):
     F(v)    = int f . v dx
 
 assembled into the saddle matrix M, which is [[Aa, Bb], [-Bb^T, Cc]] on
-(stress; displacement) coefficients.  The dofs are numbered cell by cell, so M
-has one dense block per pair of a cell with itself or with a face neighbour.
-The face terms, the load and verify's error norms integrate in the batches of
+(stress; displacement) coefficients, and stored as the lower triangle L of the
+symmetric S M = [[Aa, Bb], [Bb^T, -Cc]], S = +1 on the stress and -1 on the
+displacement dofs.  The dofs are numbered cell by cell, so L has one dense
+block per cell and face neighbour of a lower number, and a cell's own lower
+triangle.  The face terms, the load and verify's error norms integrate in the batches of
 face_batches and cell_batches, of at most BATCH_POINTS quadrature points each;
-the terms add into their pairs' blocks in face order for any batch size, so M
+the terms add into their pairs' blocks in face order for any batch size, so L
 is bit-identical for all.  The blocks are stored by column cell, its pairs
 ordered by row cell and padded with zero blocks to a common count, so that a
-transposed view is M's CSC order.  Chunk by chunk, the nonzeros of that view
-move to the front of the same buffer, which then shrinks to M's data; only
-M's int32 row indices are allocated beside the blocks.  Homogeneous Dirichlet
+transposed view is L's CSC order.  Chunk by chunk, the nonzeros of that view
+move to the front of the same buffer, which then shrinks to L's data; only
+L's int32 row indices are allocated beside the blocks.  Homogeneous Dirichlet
 data enters only through the retained boundary-face terms.
 """
 
@@ -32,7 +34,7 @@ import scipy.sparse as sp
 
 from .mesh import all_cell_points, face_quadrature, side_ref_coords
 from .polybasis import cell_quadrature, orthonormal_basis, simplex_quadrature
-from .solve import SCAN_ENTRIES, _reserve
+from .solve import SCAN_ENTRIES, _expand, _reserve
 from .spaces import DofMap, data_exactness, stress_unit_tensors
 
 # quadrature points per batch of cells or faces in cell_batches and
@@ -124,30 +126,35 @@ def _sym_outer(v, n):
 
 @dataclass(frozen=True)
 class AssembledSystem:
-    """The saddle matrix M as one canonical CSC matrix, and its right-hand side b.
+    """The lower triangle L of S M as one canonical CSC matrix, and M x = b's b.
 
-    M and b are in cell-major DofMap order; b holds the load moments at the
-    displacement dofs and zeros at the stress dofs.  M stores the nonzero
-    entries of the block of each cell with itself and with its face
-    neighbours and no exact zero, so the neighbour stress-stress part is
-    absent when C22 vanishes.  stab is the penalty family M was assembled
-    with, from which solve_saddle picks its path.  The Aa, Bb and Cc
-    properties pick the stress and displacement dofs out of M on each access;
-    Aa and Cc are symmetric.
+    L and b are in cell-major DofMap order; b holds the load moments at the
+    displacement dofs and zeros at the stress dofs.  L stores the nonzero
+    entries of S M's blocks of each cell with itself and with its face
+    neighbours on and below the diagonal, so the neighbour stress-stress part
+    is absent when C22 vanishes.  stab is the penalty family L was assembled
+    with, from which solve_saddle picks its path.  The M property expands
+    M = S (L + L^T - D), D the diagonal of L, on each access, exactly
+    S-symmetric; Aa, Bb and Cc expand its blocks from L's in the same way.
     """
 
-    M: sp.csc_matrix
+    L: sp.csc_matrix
     b: np.ndarray
     dofmap: DofMap
     stab: StabilizationParams
 
+    M = property(lambda self: _expand(self.L, self.dofmap))
     Aa = property(lambda self: self._block(0, 0))
     Bb = property(lambda self: self._block(0, 1))
     Cc = property(lambda self: self._block(1, 1))
 
     def _block(self, i: int, j: int) -> sp.csc_matrix:
+        # block (i, j) of S M from L's blocks (i, j) and (j, i), without expanding M
         dofs = (self.dofmap.stress_dofs, self.dofmap.disp_dofs)
-        return self.M[dofs[i]][:, dofs[j]]
+        lower = self.L[dofs[i]][:, dofs[j]]
+        block = lower + self.L[dofs[j]][:, dofs[i]].T
+        block = block - sp.diags(lower.diagonal()) if i == j else block
+        return (-block if i else block).tocsc()
 
 
 def penalty_values(mesh, dofmap, stab, which: str, plus, minus=None):
@@ -210,13 +217,13 @@ def face_batches(mesh, topo, dofmap: DofMap, stab: StabilizationParams, exactnes
 
 def assemble_system(mesh, topo, dofmap: DofMap, mat: MaterialParams,
                     stab: StabilizationParams, f) -> AssembledSystem:
-    """Assemble a, b, c into the CSC matrix M and the load into b.
+    """Assemble a, b, c into L, the lower triangle of S M, and the load into b.
 
     Discrete-discrete integrals use quadrature exact to 2*max(k,l)+2; the
-    load integral uses the manufactured-data exactness.  M's data is the
+    load integral uses the manufactured-data exactness.  L's data is the
     compacted front of the padded float64 blocks, so assembly peaks at the
-    blocks, M's int32 indices and one chunk's scratch.  FactorMemoryError is
-    raised before the padded blocks (8 bytes an entry), or M's indices (4
+    blocks, L's int32 indices and one chunk's scratch.  FactorMemoryError is
+    raised before the padded blocks (8 bytes an entry), or L's indices (4
     bytes a nonzero), would not fit.
     """
     d = mesh.dim
@@ -230,14 +237,15 @@ def assemble_system(mesh, topo, dofmap: DofMap, mat: MaterialParams,
     nc = mesh.num_cells
     s_size, d_size, size = dofmap.stress_cell_size, dofmap.disp_cell_size, dofmap.cell_size
     detj = np.abs(mesh.det_jac)
-    plus_in, minus_in = topo.plus[topo.interior], topo.minus[topo.interior]
+    lo, hi = np.sort([topo.plus[topo.interior], topo.minus[topo.interior]], axis=0)
 
-    # a dense block per cell pair, (column cell, rank, local column, local row),
-    # where rank orders a column cell's pairs by their row cells, padded with zero
-    # blocks to the same number of ranks for every column cell; slot numbers the
-    # own pairs, then each face's (plus, minus), (minus, plus)
-    keys, slot = np.unique(np.concatenate([np.arange(nc) * (nc + 1), minus_in * nc + plus_in,
-                                           plus_in * nc + minus_in]), return_inverse=True)
+    # a dense block per cell pair whose row cell is at or after its column cell,
+    # (column cell, rank, local column, local row), where rank orders a column
+    # cell's pairs by their row cells, padded with zero blocks to the same number
+    # of ranks for every column cell, so that rank 0 is the own pair; slot
+    # numbers the own pairs, then each face's pair
+    keys, slot = np.unique(np.concatenate([np.arange(nc) * (nc + 1), lo * nc + hi]),
+                           return_inverse=True)
     pair_row, pair_col = keys % nc, keys // nc
     pair_rank = np.arange(len(keys)) - np.searchsorted(pair_col, pair_col)
     ranks = pair_rank.max() + 1
@@ -255,11 +263,9 @@ def assemble_system(mesh, topo, dofmap: DofMap, mat: MaterialParams,
     M_ref = np.einsum("iq,q,jq->ij", Vl, w, Vl)
     kron = np.kron(A_comp, M_ref)
     T_ref = np.einsum("iq,q,jqr->ijr", Vl, w, Gk)
-    blocks_b = -np.einsum("acm,ijr,Frm,F->Faicj", E, T_ref, mesh.jac_inv,
-                          detj).reshape(nc, s_size, d_size)
     blocks[slot[:nc], stress, stress] = detj[:, None, None] * kron.T[None, :, :]
-    blocks[slot[:nc], disp, stress] = blocks_b.transpose(0, 2, 1)
-    blocks[slot[:nc], stress, disp] = -blocks_b
+    blocks[slot[:nc], stress, disp] = -np.einsum("acm,ijr,Frm,F->Faicj", E, T_ref, mesh.jac_inv,
+                                                 detj).reshape(nc, s_size, d_size)
 
     # face terms, in face_batches.  A neighbour pair's block holds one term; a
     # cell's own block adds its terms in face order, one round of distinct cells
@@ -278,35 +284,44 @@ def assemble_system(mesh, topo, dofmap: DofMap, mat: MaterialParams,
             rank = np.arange(len(own)) - np.searchsorted(own[by_cell], own[by_cell])
             rounds.append([by_cell[rank == r] for r in range(rank.max() + 1)])
 
-        def add(i, j, rows, cols, part):
-            if i != j:
-                blocks[slot[nc + i * topo.interior_count:][faces], rows, cols] = part
+        def add(i, j, on, rows, cols, part):
+            if i != j:  # the faces `on` which side i's cell is the row cell
+                blocks[slot[nc:][faces][on], rows, cols] = part
             else:
                 for faces_r in rounds[i]:
                     blocks[slot[sides[i][0][faces_r]], rows, cols] += part[faces_r]
 
         for i, j in [(1, 1), (0, 1), (1, 0), (0, 0)] if len(sides) == 2 else [(0, 0)]:
-            (_, sign_i, Vk_i, Vl_i), (_, sign_j, Vk_j, Vl_j) = sides[i], sides[j]
-            Mk = np.einsum("iFq,Fq,jFq->Fij", Vk_i, wq, Vk_j)
-            add(i, j, disp, disp, np.einsum(
-                "F,Fcd,Fjk->Fdkcj", c11 * (sign_i * sign_j), Q, Mk
+            (cells_i, sign_i, Vk_i, Vl_i), (cells_j, sign_j, Vk_j, Vl_j) = sides[i], sides[j]
+            # a neighbour pair's block is stored where side i's cell is after side j's
+            on = slice(None) if i == j else cells_i > cells_j
+            Mk = np.einsum("iFq,Fq,jFq->Fij", Vk_i[:, on], wq[on], Vk_j[:, on])
+            add(i, j, on, disp, disp, np.einsum(
+                "F,Fcd,Fjk->Fdkcj", c11[on] * -(sign_i * sign_j), Q[on], Mk
             ).reshape(-1, d_size, d_size))
 
             if c22 is not None:
-                Ml = np.einsum("iFq,Fq,jFq->Fij", Vl_i, wq, Vl_j)
-                add(i, j, stress, stress, np.einsum(
-                    "F,Fab,Fik->Fbkai", c22 * (sign_i * sign_j), R, Ml
+                Ml = np.einsum("iFq,Fq,jFq->Fij", Vl_i[:, on], wq[on], Vl_j[:, on])
+                add(i, j, on, stress, stress, np.einsum(
+                    "F,Fab,Fik->Fbkai", c22[on] * (sign_i * sign_j), R[on], Ml
                 ).reshape(-1, s_size, s_size))
 
             # b with stress tests on side i and displacements on side j,
-            # transposed; minus b^T is the lower left of block (j, i)
+            # transposed; b^T is the lower left of block (j, i) of S M, and
+            # of a cell's own block the only half stored
             Mlk = np.einsum("iFq,Fq,jFq->Fij", Vl_i, wq, Vk_j)
             blk_bt = (sign_j / len(sides)) * np.einsum(
                 "Fac,Fij->Fcjai", En, Mlk).reshape(-1, d_size, s_size)
-            add(i, j, disp, stress, blk_bt)
-            add(j, i, stress, disp, -blk_bt.transpose(0, 2, 1))
+            if i != j:
+                add(i, j, on, disp, stress, blk_bt[on])
+                on = ~on
+            add(j, i, on, stress, disp, blk_bt[on].transpose(0, 2, 1))
+            del blk_bt  # before the next pair's parts
 
-    # read as (column cell, local column, rank, local row), the blocks are M's
+    # of a cell's own block, only the lower triangle is stored
+    blocks[::ranks][:, np.tril(np.ones((size, size), bool), -1)] = 0.0
+
+    # read as (column cell, local column, rank, local row), the blocks are L's
     # CSC arrays with the exact zeros, the padding and, when C22 = 0, the
     # neighbour stress-stress blocks among them.  Count each column's nonzeros
     # over chunks of whole column cells, then move each chunk's nonzeros to the
@@ -321,7 +336,7 @@ def assemble_system(mesh, topo, dofmap: DofMap, mat: MaterialParams,
     np.cumsum(np.concatenate([(by_col[c] != 0.0).sum(axis=(2, 3)).ravel() for c in chunks]),
               out=indptr[1:])
     nnz = int(indptr[-1])
-    _reserve("the assembly", 4 * nnz)  # M's int32 indices; its data stays in the blocks
+    _reserve("the assembly", 4 * nnz)  # L's int32 indices; its data stays in the blocks
     indices = np.empty(nnz, np.int32)
     row_cell = np.zeros((nc, 1, ranks, 1), np.int32)
     row_cell[pair_col, 0, pair_rank, 0] = pair_row
@@ -332,10 +347,10 @@ def assemble_system(mesh, topo, dofmap: DofMap, mat: MaterialParams,
         start, stop = indptr[c.start * size], indptr[c.stop * size]
         flat[start:stop] = by_col[c][keep]
         indices[start:stop] = np.broadcast_to(row_cell[c] * size + local_row, keep.shape)[keep]
-    # no view of the blocks is left, so realloc may shrink them to M's data
+    # no view of the blocks is left, so realloc may shrink them to L's data
     del by_col, flat
     blocks.resize(nnz, refcheck=False)
-    M = sp.csc_matrix((blocks, indices, indptr), shape=(n, n))
+    L = sp.csc_matrix((blocks, indices, indptr), shape=(n, n))
 
     # load vector, in cell_batches at data exactness, after the blocks are compacted
     rule_f = cell_quadrature(mesh.cell_kind, data_exactness(dofmap))
@@ -346,4 +361,4 @@ def assemble_system(mesh, topo, dofmap: DofMap, mat: MaterialParams,
         fx = np.asarray(f(phys.reshape(-1, d))).reshape(phys.shape)
         b_disp[cells] = np.einsum("Fqc,q,jq,F->Fcj", fx, rule_f.weights, Vk_f,
                                   detj[cells]).reshape(-1, d_size)
-    return AssembledSystem(M=M, b=b, dofmap=dofmap, stab=stab)
+    return AssembledSystem(L=L, b=b, dofmap=dofmap, stab=stab)

@@ -1,5 +1,9 @@
 """Solution of the assembled saddle-point system.
 
+Of M the system holds only L, the lower triangle of the symmetric S M, S = +1
+on the stress and -1 on the displacement dofs: _operator applies M over L's
+own arrays, and sparse LU factors M expanded from L by _expand.
+
 Each solve is float64 iterative refinement on a low-precision inner solver,
 _refine (Carson & Higham, SIAM J. Sci. Comput. 40, 2018).  Levels with a
 coarse level, C22 != 0 and at least KRYLOV_MIN_DOFS dofs, and in 2D the
@@ -32,7 +36,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 from scipy.linalg import get_blas_funcs, get_lapack_funcs
-from scipy.sparse.linalg import splu
+from scipy.sparse.linalg import LinearOperator, splu
 
 from .spaces import FieldCoeffs, build_dofmap, prolongation
 
@@ -52,7 +56,7 @@ KRYLOV_MIN_DOFS = 10_000
 DENSE_MAX_RATIO = 6
 # damping of the cell-block Jacobi smoother
 SMOOTHER_DAMPING = 0.7
-# entries of M read at a time for the smoother's cell blocks and the dense factor,
+# entries of L read at a time for the smoother's cell blocks and the dense factor,
 # and padded entries that the assembly compacts at a time
 SCAN_ENTRIES = 1 << 18
 
@@ -106,29 +110,58 @@ class SolveReport:
     levels: int = 1
 
 
-def _block_graph(M, dofmap):
+def _expand(L, dofmap, dtype=np.float64):
+    """M = S (L + L^T - D), D the diagonal of L, as a canonical CSC matrix in dtype."""
+    L = L.astype(dtype, copy=False)
+    M = (L + L.T - sp.diags(L.diagonal())).tocsc()
+    M.data *= dofmap.signs.astype(dtype)[M.indices]
+    return M
+
+
+def _operator(L, dofmap, dtype=np.float64):
+    """M as a LinearOperator in dtype, S (L v + L^T v - D v): L's CSC arrays read as
+    CSR hold L^T, so the one new array is L's data in float32, half of M's.
+    Raises FloatingPointError out of float32's normal range."""
+    with np.errstate(over="raise", under="raise"):
+        data = L.data.astype(dtype, copy=False)
+    lower = sp.csc_matrix((data, L.indices, L.indptr), shape=L.shape)
+    upper = sp.csr_matrix((data, L.indices, L.indptr), shape=L.shape)
+    diag, sign = lower.diagonal(), dofmap.signs.astype(dtype)
+
+    def matvec(v):  # in place, three temporaries fewer than one expression
+        y = lower @ v
+        y += upper @ v
+        y -= diag * v
+        y *= sign
+        return y
+
+    return LinearOperator(L.shape, matvec, dtype=dtype)
+
+
+def _block_graph(L, dofmap):
     """(cell, field) node of each dof, and the node graph of M's stored entries.
 
     Cell c has a stress node 2c and a displacement node 2c + 1; the graph
-    joins two nodes wherever M stores an entry between them, and its diagonal
-    dominates so that SuperLU factors it without pivoting.
+    joins two nodes wherever L, or L^T, stores an entry between them, and its
+    diagonal dominates so that SuperLU factors it without pivoting.
     """
     s, d = dofmap.stress_cell_size, dofmap.disp_cell_size
     node = np.empty(dofmap.total_dofs, np.int32)
     node[dofmap.stress_dofs] = 2 * (np.arange(dofmap.n_stress_dofs, dtype=np.int32) // s)
     node[dofmap.disp_dofs] = 2 * (np.arange(dofmap.n_disp_dofs, dtype=np.int32) // d) + 1
-    rows = node[M.indices]
-    cols = np.repeat(node, np.diff(M.indptr))
+    rows = node[L.indices]
+    cols = np.repeat(node, np.diff(L.indptr))
     new_edge = np.ones(len(rows), bool)  # drop entries that repeat the one before
     new_edge[1:] = (rows[1:] != rows[:-1]) | (cols[1:] != cols[:-1])
-    rows, cols = rows[new_edge], cols[new_edge]
+    rows, cols = (np.concatenate([rows[new_edge], cols[new_edge]]),
+                  np.concatenate([cols[new_edge], rows[new_edge]]))
     n_nodes = 2 * dofmap.num_cells
     graph = (sp.csc_matrix((np.ones(len(rows)), (rows, cols)), shape=(n_nodes, n_nodes))
              + len(rows) * sp.identity(n_nodes, format="csc"))
     return node, graph
 
 
-def _stress_first_order(M, dofmap):
+def _stress_first_order(L, dofmap):
     """Dof order of M, and the predicted stored entries of its factor.
 
     The order is minimum degree on M's (cell, field) block graph, and does
@@ -139,7 +172,7 @@ def _stress_first_order(M, dofmap):
     Each entry of the graph's L and U stands for a block of M's factor, of
     row node by column node size; diagonal blocks, stored in both, count once.
     """
-    node, graph = _block_graph(M, dofmap)
+    node, graph = _block_graph(L, dofmap)
     lu = splu(graph, permc_spec="MMD_AT_PLUS_A", options={"SymmetricMode": True})
     # node size at each position of the graph's factor
     size = np.array([dofmap.stress_cell_size, dofmap.disp_cell_size])[np.argsort(lu.perm_c) % 2]
@@ -170,29 +203,45 @@ def _reserve(what, need):
         raise FactorMemoryError(f"out of memory: {what} needs {need:,} bytes, {free:,} available")
 
 
-def _dense_factor(M, dofmap, dtype):
+def _dense_blocks(L, dofmap, dtype):
+    """A's lower triangle, B, and C's lower triangle of S M = [[A, B], [B^T, -C]]
+    in dtype, from dense float64 chunks of L's columns, of at most SCAN_ENTRIES
+    entries, each within one cell's stress or displacement columns.  A cell's
+    columns hold the rows of that cell and the later ones: its stress columns
+    A and B^T, its displacement columns B, in the later cells, and -C.
+    """
+    n, ns, nu = L.shape[0], dofmap.n_stress_dofs, dofmap.n_disp_dofs
+    size, s, cells = dofmap.cell_size, dofmap.stress_cell_size, dofmap.num_cells
+    d, width = size - s, max(1, SCAN_ENTRIES // n)
+    A, B, C = (np.zeros(shape, dtype, order="F") for shape in ((ns, ns), (ns, nu), (nu, nu)))
+    for cell in range(cells):
+        later, top = cells - cell, cell * size
+        for start in (*range(0, s, width), *range(s, size, width)):
+            w = min(width, (s if start < s else size) - start)
+            part = L[:, top + start:top + start + w]
+            # rows as (local row, cell from this one on), as are the blocks' rows
+            chunk = sp.csc_matrix((part.data, part.indices - top, part.indptr), shape=(
+                later * size, w)).toarray(order="F").reshape((size, later, w), order="F")
+            if start < s:
+                p = cell * s + start
+                A[cell * s:, p:p + w].reshape((s, later, w), order="F")[...] = chunk[:s]
+                B.T[cell * d:, p:p + w].reshape((later, d, w))[...] = chunk[s:].transpose(1, 0, 2)
+            else:  # 0 - x leaves no -0.0 where L stores no entry
+                p = cell * d + start - s
+                B[(cell + 1) * s:, p:p + w].reshape((s, -1, w), order="F")[...] = chunk[:s, 1:]
+                np.subtract(0.0, chunk[s:],
+                            out=C[cell * d:, p:p + w].reshape((d, -1, w), order="F"))
+    return A, B, C
+
+
+def _dense_factor(L, dofmap, dtype):
     """Block Cholesky of S M = [[A, B], [B^T, -C]] in dtype: (solve, factor entries).
 
     S M is symmetric quasi-definite, so A = L L^T and C + W^T W = L2 L2^T,
-    W = L^-1 B, need no pivoting.  A = Aa, B = Bb and C = Cc are copied into
-    dtype from dense float64 chunks of M's columns, of at most SCAN_ENTRIES
-    entries, each within one cell's stress or displacement columns.
+    W = L^-1 B, need no pivoting.  A, B and C come from _dense_blocks.
     """
-    n, ns, nu = M.shape[0], dofmap.n_stress_dofs, dofmap.n_disp_dofs
-    size, s, cells = dofmap.cell_size, dofmap.stress_cell_size, dofmap.num_cells
-    stress, disp = dofmap.stress_dofs, dofmap.disp_dofs
-    A, B, C = (np.zeros(shape, dtype, order="F") for shape in ((ns, ns), (ns, nu), (nu, nu)))
-    width = max(1, SCAN_ENTRIES // n)
-    fields = (((0, s), ((A, slice(0, s)),)), ((s, size), ((B, slice(0, s)), (C, slice(s, size)))))
-    for cell in range(cells):
-        for (lo, hi), blocks in fields:  # stress columns fill A, displacement ones B and C
-            for start in range(lo, hi, width):
-                w, col = min(width, hi - start), cell * size + start
-                # rows as (local row, cell), as are those of each block's columns p:p+w
-                chunk = M[:, col:col + w].toarray(order="F").reshape((size, cells, w), order="F")
-                p = cell * (hi - lo) + start - lo
-                for block, rows in blocks:
-                    block[:, p:p + w].reshape((-1, cells, w), order="F")[...] = chunk[rows]
+    A, B, C = _dense_blocks(L, dofmap, dtype)
+    (ns, nu), stress, disp = B.shape, dofmap.stress_dofs, dofmap.disp_dofs
     potrf = get_lapack_funcs("potrf", dtype=dtype)
     trsm, syrk, trsv, gemv = get_blas_funcs(("trsm", "syrk", "trsv", "gemv"), dtype=dtype)
     L, info = potrf(A, lower=1, clean=0, overwrite_a=1)
@@ -214,33 +263,33 @@ def _dense_factor(M, dofmap, dtype):
     return solve, ns * (ns + 1) // 2 + ns * nu + nu * (nu + 1) // 2
 
 
-def _factor(M, dofmap, dtype=np.float64):
-    """Factor of M in dtype: (solve, factor entries); solve keeps b's dtype.
+def _factor(L, dofmap, dtype=np.float64):
+    """Factor of M in dtype from L: (solve, factor entries); solve keeps b's dtype.
 
-    _dense_factor when n^2 <= DENSE_MAX_RATIO * nnz(M), else sparse LU in the
-    stress-first block order.  Raises FactorMemoryError, before M is copied,
-    when the factor would not fit in _available_memory(), and
-    FloatingPointError when M leaves dtype's normal range.
+    _dense_factor when n^2 <= DENSE_MAX_RATIO * nnz(M), else sparse LU of M
+    in the stress-first block order.  Raises FactorMemoryError, before L is
+    copied, when the factor would not fit in _available_memory(), and
+    FloatingPointError when L leaves dtype's normal range.
     """
-    itemsize = np.dtype(dtype).itemsize
-    dense = M.shape[0] ** 2 <= DENSE_MAX_RATIO * M.nnz
+    itemsize, nnz = np.dtype(dtype).itemsize, 2 * L.nnz - np.count_nonzero(L.diagonal())
+    dense = L.shape[0] ** 2 <= DENSE_MAX_RATIO * nnz
     if dense:  # _dense_factor's A, B and C
         ns, nu = dofmap.n_stress_dofs, dofmap.n_disp_dofs
         need = (ns * ns + ns * nu + nu * nu) * itemsize
     else:
-        perm, entries = _stress_first_order(M, dofmap)
-        need = (entries + M.nnz) * (itemsize + M.indices.itemsize)
+        perm, entries = _stress_first_order(L, dofmap)
+        need = (entries + nnz) * (itemsize + L.indices.itemsize)
     # raised outside the handlers below: solve_saddle retries their
     # SingularSystemError in float64, which needs more memory still
     _reserve("the factor", need)
     try:
         with np.errstate(over="raise", under="raise"):
             if dense:
-                return _dense_factor(M, dofmap, dtype)
+                return _dense_factor(L, dofmap, dtype)
             inv = np.empty(len(perm), np.int32)
             inv[perm] = np.arange(len(perm), dtype=np.int32)
-            Mp = sp.csc_matrix((M.data.astype(dtype), inv[M.indices], M.indptr),
-                               shape=M.shape)[:, perm]
+            Mp = _expand(L, dofmap, dtype)
+            Mp = sp.csc_matrix((Mp.data, inv[Mp.indices], Mp.indptr), shape=Mp.shape)[:, perm]
         Mp.sort_indices()
         # the block pattern is structurally symmetric; symmetric-mode SuperLU
         # with a relaxed diagonal pivot threshold cuts fill severalfold, and
@@ -261,24 +310,27 @@ def _factor(M, dofmap, dtype=np.float64):
     return solve, int(lu.nnz)
 
 
-def _cell_blocks(M, dofmap):
+def _cell_blocks(L, dofmap):
     """Each cell's own dense diagonal block of M, (cells, cell size, cell size).
 
-    M's columns are scanned a chunk of whole cells at a time, of about
-    SCAN_ENTRIES stored entries, so that the index arrays stay that small.
+    L's columns are scanned a chunk of whole cells at a time, of about
+    SCAN_ENTRIES stored entries, so that the index arrays stay that small;
+    each own block's lower triangle is then mirrored and its rows signed.
     """
     size = dofmap.cell_size
     D = np.zeros((dofmap.num_cells, size, size))
-    chunk = max(1, SCAN_ENTRIES * dofmap.num_cells // M.nnz) * size
-    for start in range(0, M.shape[1], chunk):
-        stop = min(start + chunk, M.shape[1])
-        lo, hi = M.indptr[start], M.indptr[stop]
-        col = np.repeat(np.arange(start, stop, dtype=M.indices.dtype),
-                        np.diff(M.indptr[start:stop + 1]))
-        row = M.indices[lo:hi]
+    chunk = max(1, SCAN_ENTRIES * dofmap.num_cells // L.nnz) * size
+    for start in range(0, L.shape[1], chunk):
+        stop = min(start + chunk, L.shape[1])
+        lo, hi = L.indptr[start], L.indptr[stop]
+        col = np.repeat(np.arange(start, stop, dtype=L.indices.dtype),
+                        np.diff(L.indptr[start:stop + 1]))
+        row = L.indices[lo:hi]
         own = row // size == col // size
         row, col = row[own], col[own]
-        D[col // size, row % size, col % size] = M.data[lo:hi][own]
+        D[col // size, row % size, col % size] = L.data[lo:hi][own]
+    D += np.triu(D.transpose(0, 2, 1), 1)
+    D[:, dofmap.stress_cell_size:] *= -1.0
     return D
 
 
@@ -287,48 +339,34 @@ def _recurses(dofmap, mesh):
     return dofmap.total_dofs >= KRYLOV_MIN_DOFS and mesh.coarse_level is not None
 
 
-def _single_operator(M, dofmap):
-    """v -> M v in float32, over M's own index arrays.
-
-    M's CSC arrays read as CSR hold M^T, and since Aa and Cc are symmetric,
-    M = S M^T S with S = +1 on the stress and -1 on the displacement dofs.
-    The float32 data is the one new array of M's size; the CSR product is
-    also faster than the CSC one.  Raises FloatingPointError out of float32's
-    normal range.
-    """
-    sign = np.ones(M.shape[0], np.float32)
-    sign[dofmap.disp_dofs] = -1.0
-    with np.errstate(over="raise", under="raise"):
-        MT = sp.csr_matrix((M.data.astype(np.float32), M.indices, M.indptr), shape=M.shape)
-    return lambda x: sign * (MT @ (sign * x))
-
-
-def _multilevel(M, dofmap, mesh):
+def _multilevel(L, dofmap, mesh):
     """One float32 multilevel cycle as a preconditioner for M: (cycle, nnz, grids).
 
     Two damped cell-block Jacobi sweeps, whose blocks are the cells' own
     diagonal blocks of M (a Vanka-type smoother), inverted in float64; a
     coarse correction by the Galerkin operator P^T M P of the prolongation P
-    from mesh.coarse_level; then two more sweeps.  The correction applies the
-    coarse level's own cycle to P^T M P when _recurses holds for that level,
-    and otherwise a float32 _factor of P^T M P.  The cycle maps float32 to
-    float32; M enters it through _single_operator.  nnz is the coarsest
-    factor's, and grids counts the levels down to it.  Raises
-    FloatingPointError out of float32's normal range.
+    from mesh.coarse_level; then two more sweeps.  P maps each field to
+    itself, so the coarse L is the lower triangle of P^T L P + (P^T L P)^T
+    - P^T D P.  The correction applies the coarse level's own cycle when
+    _recurses holds for that level, and otherwise a float32 _factor.  The
+    cycle maps float32 to float32; M enters it through a float32 _operator.
+    nnz is the coarsest factor's, and grids counts the levels down to it.
+    Raises FloatingPointError out of float32's normal range.
     """
     # the float64 cell blocks and their inverses live before any coarse data
     with np.errstate(over="raise", under="raise"):
-        D_inv = np.linalg.inv(_cell_blocks(M, dofmap)).astype(np.float32)
-    matvec = _single_operator(M, dofmap)
+        D_inv = np.linalg.inv(_cell_blocks(L, dofmap)).astype(np.float32)
+    matvec = _operator(L, dofmap, np.float32)
     size = dofmap.cell_size
     P = prolongation(mesh, dofmap)
     coarse_mesh = mesh.coarse_level[0]
     coarse = build_dofmap(coarse_mesh, dofmap.k, dofmap.l)
-    M_coarse = (P.T @ (M @ P)).tocsc()
+    L_coarse = P.T @ (L @ P)
+    L_coarse = sp.tril(L_coarse + L_coarse.T - P.T @ (sp.diags(L.diagonal()) @ P), format="csc")
     if _recurses(coarse, coarse_mesh):
-        coarse_solve, nnz, grids = _multilevel(M_coarse, coarse, coarse_mesh)
+        coarse_solve, nnz, grids = _multilevel(L_coarse, coarse, coarse_mesh)
     else:
-        (coarse_solve, nnz), grids = _factor(M_coarse, coarse, np.float32), 1
+        (coarse_solve, nnz), grids = _factor(L_coarse, coarse, np.float32), 1
     with np.errstate(over="raise", under="raise"):
         P = P.astype(np.float32)
     PT = P.T.tocsr()
@@ -338,10 +376,10 @@ def _multilevel(M, dofmap, mesh):
 
     def cycle(r):
         x = jacobi(r)
-        x += jacobi(r - matvec(x))
-        x += P @ coarse_solve(PT @ (r - matvec(x)))
-        x += jacobi(r - matvec(x))
-        x += jacobi(r - matvec(x))
+        x += jacobi(r - matvec @ x)
+        x += P @ coarse_solve(PT @ (r - matvec @ x))
+        x += jacobi(r - matvec @ x)
+        x += jacobi(r - matvec @ x)
         return x
 
     return cycle, nnz, grids + 1
@@ -422,18 +460,18 @@ def solve_saddle(system, mesh=None):
     system.stab.  Relative residuals above RESIDUAL_TOL, taken on M and b,
     raise on either path; the system is never silently regularized.
     """
-    M, b, dofmap, stab = system.M, system.b, system.dofmap, system.stab
-    norm_b = np.linalg.norm(b)
+    L, b, dofmap, stab = system.L, system.b, system.dofmap, system.stab
+    M, norm_b = _operator(L, dofmap), np.linalg.norm(b)
     t0 = time.perf_counter()
     x = None
     h_scaled = stab.alpha1 == -1.0 and stab.beta1 == 1.0  # C11 ~ 1/h, C22 ~ h
     if (mesh is not None and not stab.c22_zero and (mesh.dim == 3 or h_scaled)
             and _recurses(dofmap, mesh)):
-        # V, Z, float32 M; cell blocks, float64 inverted, float32 kept; P dense, CSR
-        _reserve("the multilevel cycle", M.nnz * 4 + M.shape[0] * (
+        # V, Z, float32 L; cell blocks, float64 inverted, float32 kept; P dense, CSR
+        _reserve("the multilevel cycle", L.nnz * 4 + L.shape[0] * (
             (KRYLOV_RESTART + 1) * 8 + KRYLOV_RESTART * 4 + (20 + 20) * dofmap.cell_size))
         with contextlib.suppress(FloatingPointError, SingularSystemError):
-            precondition, nnz, levels = _multilevel(M, dofmap, mesh)
+            precondition, nnz, levels = _multilevel(L, dofmap, mesh)
             t1 = time.perf_counter()
             x, iterations = _refine(M, b, lambda r, left: _arnoldi_cycle(
                 M, r, precondition, min(left, KRYLOV_RESTART), KRYLOV_TOL * norm_b),
@@ -443,14 +481,14 @@ def solve_saddle(system, mesh=None):
         precondition = None
         iterations, levels = 0, 1
         with contextlib.suppress(FloatingPointError, SingularSystemError):
-            lu_solve, nnz = _factor(M, dofmap, np.float32)
+            lu_solve, nnz = _factor(L, dofmap, np.float32)
             t1 = time.perf_counter()
             # at unit norm the cast to float32 stays in range
             x, _ = _refine(M, b, lambda r, left: (
                 np.linalg.norm(r) * lu_solve(r / np.linalg.norm(r)), 1), 0.0, KRYLOV_TOL)
     if x is None:
         lu_solve = None
-        lu_solve, nnz = _factor(M, dofmap)
+        lu_solve, nnz = _factor(L, dofmap)
         t1 = time.perf_counter()
         x = lu_solve(b)
     if not np.all(np.isfinite(x)):

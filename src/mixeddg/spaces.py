@@ -69,6 +69,9 @@ class DofMap:
     n_stress_dofs = property(lambda self: self.num_cells * self.stress_cell_size)
     n_disp_dofs = property(lambda self: self.num_cells * self.disp_cell_size)
     total_dofs = property(lambda self: self.num_cells * self.cell_size)
+    # S: +1 on the stress and -1 on the displacement dofs
+    signs = property(lambda self: np.where(
+        np.arange(self.total_dofs) % self.cell_size < self.stress_cell_size, 1.0, -1.0))
 
     @property
     def stress_dofs(self) -> np.ndarray:

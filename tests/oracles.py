@@ -380,17 +380,38 @@ def cell_blocks(M, dofmap: DofMap) -> np.ndarray:
     return D
 
 
-def cycle_bytes(M, dofmap: DofMap, restart: int) -> int:
+def cycle_bytes(L, dofmap: DofMap, restart: int) -> int:
     """Bytes of the multilevel GMRES path's fine level, summed from its arrays.
 
-    (m + 1) float64 and m float32 basis vectors for m = restart; M's data in
-    float32; and per entry of the cells' diagonal blocks (n * cell size of
-    them), 8 + 8 + 4 bytes for the float64 blocks, their inverses and the
-    kept float32 inverses, and 8 + 12 for the prolongation's dense float64
-    blocks and their CSR copy.
+    (m + 1) float64 and m float32 basis vectors for m = restart; the data of
+    L, the stored lower triangle of S M, in float32; and per entry of the
+    cells' diagonal blocks (n * cell size of them), 8 + 8 + 4 bytes for the
+    float64 blocks, their inverses and the kept float32 inverses, and 8 + 12
+    for the prolongation's dense float64 blocks and their CSR copy.
     """
-    n = M.shape[0]
-    return ((restart + 1) * 8 + restart * 4) * n + 4 * M.nnz + (20 + 20) * n * dofmap.cell_size
+    n = L.shape[0]
+    return ((restart + 1) * 8 + restart * 4) * n + 4 * L.nnz + (20 + 20) * n * dofmap.cell_size
+
+
+def dense_blocks(M, dofmap: DofMap, dtype):
+    """A = Aa, B = Bb and C = Cc of the full M in dtype, Fortran-ordered, copied
+    from dense float64 chunks of M's columns, each within one cell's stress or
+    displacement columns: the reference for the copies from L."""
+    n, ns, nu = M.shape[0], dofmap.n_stress_dofs, dofmap.n_disp_dofs
+    size, s, cells = dofmap.cell_size, dofmap.stress_cell_size, dofmap.num_cells
+    A, B, C = (np.zeros(shape, dtype, order="F") for shape in ((ns, ns), (ns, nu), (nu, nu)))
+    width = max(1, (1 << 18) // n)
+    fields = (((0, s), ((A, slice(0, s)),)), ((s, size), ((B, slice(0, s)), (C, slice(s, size)))))
+    for cell in range(cells):
+        for (lo, hi), blocks in fields:  # stress columns fill A, displacement ones B and C
+            for start in range(lo, hi, width):
+                w, col = min(width, hi - start), cell * size + start
+                # rows as (local row, cell), as are those of each block's columns p:p+w
+                chunk = M[:, col:col + w].toarray(order="F").reshape((size, cells, w), order="F")
+                p = cell * (hi - lo) + start - lo
+                for block, rows in blocks:
+                    block[:, p:p + w].reshape((-1, cells, w), order="F")[...] = chunk[rows]
+    return A, B, C
 
 
 def gauss_jacobi_long(n: int, alpha: int, nodes: np.ndarray):

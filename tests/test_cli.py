@@ -373,9 +373,9 @@ class TestSolverFailureExit:
         case = case_2d_poly()
         mesh = build_uniform_tri(8, case.box)
         dofmap = build_dofmap(mesh, 1, 1)
-        M = assemble_system(mesh, build_face_topology(mesh), dofmap, case.material,
-                            StabilizationParams(), case.f).M
-        need = cycle_bytes(M, dofmap, solve_module.KRYLOV_RESTART)
+        L = assemble_system(mesh, build_face_topology(mesh), dofmap, case.material,
+                            StabilizationParams(), case.f).L
+        need = cycle_bytes(L, dofmap, solve_module.KRYLOV_RESTART)
 
         def no_cycle(*_):
             raise AssertionError("the multilevel set-up ran")
@@ -389,27 +389,27 @@ class TestSolverFailureExit:
             f"bytes, {need - 1:,} available\n")
 
     def test_assembly_memory_check_names_level(self, tmp_path, monkeypatch, capsys):
-        # tri n=4, k=1 needs 230,400 bytes of padded float64 blocks: one byte
+        # tri n=4, k=1 needs 172,800 bytes of padded float64 blocks: one byte
         # short, level 2 runs and level 4 is refused in its assembly
-        monkeypatch.setattr(solve_module, "_available_memory", lambda: 230_399)
+        monkeypatch.setattr(solve_module, "_available_memory", lambda: 172_799)
         code, _ = run(tmp_path, "--levels", "2,4")
         assert code == 3
         assert capsys.readouterr().err == (
-            "solver failure: level 4: out of memory: the assembly needs 230,400 bytes, "
-            "230,399 available\n")
+            "solver failure: level 4: out of memory: the assembly needs 172,800 bytes, "
+            "172,799 available\n")
 
     @pytest.mark.skipif(not Path("/proc/self/statm").exists(), reason="needs /proc/self/statm")
     def test_address_space_limit_refuses_at_once(self):
         # under ulimit -v the memory checks see the address space left, not
-        # only MemAvailable: tri n=128 assembles within 570 MB over the
-        # import, and its cycle, 422 MB on top of the 266 MB held after
+        # only MemAvailable: tri n=128 assembles within 450 MB over the
+        # import, and its cycle, 391 MB on top of the 186 MB held after
         # assembly, is refused before it is built, where it would otherwise
         # run into a MemoryError.  The limit is set in the child only
         env = child_env(OPENBLAS_NUM_THREADS="1")
         imported = subprocess.run(
             [sys.executable, "-c", "import mixeddg.cli; print(open('/proc/self/statm').read())"],
             env=env, capture_output=True, text=True, timeout=60, check=True)
-        limit = int(imported.stdout.split()[0]) * resource.getpagesize() + 570 * 2 ** 20
+        limit = int(imported.stdout.split()[0]) * resource.getpagesize() + 450 * 2 ** 20
         hard = resource.getrlimit(resource.RLIMIT_AS)[1]
         proc = subprocess.run(
             [sys.executable, "-m", "mixeddg", "--levels", "1,128"], env=env,
@@ -417,7 +417,7 @@ class TestSolverFailureExit:
             capture_output=True, text=True, timeout=120)
         assert proc.returncode == 3
         assert proc.stderr.startswith("solver failure: level 128: out of memory: "
-                                      "the multilevel cycle needs 422,069,504 bytes, ")
+                                      "the multilevel cycle needs 390,931,072 bytes, ")
         assert proc.stderr.endswith(" available\n") and proc.stderr.count("\n") == 1
 
     @pytest.mark.parametrize("argv,level", [

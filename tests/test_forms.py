@@ -316,13 +316,17 @@ class TestAssembly:
         (lambda: build_uniform_tri(8, BOX2), 1, 0.0, 44_224),
         (lambda: build_uniform_tri(16, BOX2), 1, 1.0, 246_496),
         (lambda: build_uniform_tri(16, BOX2), 1, 0.0, 180_512),
-        (lambda: build_uniform_tet(2, BOX3), 1, 1.0, 88_330),
-        (lambda: build_uniform_tri(2, BOX2), 10, 1.0, 1_672_468),
+        (lambda: build_uniform_tet(2, BOX3), 1, 1.0, 88_522),
+        (lambda: build_uniform_tri(2, BOX2), 10, 1.0, 1_672_424),
     ], ids=["tri8", "tri8-c22zero", "tri16", "tri16-c22zero", "tet2", "tri2-k10"])
     def test_pattern_is_cell_pair_blocks(self, mesh_fn, k, eta, nnz):
-        # M stores the nonzero entries of its cell-pair blocks and no zeros
+        # M stores the nonzero entries of its cell-pair blocks and no zeros,
+        # and L the lower triangle of S M's
         topo, dm, _, system = _assemble(mesh_fn(), k, k, StabilizationParams(eta=eta))
-        M = system.M
+        L, M = system.L, system.M
+        assert L.format == "csc" and L.has_canonical_format
+        assert np.all(L.data != 0.0) and sp.triu(L, 1).nnz == 0
+        assert M.nnz == 2 * L.nnz - np.count_nonzero(L.diagonal())
         assert M.format == "csc" and M.has_canonical_format
         assert M.nnz == nnz
         assert np.all(M.data != 0.0)
@@ -332,16 +336,16 @@ class TestAssembly:
         assert np.all(ref[rows, cols] == 1.0)
 
     @pytest.mark.parametrize("kind,n,k,eta,digest", [
-        ("tri", 4, 2, 1.0, "3bcc4f01671132dc5e53dc002e1397d83039a7054795f7e9582015654c44e3b7"),
-        ("tri", 4, 2, 0.0, "304518bc4a96e0d24f8ff2fc4dd3cc816f7923385d08511a08d85eccd196cf2d"),
-        ("tet", 2, 1, 1.0, "dd7e2ade7311cbe7f49f7c728798c83b72142c78f2a0f99cc5c9bea6a3da7b9c"),
-        ("tet", 2, 1, 0.0, "e14ab9e553e2e968511e5e96b47454491fc1c0888fa8ed3c6bc458f4634757c7"),
-        ("quad", 2, 3, 1.0, "c08f394b2bb29a9fdbc5f91adb2193ced7ca150507d81b18620f921f5584416f"),
-        ("quad", 2, 3, 0.0, "05fca0606c1a0649fbdf44ba7a02c9606f3d6cf44d09cc8cb7b7ade381d346ef"),
+        ("tri", 4, 2, 1.0, "3d5565271cec2df924764af48df1a6a3db0d45d337f6f2bf1ebebcf59153c52d"),
+        ("tri", 4, 2, 0.0, "e15d8af1da024bdf637d487d1d843b6a49c573475bd14f7c50726e9e20e7c72f"),
+        ("tet", 2, 1, 1.0, "2f1c4ab101978ced0ebc5aeeef7a2fd7244a0133737ff6a58bd6df5e2b5a8526"),
+        ("tet", 2, 1, 0.0, "090dc3807387bb432c98ea1f43c1c616440711c9615b635c22daf382be108449"),
+        ("quad", 2, 3, 1.0, "aa5a8e5dee3c16a70f9c394d809a24516ffa3cae296ae6440a9f5b8881fbfdb9"),
+        ("quad", 2, 3, 0.0, "3d1733428e733ebe5924da8fc9676449e4cd094b87f4676da7c877187af249f6"),
     ], ids=["tri4-k2", "tri4-k2-c22zero", "tet2", "tet2-c22zero", "quad2-k3",
             "quad2-k3-c22zero"])
     def test_bits_pinned(self, kind, n, k, eta, digest):
-        # SHA-256 of M's indptr, indices and data and of b, with the manufactured
+        # SHA-256 of L's indptr, indices and data and of b, with the manufactured
         # load: any change to the term order or the layout changes a bit
         mesh = {"tri": build_uniform_tri, "quad": build_uniform_quad,
                 "tet": build_uniform_tet}[kind](n, BOX3 if kind == "tet" else BOX2)
@@ -349,56 +353,57 @@ class TestAssembly:
         system = assemble_system(mesh, build_face_topology(mesh), build_dofmap(mesh, k, k),
                                  case.material, StabilizationParams(eta=eta), case.f)
         sha = hashlib.sha256()
-        for array in (system.M.indptr, system.M.indices, system.M.data, system.b):
+        for array in (system.L.indptr, system.L.indices, system.L.data, system.b):
             sha.update(array.tobytes())
         assert sha.hexdigest() == digest
 
     @pytest.mark.parametrize("kind,n,k", [("tet", 3, 1), ("quad", 3, 2), ("tri", 2, 8)])
     def test_scratch_bounded(self, kind, n, k):
         # the traced peak inside assemble_system stays within 20 % of the
-        # cell-pair blocks, padded to the most pairs of any column cell, plus
-        # the final M: no zero-filled copy of the blocks beside them
+        # cell-pair blocks of the lower triangle, padded to the most pairs of
+        # any column cell, plus the final L, plus 128 KiB for numpy's einsum
+        # buffers, which dominate on the 9 quads: no zero-filled copy of the
+        # blocks beside them
         mesh = {"tri": build_uniform_tri, "quad": build_uniform_quad,
                 "tet": build_uniform_tet}[kind](n, BOX3 if kind == "tet" else BOX2)
         topo, dm, mat, _ = _assemble(mesh, k, k)  # fills the basis and quadrature caches
         tracemalloc.start()
         try:
-            M = assemble_system(mesh, topo, dm, mat, StabilizationParams(), _zero_load).M
+            L = assemble_system(mesh, topo, dm, mat, StabilizationParams(), _zero_load).L
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        pairs = 1 + np.bincount(np.concatenate([topo.plus[topo.interior],
-                                                topo.minus[topo.interior]]))
+        pairs = 1 + np.bincount(np.minimum(topo.plus[topo.interior], topo.minus[topo.interior]))
         blocks = mesh.num_cells * pairs.max() * dm.cell_size ** 2 * 8
-        assert peak <= 1.2 * (blocks + M.data.nbytes + M.indices.nbytes + M.indptr.nbytes)
+        assert peak <= 1.2 * (blocks + L.data.nbytes + L.indices.nbytes + L.indptr.nbytes) + 2 ** 17
 
     def test_data_compacted_in_blocks(self):
-        # M's data is the front of the padded blocks, compacted in place: at
+        # L's data is the front of the padded blocks, compacted in place: at
         # tri n=2, k=10 the traced peak inside assemble_system stays under the
-        # blocks plus a boolean mask of them plus a separate copy of M's data
+        # blocks of the lower pairs plus a boolean mask of them plus a
+        # separate copy of L's data
         mesh = build_uniform_tri(2, BOX2)
         topo, dm, mat, _ = _assemble(mesh, 10, 10)  # fills the basis and quadrature caches
         tracemalloc.start()
         try:
-            M = assemble_system(mesh, topo, dm, mat, StabilizationParams(), _zero_load).M
+            L = assemble_system(mesh, topo, dm, mat, StabilizationParams(), _zero_load).L
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        pairs = 1 + np.bincount(np.concatenate([topo.plus[topo.interior],
-                                                topo.minus[topo.interior]]))
+        pairs = 1 + np.bincount(np.minimum(topo.plus[topo.interior], topo.minus[topo.interior]))
         padded = mesh.num_cells * pairs.max() * dm.cell_size ** 2
-        assert peak < 9 * padded + M.data.nbytes
+        assert peak < 9 * padded + L.data.nbytes
 
     @pytest.mark.parametrize("stage", ["blocks", "indices"])
     def test_memory_check(self, stage, monkeypatch):
-        # tri n=4, k=1: 32 cells, at most 4 pairs per column cell and 15 dofs a
-        # cell, so the padded float64 blocks need 32 * 4 * 15^2 * 8 = 230,400
-        # bytes, and M's int32 indices 4 bytes per entry (its data is compacted
-        # inside the blocks).  One byte short, each is refused before the array
-        # it counts is built
+        # tri n=4, k=1: 32 cells, at most 3 lower pairs per column cell and 15
+        # dofs a cell, so the padded float64 blocks need 32 * 3 * 15^2 * 8 =
+        # 172,800 bytes, and L's int32 indices 4 bytes per entry (its data is
+        # compacted inside the blocks).  One byte short, each is refused
+        # before the array it counts is built
         mesh = build_uniform_tri(4, BOX2)
         topo, dm, mat, system = _assemble(mesh, 1, 1)
-        blocks, indices = 230_400, 4 * system.M.nnz
+        blocks, indices = 172_800, 4 * system.L.nnz
         need, free = ((blocks, [blocks - 1]) if stage == "blocks"
                       else (indices, [blocks, indices - 1]))
         monkeypatch.setattr(solve_module, "_available_memory", iter(free).__next__)
@@ -418,8 +423,24 @@ class TestAssembly:
         *_, a = _assemble(mesh, 2, 2)
         *_, b = _assemble(mesh, 2, 2)
         for name in ("indptr", "indices", "data"):
-            assert np.array_equal(getattr(a.M, name), getattr(b.M, name))
+            assert np.array_equal(getattr(a.L, name), getattr(b.L, name))
         assert np.array_equal(a.b, b.b)
+
+    @pytest.mark.parametrize("kind,eta", [("tri", 1.0), ("tri", 0.0), ("tet", 1.0)])
+    def test_expanded_matrix_sign_symmetric(self, kind, eta):
+        # M = S (L + L^T - D) is exactly S M^T S, and Aa, Bb and Cc are its blocks
+        mesh = build_uniform_tri(4, BOX2) if kind == "tri" else build_uniform_tet(1, BOX3)
+        _, dm, _, system = _assemble(mesh, 2, 2, StabilizationParams(eta=eta))
+        M = system.M
+        sign = np.ones(dm.total_dofs)
+        sign[dm.disp_dofs] = -1.0
+        S = sp.diags(sign)
+        assert (S @ M.T @ S - M).count_nonzero() == 0
+        assert np.array_equal(sp.tril(S @ M).toarray(), system.L.toarray())
+        s, u = dm.stress_dofs, dm.disp_dofs
+        for block, rows, cols in ((system.Aa, s, s), (system.Bb, s, u), (system.Cc, u, u)):
+            assert np.array_equal(block.toarray(), M.toarray()[np.ix_(rows, cols)])
+        assert np.array_equal(M.toarray()[np.ix_(u, s)], -system.Bb.T.toarray())
 
     def test_block_diagonal_stress_block_when_c22_zero(self, two_tri, case2d):
         mesh, topo = two_tri

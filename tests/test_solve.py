@@ -23,8 +23,8 @@ from mixeddg.spaces import FieldCoeffs, prolongation
 from mixeddg.forms import MaterialParams, StabilizationParams, assemble_system
 from mixeddg.solve import FactorMemoryError, ResidualToleranceError, SingularSystemError, \
     _block_graph, _factor, _stress_first_order
-from oracles import cell_blocks, cell_points, cell_ref_coords, cycle_bytes, evaluate_field, \
-    exact_residual
+from oracles import cell_blocks, cell_points, cell_ref_coords, cycle_bytes, dense_blocks, \
+    evaluate_field, exact_residual
 
 BOX2 = ((-1.0, 1.0), (-1.0, 1.0))
 BOX3 = ((0.0, 1.0), (0.0, 1.0), (0.0, 1.0))
@@ -121,7 +121,7 @@ class TestSolveSaddle:
     @pytest.mark.parametrize("mesh_fn,eta,fill", [
         (lambda: build_uniform_tri(16, BOX2), 1.0, 1_376_162),
         (lambda: build_uniform_tri(16, BOX2), 0.0, 964_810),
-        (lambda: build_uniform_tet(2, BOX3), 1.0, 441_496),
+        (lambda: build_uniform_tet(2, BOX3), 1.0, 441_526),
         (lambda: build_uniform_tet(2, BOX3), 0.0, 206_068),
     ], ids=["tri16", "tri16-c22zero", "tet2", "tet2-c22zero"])
     def test_factor_fill_pinned(self, mesh_fn, eta, fill):
@@ -137,7 +137,7 @@ class TestSolveSaddle:
                                  StabilizationParams(eta=eta), lambda x: np.zeros_like(x))
         _, report = solve_saddle(system)
         assert report.factor_nnz == fill
-        assert fill <= _stress_first_order(system.M, dm)[1] <= 1.4 * fill
+        assert fill <= _stress_first_order(system.L, dm)[1] <= 1.4 * fill
 
     def test_singular_system_reported(self, small_system, monkeypatch):
         *_, system = small_system
@@ -145,8 +145,8 @@ class TestSolveSaddle:
         # the operator singular, which must be reported rather than papered
         # over, by the dense factor the two triangles take and by sparse LU
         disp, C = system.dofmap.disp_dofs, system.Cc.tocoo()
-        penalty = sp.csc_matrix((C.data, (disp[C.row], disp[C.col])), shape=system.M.shape)
-        singular = dataclasses.replace(system, M=system.M - penalty)
+        penalty = sp.csc_matrix((C.data, (disp[C.row], disp[C.col])), shape=system.L.shape)
+        singular = dataclasses.replace(system, L=system.L + sp.tril(penalty, format="csc"))
         dense, lu = spy_dense(monkeypatch), spy_factor(monkeypatch)
         with pytest.raises((SingularSystemError, ResidualToleranceError)):
             solve_saddle(singular)
@@ -172,7 +172,7 @@ class TestBlockOrder:
     def test_blocks_contiguous_stress_first(self, name, stab):
         system = assemble_case(name, stab)
         dm = system.dofmap
-        perm, _ = _stress_first_order(system.M, dm)
+        perm, _ = _stress_first_order(system.L, dm)
         assert np.array_equal(np.sort(perm), np.arange(dm.total_dofs))
         # each (cell, field) block is one run of the size of the block
         cell, is_disp = np.divmod(perm, dm.cell_size)
@@ -197,7 +197,7 @@ class TestBlockOrder:
         n_nodes = 2 * dm.num_cells
         ref = sp.csc_matrix((np.ones(M.nnz), (node[M.row], node[M.col])),
                             shape=(n_nodes, n_nodes))
-        got_node, graph = _block_graph(system.M, dm)
+        got_node, graph = _block_graph(system.L, dm)
         assert np.array_equal(got_node, node)
         graph.sort_indices()
         ref.sort_indices()
@@ -206,10 +206,10 @@ class TestBlockOrder:
 
     def test_matrix_untouched_by_solve(self):
         system = assemble_case("tet-1-1")
-        before = [getattr(system.M, name).copy() for name in ("data", "indices", "indptr")]
+        before = [getattr(system.L, name).copy() for name in ("data", "indices", "indptr")]
         solve_saddle(system)
         for name, old in zip(("data", "indices", "indptr"), before):
-            assert np.array_equal(getattr(system.M, name), old)
+            assert np.array_equal(getattr(system.L, name), old)
 
 
 def spy_factor(monkeypatch):
@@ -251,7 +251,7 @@ def spy_dense(monkeypatch):
 
 def double_lu(system):
     """Solution and fill of the float64 LU of the stress-first order."""
-    lu_solve, nnz = _factor(system.M, system.dofmap)
+    lu_solve, nnz = _factor(system.L, system.dofmap)
     return lu_solve(system.b), nnz
 
 
@@ -271,8 +271,8 @@ class TestMixedPrecision:
     @pytest.mark.parametrize("scale", [1e38, 1e-30], ids=["overflow", "subnormal"])
     def test_out_of_single_range_takes_double(self, scale, monkeypatch):
         system = assemble_case("tri-1-1")
-        scaled = dataclasses.replace(system, M=system.M * scale, b=system.b * scale)
-        finfo, magnitude = np.finfo(np.float32), np.abs(scaled.M.data)
+        scaled = dataclasses.replace(system, L=system.L * scale, b=system.b * scale)
+        finfo, magnitude = np.finfo(np.float32), np.abs(scaled.L.data)
         assert magnitude.max() > finfo.max or magnitude.min() < finfo.tiny
         dtypes = spy_factor(monkeypatch)
         with warnings.catch_warnings():
@@ -444,13 +444,30 @@ class TestDenseFactor:
                                  case.material, StabilizationParams(**FLUX_ALIASES.get(stab, {})),
                                  case.f)
         lu, cholesky = spy_factor(monkeypatch), spy_dense(monkeypatch)
-        solve_module._factor(system.M, system.dofmap, np.float32)
+        solve_module._factor(system.L, system.dofmap, np.float32)
         assert (cholesky, lu) == (([np.float32], []) if dense else ([], [np.float32]))
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("k", [3, 10])
+    def test_blocks_copied_from_lower(self, k, dtype):
+        # A's lower triangle, B and C's lower triangle, the parts the block
+        # Cholesky reads, are copied from L bit for bit as from the full M
+        mesh = build_uniform_tri(2, BOX2)
+        case = case_2d_poly()
+        system = assemble_system(mesh, build_face_topology(mesh), build_dofmap(mesh, k, k),
+                                 case.material, StabilizationParams(), case.f)
+        got = solve_module._dense_blocks(system.L, system.dofmap, dtype)
+        want = dense_blocks(system.M, system.dofmap, dtype)
+        for part, (g, w) in zip(("A", "B", "C"), zip(got, want)):
+            assert g.dtype == dtype and g.flags.f_contiguous
+            if part != "B":
+                g, w = np.tril(g), np.tril(w)
+            assert g.tobytes() == w.tobytes()
 
     @pytest.mark.parametrize("scale", [1e38, 1e-30], ids=["overflow", "subnormal"])
     def test_out_of_single_range_takes_double(self, small_system, scale, monkeypatch):
         *_, system = small_system
-        scaled = dataclasses.replace(system, M=system.M * scale, b=system.b * scale)
+        scaled = dataclasses.replace(system, L=system.L * scale, b=system.b * scale)
         dtypes = spy_dense(monkeypatch)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
@@ -486,10 +503,11 @@ class TestApplyOperator:
         dense[np.ix_(s, u)] = system.Bb.toarray()
         dense[np.ix_(u, s)] = -system.Bb.toarray().T
         dense[np.ix_(u, u)] = system.Cc.toarray()
+        M = system.M
         for i in range(dm.total_dofs):
             e = np.zeros(dm.total_dofs)
             e[i] = 1.0
-            assert system.M @ e == pytest.approx(dense[:, i], abs=1e-14)
+            assert M @ e == pytest.approx(dense[:, i], abs=1e-14)
 
     def test_solution_residual_matches_report(self, small_system):
         *_, system = small_system
@@ -771,7 +789,7 @@ class TestTwoLevel:
         finally:
             tracemalloc.stop()
         assert report.levels == 2
-        assert peak <= cycle_bytes(system.M, system.dofmap, solve_module.KRYLOV_RESTART)
+        assert peak <= cycle_bytes(system.L, system.dofmap, solve_module.KRYLOV_RESTART)
 
     @pytest.mark.parametrize("spare", [-1, 0], ids=["one-byte-short", "exact"])
     def test_cycle_memory_check(self, spare, monkeypatch):
@@ -780,7 +798,7 @@ class TestTwoLevel:
         # enough runs it.  tri n=8 recurses once, to the LU of n=4
         monkeypatch.setattr(solve_module, "KRYLOV_MIN_DOFS", 1000)
         mesh, system = tri_system(8)
-        need = cycle_bytes(system.M, system.dofmap, solve_module.KRYLOV_RESTART)
+        need = cycle_bytes(system.L, system.dofmap, solve_module.KRYLOV_RESTART)
         monkeypatch.setattr(solve_module, "_available_memory", lambda: need + spare)
         if spare == 0:
             assert solve_saddle(system, mesh)[1].levels == 2
@@ -843,7 +861,7 @@ class TestTwoLevel:
             return cycle, nnz, grids
 
         def factor(M, dofmap, dtype=np.float64):
-            if M is not system.M:  # the cycle's coarse factor
+            if M is not system.L:  # the cycle's coarse factor
                 return real_factor(M, dofmap, dtype)
             alive.append([ref() is not None for ref in held])
             lu_solve, nnz = real_factor(M, dofmap, dtype)
@@ -860,7 +878,7 @@ class TestTwoLevel:
         # the float32 cycle cannot hold M; the direct path takes float64
         monkeypatch.setattr(solve_module, "KRYLOV_MIN_DOFS", 0)
         mesh, system = tet_system(2)
-        scaled = dataclasses.replace(system, M=system.M * 1e38, b=system.b * 1e38)
+        scaled = dataclasses.replace(system, L=system.L * 1e38, b=system.b * 1e38)
         dtypes = spy_factor(monkeypatch)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
@@ -874,7 +892,7 @@ class TestTwoLevel:
         monkeypatch.setattr(solve_module, "KRYLOV_MIN_DOFS", 1000)
         mesh, system = tri_system(8)
         dtypes = spy_factor(monkeypatch)
-        cycle, _, grids = solve_module._multilevel(system.M, system.dofmap, mesh)
+        cycle, _, grids = solve_module._multilevel(system.L, system.dofmap, mesh)
         r = np.ones(system.dofmap.total_dofs, np.float32)
         assert cycle(r).dtype == np.float32
         assert dtypes == [np.float32] and grids == 2  # the n=4 level's LU
@@ -884,7 +902,7 @@ class TestTwoLevel:
         monkeypatch.setattr(solve_module, "KRYLOV_MIN_DOFS", 0)
         mesh, system = tri_system(8)
         lu, dense = spy_factor(monkeypatch), spy_dense(monkeypatch)
-        cycle, _, grids = solve_module._multilevel(system.M, system.dofmap, mesh)
+        cycle, _, grids = solve_module._multilevel(system.L, system.dofmap, mesh)
         r = np.ones(system.dofmap.total_dofs, np.float32)
         assert cycle(r).dtype == np.float32
         assert lu == [] and dense == [np.float32] and grids == 4
@@ -897,22 +915,24 @@ class TestCellBlocks:
         lambda: build_uniform_tet(2, BOX3),
     ], ids=["tri", "quad", "tet"])
     def test_match_one_pass_oracle(self, mesh_fn, scan, monkeypatch):
-        # a small SCAN_ENTRIES scans one to four cells at a time
+        # the blocks mirrored from L are the expanded M's, bit for bit; a
+        # small SCAN_ENTRIES scans one to four cells at a time
         mesh = mesh_fn()
         case = case_2d_poly() if mesh.dim == 2 else case_3d_sine()
         dm = build_dofmap(mesh, 2, 1)
-        M = assemble_system(mesh, build_face_topology(mesh), dm, case.material,
-                            StabilizationParams(), case.f).M
+        system = assemble_system(mesh, build_face_topology(mesh), dm, case.material,
+                                 StabilizationParams(), case.f)
         if scan is not None:
             monkeypatch.setattr(solve_module, "SCAN_ENTRIES", scan)
-        D = solve_module._cell_blocks(M, dm)
-        assert np.array_equal(D, cell_blocks(M, dm))
+        D = solve_module._cell_blocks(system.L, dm)
+        assert np.array_equal(D, cell_blocks(system.M, dm))
         assert np.all(D[:, np.arange(dm.cell_size), np.arange(dm.cell_size)] != 0.0)
 
 
 class TestSignSymmetry:
-    """M = S M^T S, S = +1 on stress and -1 on displacement dofs, which lets
-    the cycle apply M through its own index arrays read as CSR."""
+    """S M is symmetric, S = +1 on stress and -1 on displacement dofs, so the
+    system stores its lower triangle L and applies M x = S (L x + L^T x - D x)
+    over L's own index arrays."""
 
     @pytest.mark.parametrize("stab", [StabilizationParams(), C22_ONE],
                              ids=["default", "c11=hinv,c22=1"])
@@ -924,15 +944,30 @@ class TestSignSymmetry:
         mesh = mesh_fn()
         case = case_2d_poly() if mesh.dim == 2 else case_3d_sine()
         dm = build_dofmap(mesh, 2, 2)
-        M = assemble_system(mesh, build_face_topology(mesh), dm, case.material, stab,
-                            case.f).M
-        sign = np.ones(dm.total_dofs)
-        sign[dm.disp_dofs] = -1.0
-        S = sp.diags(sign)
-        assert abs(S @ M.T @ S - M).max() <= 1e-14 * abs(M).max()
+        system = assemble_system(mesh, build_face_topology(mesh), dm, case.material, stab,
+                                 case.f)
+        M = system.M
         x = rng.randn(dm.total_dofs).astype(np.float32)
-        y = solve_module._single_operator(M, dm)(x)
+        y = solve_module._operator(system.L, dm, np.float32) @ x
         assert y.dtype == np.float32
         exact = x.astype(float)
         bound = np.finfo(np.float32).eps * np.linalg.norm(abs(M) @ abs(exact))
         assert np.linalg.norm(y - M @ exact) <= bound
+
+    @pytest.mark.parametrize("x_dtype", [np.float64, np.float32])
+    @pytest.mark.parametrize("mesh_fn", [
+        lambda: build_uniform_tri(8, BOX2), lambda: build_uniform_tet(2, BOX3),
+    ], ids=["tri8", "tet2"])
+    def test_half_product_matches_csc(self, mesh_fn, x_dtype, rng):
+        # the float64 operator, on the float64 vectors of the residuals and
+        # the float32 ones of the Arnoldi steps, against the CSC product
+        mesh = mesh_fn()
+        case = case_2d_poly() if mesh.dim == 2 else case_3d_sine()
+        dm = build_dofmap(mesh, 1, 1)
+        system = assemble_system(mesh, build_face_topology(mesh), dm, case.material,
+                                 StabilizationParams(), case.f)
+        x = rng.randn(dm.total_dofs).astype(x_dtype)
+        y = solve_module._operator(system.L, dm) @ x
+        exact = system.M @ x.astype(float)
+        assert y.dtype == np.float64
+        assert np.linalg.norm(y - exact) <= 1e-15 * np.linalg.norm(exact)
