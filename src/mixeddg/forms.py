@@ -270,7 +270,8 @@ def assemble_system(mesh, topo, dofmap: DofMap, mat: MaterialParams,
     # face terms, in face_batches.  A neighbour pair's block holds one term; a
     # cell's own block adds its terms in face order, one round of distinct cells
     # at a time.  Faces come in first-encounter order, so a cell's minus faces
-    # precede its plus faces: each batch adds its minus side first
+    # precede its plus faces: each batch adds its minus side first.  S negates the
+    # displacement rows, so the C11 terms enter negated
     for faces, x, wq, c11, c22, sides in face_batches(mesh, topo, dofmap, stab,
                                                       matrix_exactness):
         n = topo.normals[faces]
@@ -285,7 +286,7 @@ def assemble_system(mesh, topo, dofmap: DofMap, mat: MaterialParams,
             rounds.append([by_cell[rank == r] for r in range(rank.max() + 1)])
 
         def add(i, j, on, rows, cols, part):
-            if i != j:  # the faces `on` which side i's cell is the row cell
+            if i != j:  # on the faces `on`, side i's cell is the row cell
                 blocks[slot[nc:][faces][on], rows, cols] = part
             else:
                 for faces_r in rounds[i]:
