@@ -51,8 +51,9 @@ class MaterialParams:
     dim: int
 
     def __post_init__(self):
-        if self.lam <= 0 or self.mu <= 0:
-            raise ValueError("Lame constants must be positive")
+        # nan <= 0 is False: a NaN or infinite constant would pass to the solve
+        if not (0 < self.lam < math.inf and 0 < self.mu < math.inf):
+            raise ValueError("Lame constants must be positive and finite")
 
     @property
     def trace_factor(self) -> float:
@@ -133,9 +134,10 @@ class AssembledSystem:
     entries of S M's blocks of each cell with itself and with its face
     neighbours on and below the diagonal, so the neighbour stress-stress part
     is absent when C22 vanishes.  stab is the penalty family L was assembled
-    with, from which solve_saddle picks its path.  The M property expands
-    M = S (L + L^T - D), D the diagonal of L, on each access, exactly
-    S-symmetric; Aa, Bb and Cc expand its blocks from L's in the same way.
+    with, from which solve_saddle picks its path.  The solver works on S M and
+    S b throughout; the M property alone applies S to L + L^T - D, D the
+    diagonal of L, expanding M on each access, exactly S-symmetric.  Aa, Bb
+    and Cc expand M's blocks from L's.
     """
 
     L: sp.csc_matrix
@@ -143,7 +145,7 @@ class AssembledSystem:
     dofmap: DofMap
     stab: StabilizationParams
 
-    M = property(lambda self: _expand(self.L, self.dofmap))
+    M = property(lambda self: (sp.diags(self.dofmap.signs) @ _expand(self.L)).tocsc())
     Aa = property(lambda self: self._block(0, 0))
     Bb = property(lambda self: self._block(0, 1))
     Cc = property(lambda self: self._block(1, 1))

@@ -1,8 +1,9 @@
 """Solution of the assembled saddle-point system.
 
 Of M the system holds only L, the lower triangle of the symmetric S M, S = +1
-on the stress and -1 on the displacement dofs: _operator applies M over L's
-own arrays, and sparse LU factors M expanded from L by _expand.
+on the stress and -1 on the displacement dofs.  Every path solves S M x = S b,
+whose x and residual norms are M x = b's as negation is exact: _operator
+applies S M over L's own arrays, and sparse LU factors _expand's S M.
 
 Each solve is float64 iterative refinement on a low-precision inner solver,
 _refine (Carson & Higham, SIAM J. Sci. Comput. 40, 2018).  Levels with a
@@ -15,9 +16,9 @@ a float32 multilevel cycle over the nested meshes; x stands at RESIDUAL_TOL.
 measured not to beat the direct solve.)  The cycle is linear only to float32
 roundoff, which plain GMRES does not allow; flexible GMRES keeps each
 preconditioned vector instead.  Elsewhere, after KRYLOV_MAX_ITERATIONS cycle
-applications over all restarts, or when M leaves float32's normal range,
-the inner solver is a float32 factor of M, refined to float64's floor, and
-x stands at KRYLOV_TOL; where it misses, a float64 factor solves M x = b.
+applications over all restarts, or when L leaves float32's normal range,
+the inner solver is a float32 factor of S M, refined to float64's floor, and
+x stands at KRYLOV_TOL; where it misses, a float64 factor solves for x.
 The direct factor is a dense block Cholesky of the quasi-definite S M when
 n^2 <= DENSE_MAX_RATIO * nnz(M), else sparse LU.  Two checks set bytes
 against _available_memory before anything is built, and raise
@@ -52,12 +53,12 @@ KRYLOV_MAX_ITERATIONS = 100
 KRYLOV_RESTART = 10
 # dofs from which GMRES beats the direct solve
 KRYLOV_MIN_DOFS = 10_000
-# n^2 / nnz(M) up to which the direct solve factors M as a dense matrix
+# n^2 / nnz(M) up to which the direct solve factors S M as a dense matrix
 DENSE_MAX_RATIO = 6
 # damping of the cell-block Jacobi smoother
 SMOOTHER_DAMPING = 0.7
-# entries of L read at a time for the smoother's cell blocks and the dense factor,
-# and padded entries that the assembly compacts at a time
+# four times the entries of L that _entries yields at a time, for the smoother's
+# cell blocks and the dense factor, and padded entries the assembly compacts at a time
 SCAN_ENTRIES = 1 << 18
 
 
@@ -91,7 +92,7 @@ class SolveReport:
 
     factor_s covers the set-up of the inner solver that gave x: the
     multilevel cycle, or the direct factor with the block ordering and the
-    permuted copy of M for sparse LU; after a fallback from the cycle it
+    permuted copy of S M for sparse LU; after a fallback from the cycle it
     includes the cycle's time.  solve_s covers _refine, or the float64 solve.
     factor_nnz is the direct factor's, float32 or after a miss float64, or
     the cycle's coarsest float32 factor's.  iterations counts the fine
@@ -110,29 +111,26 @@ class SolveReport:
     levels: int = 1
 
 
-def _expand(L, dofmap, dtype=np.float64):
-    """M = S (L + L^T - D), D the diagonal of L, as a canonical CSC matrix in dtype."""
+def _expand(L, dtype=np.float64):
+    """S M = L + L^T - D, D the diagonal of L, as a canonical CSC matrix in dtype."""
     L = L.astype(dtype, copy=False)
-    M = (L + L.T - sp.diags(L.diagonal())).tocsc()
-    M.data *= dofmap.signs.astype(dtype)[M.indices]
-    return M
+    return (L + L.T - sp.diags(L.diagonal())).tocsc()
 
 
-def _operator(L, dofmap, dtype=np.float64):
-    """M as a LinearOperator in dtype, S (L v + L^T v - D v): L's CSC arrays read as
+def _operator(L, dtype=np.float64):
+    """S M as a LinearOperator in dtype, L v + L^T v - D v: L's CSC arrays read as
     CSR hold L^T, so the one new array is L's data in float32, half of M's.
     Raises FloatingPointError out of float32's normal range."""
     with np.errstate(over="raise", under="raise"):
         data = L.data.astype(dtype, copy=False)
     lower = sp.csc_matrix((data, L.indices, L.indptr), shape=L.shape)
     upper = sp.csr_matrix((data, L.indices, L.indptr), shape=L.shape)
-    diag, sign = lower.diagonal(), dofmap.signs.astype(dtype)
+    diag = lower.diagonal()
 
-    def matvec(v):  # in place, three temporaries fewer than one expression
+    def matvec(v):  # in place, two temporaries fewer than one expression
         y = lower @ v
         y += upper @ v
         y -= diag * v
-        y *= sign
         return y
 
     return LinearOperator(L.shape, matvec, dtype=dtype)
@@ -203,34 +201,41 @@ def _reserve(what, need):
         raise FactorMemoryError(f"out of memory: {what} needs {need:,} bytes, {free:,} available")
 
 
+def _entries(L):
+    """L's stored entries as (rows, columns, values), one run of whole columns
+    at a time: each run holds at most SCAN_ENTRIES // 4 entries, or one column,
+    so that the few index arrays a caller derives from it stay that small."""
+    indptr, start, most = L.indptr, 0, SCAN_ENTRIES // 4
+    while start < L.shape[1]:
+        stop = max(start + 1, np.searchsorted(indptr, indptr[start] + most, "right") - 1)
+        lo, hi = indptr[start], indptr[stop]
+        yield (L.indices[lo:hi], np.repeat(np.arange(start, stop, dtype=L.indices.dtype),
+                                           np.diff(indptr[start:stop + 1])), L.data[lo:hi])
+        start = stop
+
+
 def _dense_blocks(L, dofmap, dtype):
     """A's lower triangle, B, and C's lower triangle of S M = [[A, B], [B^T, -C]]
-    in dtype, from dense float64 chunks of L's columns, of at most SCAN_ENTRIES
-    entries, each within one cell's stress or displacement columns.  A cell's
-    columns hold the rows of that cell and the later ones: its stress columns
-    A and B^T, its displacement columns B, in the later cells, and -C.
-    """
+    in dtype, Fortran-ordered views of one buffer scattered from _entries(L):
+    L's stress rows of stress columns are A's, displacement rows of stress
+    columns B^T, stress rows of displacement columns B, and the rest -C."""
     n, ns, nu = L.shape[0], dofmap.n_stress_dofs, dofmap.n_disp_dofs
-    size, s, cells = dofmap.cell_size, dofmap.stress_cell_size, dofmap.num_cells
-    d, width = size - s, max(1, SCAN_ENTRIES // n)
-    A, B, C = (np.zeros(shape, dtype, order="F") for shape in ((ns, ns), (ns, nu), (nu, nu)))
-    for cell in range(cells):
-        later, top = cells - cell, cell * size
-        for start in (*range(0, s, width), *range(s, size, width)):
-            w = min(width, (s if start < s else size) - start)
-            part = L[:, top + start:top + start + w]
-            # rows as (local row, cell from this one on), as are the blocks' rows
-            chunk = sp.csc_matrix((part.data, part.indices - top, part.indptr), shape=(
-                later * size, w)).toarray(order="F").reshape((size, later, w), order="F")
-            if start < s:
-                p = cell * s + start
-                A[cell * s:, p:p + w].reshape((s, later, w), order="F")[...] = chunk[:s]
-                B.T[cell * d:, p:p + w].reshape((later, d, w))[...] = chunk[s:].transpose(1, 0, 2)
-            else:  # 0 - x leaves no -0.0 where L stores no entry
-                p = cell * d + start - s
-                B[(cell + 1) * s:, p:p + w].reshape((s, -1, w), order="F")[...] = chunk[:s, 1:]
-                np.subtract(0.0, chunk[s:],
-                            out=C[cell * d:, p:p + w].reshape((d, -1, w), order="F"))
+    s, size = dofmap.stress_cell_size, dofmap.cell_size
+    flat = np.zeros(ns * ns + ns * nu + nu * nu, dtype)
+    A, B, C = (flat[lo:lo + r * c].reshape((r, c), order="F")
+               for lo, r, c in ((0, ns, ns), (ns * ns, ns, nu), (ns * (ns + nu), nu, nu)))
+    # each dof's index among its field's; an entry's place in flat is
+    # at[row + n * (column is stress)] + by[column + n * (row is stress)]
+    cell, local = np.divmod(np.arange(n), size)
+    stress = local < s
+    index = np.where(stress, cell * s + local, cell * (size - s) + local - s)
+    at = np.where(stress, [ns * ns + index, index],
+                  [ns * (ns + nu) + index, ns * ns + ns * index]).ravel()
+    by = np.where(stress, [index, ns * index], [nu * index, ns * index]).ravel()
+    half = n * stress
+    for row, col, value in _entries(L):
+        flat[at[half[col] + row] + by[half[row] + col]] = value.astype(dtype, copy=False)
+    np.subtract(0.0, C, out=C)  # 0 - x leaves no -0.0 where L stores no entry
     return A, B, C
 
 
@@ -238,7 +243,8 @@ def _dense_factor(L, dofmap, dtype):
     """Block Cholesky of S M = [[A, B], [B^T, -C]] in dtype: (solve, factor entries).
 
     S M is symmetric quasi-definite, so A = L L^T and C + W^T W = L2 L2^T,
-    W = L^-1 B, need no pivoting.  A, B and C come from _dense_blocks.
+    W = L^-1 B, need no pivoting.  A, B and C come from _dense_blocks; solve
+    takes S b.
     """
     A, B, C = _dense_blocks(L, dofmap, dtype)
     (ns, nu), stress, disp = B.shape, dofmap.stress_dofs, dofmap.disp_dofs
@@ -254,7 +260,7 @@ def _dense_factor(L, dofmap, dtype):
     def solve(b):
         # level-2 BLAS: LAPACK's potrs and trtrs were erratic under threaded OpenBLAS
         y = trsv(L, b[stress].astype(dtype), lower=1)
-        u = gemv(1.0, W, y, beta=1.0, y=b[disp].astype(dtype), trans=1)
+        u = gemv(1.0, W, y, beta=-1.0, y=b[disp].astype(dtype), trans=1)
         x = np.empty_like(b)
         x[disp] = u = trsv(L2, trsv(L2, u, lower=1), lower=1, trans=1)
         x[stress] = trsv(L, gemv(-1.0, W, u, beta=1.0, y=y), lower=1, trans=1)
@@ -264,9 +270,9 @@ def _dense_factor(L, dofmap, dtype):
 
 
 def _factor(L, dofmap, dtype=np.float64):
-    """Factor of M in dtype from L: (solve, factor entries); solve keeps b's dtype.
+    """Factor of S M in dtype from L: (solve, factor entries); solve(S b) keeps its dtype.
 
-    _dense_factor when n^2 <= DENSE_MAX_RATIO * nnz(M), else sparse LU of M
+    _dense_factor when n^2 <= DENSE_MAX_RATIO * nnz(M), else sparse LU of S M
     in the stress-first block order.  Raises FactorMemoryError, before L is
     copied, when the factor would not fit in _available_memory(), and
     FloatingPointError when L leaves dtype's normal range.
@@ -288,7 +294,7 @@ def _factor(L, dofmap, dtype=np.float64):
                 return _dense_factor(L, dofmap, dtype)
             inv = np.empty(len(perm), np.int32)
             inv[perm] = np.arange(len(perm), dtype=np.int32)
-            Mp = _expand(L, dofmap, dtype)
+            Mp = _expand(L, dtype)
             Mp = sp.csc_matrix((Mp.data, inv[Mp.indices], Mp.indptr), shape=Mp.shape)[:, perm]
         Mp.sort_indices()
         # the block pattern is structurally symmetric; symmetric-mode SuperLU
@@ -311,26 +317,14 @@ def _factor(L, dofmap, dtype=np.float64):
 
 
 def _cell_blocks(L, dofmap):
-    """Each cell's own dense diagonal block of M, (cells, cell size, cell size).
-
-    L's columns are scanned a chunk of whole cells at a time, of about
-    SCAN_ENTRIES stored entries, so that the index arrays stay that small;
-    each own block's lower triangle is then mirrored and its rows signed.
-    """
+    """Each cell's own dense diagonal block of S M, (cells, cell size, cell size):
+    the own entries of _entries(L), each block's lower triangle then mirrored."""
     size = dofmap.cell_size
     D = np.zeros((dofmap.num_cells, size, size))
-    chunk = max(1, SCAN_ENTRIES * dofmap.num_cells // L.nnz) * size
-    for start in range(0, L.shape[1], chunk):
-        stop = min(start + chunk, L.shape[1])
-        lo, hi = L.indptr[start], L.indptr[stop]
-        col = np.repeat(np.arange(start, stop, dtype=L.indices.dtype),
-                        np.diff(L.indptr[start:stop + 1]))
-        row = L.indices[lo:hi]
+    for row, col, value in _entries(L):
         own = row // size == col // size
-        row, col = row[own], col[own]
-        D[col // size, row % size, col % size] = L.data[lo:hi][own]
+        D[col[own] // size, row[own] % size, col[own] % size] = value[own]
     D += np.triu(D.transpose(0, 2, 1), 1)
-    D[:, dofmap.stress_cell_size:] *= -1.0
     return D
 
 
@@ -340,23 +334,23 @@ def _recurses(dofmap, mesh):
 
 
 def _multilevel(L, dofmap, mesh):
-    """One float32 multilevel cycle as a preconditioner for M: (cycle, nnz, grids).
+    """One float32 multilevel cycle as a preconditioner for S M: (cycle, nnz, grids).
 
     Two damped cell-block Jacobi sweeps, whose blocks are the cells' own
-    diagonal blocks of M (a Vanka-type smoother), inverted in float64; a
-    coarse correction by the Galerkin operator P^T M P of the prolongation P
+    diagonal blocks of S M (a Vanka-type smoother), inverted in float64; a
+    coarse correction by the Galerkin operator P^T S M P of the prolongation P
     from mesh.coarse_level; then two more sweeps.  P maps each field to
     itself, so the coarse L is the lower triangle of P^T L P + (P^T L P)^T
     - P^T D P.  The correction applies the coarse level's own cycle when
     _recurses holds for that level, and otherwise a float32 _factor.  The
-    cycle maps float32 to float32; M enters it through a float32 _operator.
+    cycle maps float32 to float32; S M enters it through a float32 _operator.
     nnz is the coarsest factor's, and grids counts the levels down to it.
     Raises FloatingPointError out of float32's normal range.
     """
     # the float64 cell blocks and their inverses live before any coarse data
     with np.errstate(over="raise", under="raise"):
         D_inv = np.linalg.inv(_cell_blocks(L, dofmap)).astype(np.float32)
-    matvec = _operator(L, dofmap, np.float32)
+    matvec = _operator(L, np.float32)
     size = dofmap.cell_size
     P = prolongation(mesh, dofmap)
     coarse_mesh = mesh.coarse_level[0]
@@ -454,14 +448,16 @@ def _refine(M, b, correct, tol, accept):
 def solve_saddle(system, mesh=None):
     """Solve M x = b, M = [[Aa, Bb], [-Bb^T, Cc]] in cell-major order.
 
-    mesh is the mesh the system was assembled on; without it, or off the
-    GMRES cases in the module docstring, M is factored by _factor, in the
-    precisions of the module docstring.  The penalties are read from
-    system.stab.  Relative residuals above RESIDUAL_TOL, taken on M and b,
-    raise on either path; the system is never silently regularized.
+    Every path solves the symmetric S M x = S b, with the same x and residual
+    norms.  mesh is the mesh the system was assembled on; without it, or off
+    the GMRES cases in the module docstring, S M is factored by _factor, in
+    the precisions of the module docstring.  The penalties are read from
+    system.stab.  Relative residuals above RESIDUAL_TOL raise on either path;
+    the system is never silently regularized.
     """
-    L, b, dofmap, stab = system.L, system.b, system.dofmap, system.stab
-    M, norm_b = _operator(L, dofmap), np.linalg.norm(b)
+    L, dofmap, stab = system.L, system.dofmap, system.stab
+    b = system.b * dofmap.signs
+    SM, norm_b = _operator(L), np.linalg.norm(b)
     t0 = time.perf_counter()
     x = None
     h_scaled = stab.alpha1 == -1.0 and stab.beta1 == 1.0  # C11 ~ 1/h, C22 ~ h
@@ -473,8 +469,8 @@ def solve_saddle(system, mesh=None):
         with contextlib.suppress(FloatingPointError, SingularSystemError):
             precondition, nnz, levels = _multilevel(L, dofmap, mesh)
             t1 = time.perf_counter()
-            x, iterations = _refine(M, b, lambda r, left: _arnoldi_cycle(
-                M, r, precondition, min(left, KRYLOV_RESTART), KRYLOV_TOL * norm_b),
+            x, iterations = _refine(SM, b, lambda r, left: _arnoldi_cycle(
+                SM, r, precondition, min(left, KRYLOV_RESTART), KRYLOV_TOL * norm_b),
                 KRYLOV_TOL, RESIDUAL_TOL)
     # each failed rung's arrays are freed before the next factor checks its memory
     if x is None:
@@ -484,7 +480,7 @@ def solve_saddle(system, mesh=None):
             lu_solve, nnz = _factor(L, dofmap, np.float32)
             t1 = time.perf_counter()
             # at unit norm the cast to float32 stays in range
-            x, _ = _refine(M, b, lambda r, left: (
+            x, _ = _refine(SM, b, lambda r, left: (
                 np.linalg.norm(r) * lu_solve(r / np.linalg.norm(r)), 1), 0.0, KRYLOV_TOL)
     if x is None:
         lu_solve = None
@@ -493,7 +489,7 @@ def solve_saddle(system, mesh=None):
         x = lu_solve(b)
     if not np.all(np.isfinite(x)):
         raise SingularSystemError("factorization produced non-finite solution")
-    resid = np.linalg.norm(M @ x - b) / (norm_b if norm_b > 0 else 1.0)
+    resid = np.linalg.norm(SM @ x - b) / (norm_b if norm_b > 0 else 1.0)
     report = SolveReport(relative_residual=float(resid), factor_s=t1 - t0,
                          solve_s=time.perf_counter() - t1, factor_nnz=nnz,
                          iterations=iterations, levels=levels)

@@ -12,6 +12,7 @@ uses them.
 import math
 
 import numpy as np
+import scipy.sparse as sp
 
 from mixeddg.forms import (
     MaterialParams,
@@ -378,6 +379,14 @@ def cell_blocks(M, dofmap: DofMap) -> np.ndarray:
     D = np.zeros((dofmap.num_cells, size, size))
     D[col // size, row % size, col % size] = M.data[own]
     return D
+
+
+def sign_flipped(system):
+    """(S M, S b) from the public system.M and system.b, S = +1 on the stress
+    and -1 on the displacement dofs: the symmetric system the solver works on."""
+    S = np.ones(system.dofmap.total_dofs)
+    S[system.dofmap.disp_dofs] = -1.0
+    return (sp.diags(S) @ system.M).tocsc(), S * system.b
 
 
 def cycle_bytes(L, dofmap: DofMap, restart: int) -> int:

@@ -36,6 +36,7 @@ from oracles import (
     form_b_direct,
     form_c_direct,
     jump_avg_kernels,
+    sign_flipped,
 )
 
 BOX2 = ((-1.0, 1.0), (-1.0, 1.0))
@@ -103,6 +104,18 @@ class TestComplianceStiffness:
             MaterialParams(0.0, 0.35, 2)
         with pytest.raises(ValueError):
             MaterialParams(0.3, -1.0, 2)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
+    def test_material_rejects_non_finite(self, bad):
+        # nan <= 0 is False: such a constant used to reach the solve, which
+        # then reported a singular factor
+        for lam, mu in ((bad, 0.35), (0.3, bad)):
+            with pytest.raises(ValueError, match="positive and finite"):
+                MaterialParams(lam, mu, 2)
+        with pytest.raises(ValueError, match="positive and finite"):
+            case_3d_sine(lam=bad)
+        with pytest.raises(ValueError, match="positive and finite"):
+            case_3d_sine(mu=bad)
 
 
 class _StubMesh:
@@ -428,15 +441,13 @@ class TestAssembly:
 
     @pytest.mark.parametrize("kind,eta", [("tri", 1.0), ("tri", 0.0), ("tet", 1.0)])
     def test_expanded_matrix_sign_symmetric(self, kind, eta):
-        # M = S (L + L^T - D) is exactly S M^T S, and Aa, Bb and Cc are its blocks
+        # S M, from M = S (L + L^T - D), is exactly symmetric with L its lower
+        # triangle, and Aa, Bb and Cc are M's blocks
         mesh = build_uniform_tri(4, BOX2) if kind == "tri" else build_uniform_tet(1, BOX3)
         _, dm, _, system = _assemble(mesh, 2, 2, StabilizationParams(eta=eta))
-        M = system.M
-        sign = np.ones(dm.total_dofs)
-        sign[dm.disp_dofs] = -1.0
-        S = sp.diags(sign)
-        assert (S @ M.T @ S - M).count_nonzero() == 0
-        assert np.array_equal(sp.tril(S @ M).toarray(), system.L.toarray())
+        M, (SM, _) = system.M, sign_flipped(system)
+        assert (SM.T - SM).count_nonzero() == 0
+        assert np.array_equal(sp.tril(SM).toarray(), system.L.toarray())
         s, u = dm.stress_dofs, dm.disp_dofs
         for block, rows, cols in ((system.Aa, s, s), (system.Bb, s, u), (system.Cc, u, u)):
             assert np.array_equal(block.toarray(), M.toarray()[np.ix_(rows, cols)])

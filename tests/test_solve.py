@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import inspect
 import tracemalloc
 import warnings
@@ -24,7 +25,7 @@ from mixeddg.forms import MaterialParams, StabilizationParams, assemble_system
 from mixeddg.solve import FactorMemoryError, ResidualToleranceError, SingularSystemError, \
     _block_graph, _factor, _stress_first_order
 from oracles import cell_blocks, cell_points, cell_ref_coords, cycle_bytes, dense_blocks, \
-    evaluate_field, exact_residual
+    evaluate_field, exact_residual, sign_flipped
 
 BOX2 = ((-1.0, 1.0), (-1.0, 1.0))
 BOX3 = ((0.0, 1.0), (0.0, 1.0), (0.0, 1.0))
@@ -250,9 +251,23 @@ def spy_dense(monkeypatch):
 
 
 def double_lu(system):
-    """Solution and fill of the float64 LU of the stress-first order."""
+    """Solution and fill of the float64 LU of the stress-first order, which
+    factors S M and so solves for S b."""
     lu_solve, nnz = _factor(system.L, system.dofmap)
-    return lu_solve(system.b), nnz
+    return lu_solve(sign_flipped(system)[1]), nnz
+
+
+def count_runs(monkeypatch):
+    """The entries in each run that _entries yields, in call order."""
+    runs, real = [], solve_module._entries
+
+    def entries(L):
+        for run in real(L):
+            runs.append(len(run[0]))
+            yield run
+
+    monkeypatch.setattr(solve_module, "_entries", entries)
+    return runs
 
 
 class TestMixedPrecision:
@@ -305,6 +320,9 @@ class TestMixedPrecision:
         x, nnz = double_lu(system)
         assert np.array_equal(coeffs.values, x)
         assert report.factor_nnz == nnz
+        # x is pinned bit for bit, as in TestSolutionBits
+        assert hashlib.sha256(x.tobytes()).hexdigest() == (
+            "6479a57163d34b658c3ce66d2583d681041bece0f7daa9cf2cdbd20d558b823b")
 
     def test_refinement_miss_takes_double(self, monkeypatch):
         # no refinement reaches a zero residual
@@ -448,15 +466,22 @@ class TestDenseFactor:
         assert (cholesky, lu) == (([np.float32], []) if dense else ([], [np.float32]))
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
-    @pytest.mark.parametrize("k", [3, 10])
-    def test_blocks_copied_from_lower(self, k, dtype):
+    @pytest.mark.parametrize("k,scan,chunks", [(3, None, 1), (10, None, 13), (3, 3000, 27)],
+                             ids=["3", "10", "3-chunked"])
+    def test_blocks_copied_from_lower(self, k, scan, chunks, dtype, monkeypatch):
         # A's lower triangle, B and C's lower triangle, the parts the block
-        # Cholesky reads, are copied from L bit for bit as from the full M
+        # Cholesky reads, are copied from L bit for bit as from the full M,
+        # whether L is read in one run of columns or in many
         mesh = build_uniform_tri(2, BOX2)
         case = case_2d_poly()
         system = assemble_system(mesh, build_face_topology(mesh), build_dofmap(mesh, k, k),
                                  case.material, StabilizationParams(), case.f)
+        if scan is not None:
+            monkeypatch.setattr(solve_module, "SCAN_ENTRIES", scan)
+        runs = count_runs(monkeypatch)
         got = solve_module._dense_blocks(system.L, system.dofmap, dtype)
+        assert len(runs) == chunks and sum(runs) == system.L.nnz
+        assert max(runs) <= solve_module.SCAN_ENTRIES // 4
         want = dense_blocks(system.M, system.dofmap, dtype)
         for part, (g, w) in zip(("A", "B", "C"), zip(got, want)):
             assert g.dtype == dtype and g.flags.f_contiguous
@@ -910,13 +935,14 @@ class TestTwoLevel:
 
 class TestCellBlocks:
     @pytest.mark.parametrize("scan", [None, 3000], ids=["default", "chunked"])
-    @pytest.mark.parametrize("mesh_fn", [
-        lambda: build_uniform_tri(8, BOX2), lambda: build_uniform_quad(4, BOX2),
-        lambda: build_uniform_tet(2, BOX3),
+    @pytest.mark.parametrize("mesh_fn,chunks", [
+        (lambda: build_uniform_tri(8, BOX2), {None: 1, 3000: 88}),
+        (lambda: build_uniform_quad(4, BOX2), {None: 1, 3000: 8}),
+        (lambda: build_uniform_tet(2, BOX3), {None: 2, 3000: 157}),
     ], ids=["tri", "quad", "tet"])
-    def test_match_one_pass_oracle(self, mesh_fn, scan, monkeypatch):
-        # the blocks mirrored from L are the expanded M's, bit for bit; a
-        # small SCAN_ENTRIES scans one to four cells at a time
+    def test_match_one_pass_oracle(self, mesh_fn, chunks, scan, monkeypatch):
+        # the blocks mirrored from L are the expanded S M's, bit for bit; a
+        # small SCAN_ENTRIES reads L in runs of a few columns each
         mesh = mesh_fn()
         case = case_2d_poly() if mesh.dim == 2 else case_3d_sine()
         dm = build_dofmap(mesh, 2, 1)
@@ -924,15 +950,18 @@ class TestCellBlocks:
                                  StabilizationParams(), case.f)
         if scan is not None:
             monkeypatch.setattr(solve_module, "SCAN_ENTRIES", scan)
+        runs = count_runs(monkeypatch)
         D = solve_module._cell_blocks(system.L, dm)
-        assert np.array_equal(D, cell_blocks(system.M, dm))
+        assert len(runs) == chunks[scan] and sum(runs) == system.L.nnz
+        assert max(runs) <= solve_module.SCAN_ENTRIES // 4
+        assert np.array_equal(D, cell_blocks(sign_flipped(system)[0], dm))
         assert np.all(D[:, np.arange(dm.cell_size), np.arange(dm.cell_size)] != 0.0)
 
 
 class TestSignSymmetry:
     """S M is symmetric, S = +1 on stress and -1 on displacement dofs, so the
-    system stores its lower triangle L and applies M x = S (L x + L^T x - D x)
-    over L's own index arrays."""
+    system stores its lower triangle L and the solver applies
+    S M x = L x + L^T x - D x over L's own index arrays."""
 
     @pytest.mark.parametrize("stab", [StabilizationParams(), C22_ONE],
                              ids=["default", "c11=hinv,c22=1"])
@@ -946,9 +975,9 @@ class TestSignSymmetry:
         dm = build_dofmap(mesh, 2, 2)
         system = assemble_system(mesh, build_face_topology(mesh), dm, case.material, stab,
                                  case.f)
-        M = system.M
+        M, _ = sign_flipped(system)
         x = rng.randn(dm.total_dofs).astype(np.float32)
-        y = solve_module._operator(system.L, dm, np.float32) @ x
+        y = solve_module._operator(system.L, np.float32) @ x
         assert y.dtype == np.float32
         exact = x.astype(float)
         bound = np.finfo(np.float32).eps * np.linalg.norm(abs(M) @ abs(exact))
@@ -967,7 +996,36 @@ class TestSignSymmetry:
         system = assemble_system(mesh, build_face_topology(mesh), dm, case.material,
                                  StabilizationParams(), case.f)
         x = rng.randn(dm.total_dofs).astype(x_dtype)
-        y = solve_module._operator(system.L, dm) @ x
-        exact = system.M @ x.astype(float)
+        y = solve_module._operator(system.L) @ x
+        exact = sign_flipped(system)[0] @ x.astype(float)
         assert y.dtype == np.float64
         assert np.linalg.norm(y - exact) <= 1e-15 * np.linalg.norm(exact)
+
+
+class TestSolutionBits:
+    """x's SHA-256 on one system per solver path, with the iterations, the
+    grids and the factor's entries.  The pins hold under one and two OpenBLAS
+    threads; tri n=32 and tet n=4 on the cycle do not, as threaded BLAS sums
+    their Arnoldi products in another order, so the cycle is pinned on tri
+    n=8 and tet n=2 with no size floor."""
+
+    @pytest.mark.parametrize("kind,n,k,floor,report,digest", [
+        ("tri", 8, 1, None, (0, 1, 218_078),
+         "d9581733d77a109965e4c778a5ea8118d0359c6afedf3b9c97b7ee1592078919"),
+        ("tri", 2, 3, None, (0, 1, 80_200),
+         "a71f87bf770f68d67594392eb50cce22bfa7dd3038e7819950c95daa6a852187"),
+        ("tri", 8, 1, 0, (29, 4, 465),
+         "bf13b2791ae6ba1012b02147b55b181f43f0bad77442932dc7cf9c15e82a9a72"),
+        ("tet", 2, 1, 0, (38, 2, 23_436),
+         "68d998eab9b65805b1106b39eba1a31e27c73b524a80edc16988b30645b380f2"),
+    ], ids=["lu", "dense", "cycle-tri", "cycle-tet"])
+    def test_solution_pinned(self, kind, n, k, floor, report, digest, monkeypatch):
+        if floor is not None:
+            monkeypatch.setattr(solve_module, "KRYLOV_MIN_DOFS", floor)
+        mesh = build_uniform_tri(n, BOX2) if kind == "tri" else build_uniform_tet(n, BOX3)
+        case = case_2d_poly() if mesh.dim == 2 else case_3d_sine()
+        system = assemble_system(mesh, build_face_topology(mesh), build_dofmap(mesh, k, k),
+                                 case.material, StabilizationParams(), case.f)
+        coeffs, got = solve_saddle(system, mesh)
+        assert (got.iterations, got.levels, got.factor_nnz) == report
+        assert hashlib.sha256(coeffs.values.tobytes()).hexdigest() == digest
